@@ -427,22 +427,38 @@ void BM_EventBufferSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_EventBufferSnapshot)->Arg(60)->Arg(180);
 
+// The adaptive node's on_gossip steady state: a buffer at capacity C takes
+// C/6 novel events (sim-paper-adaptive's novel ratio is ~0.16), then the
+// virtual drops against minBuff = C, the real bound and the lost-set prune
+// run in that order. Every iteration evicts, so this is the eviction cost
+// paid per received gossip message.
 void BM_CongestionEstimatorObserve(benchmark::State& state) {
+  const auto capacity = static_cast<std::size_t>(state.range(0));
   gossip::EventBuffer buf;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    gossip::Event e;
-    e.id = EventId{1, i};
-    e.age = static_cast<std::uint32_t>(i % 12);
-    buf.insert(std::move(e));
-  }
   adaptive::CongestionEstimator est(0.9, 5.0);
+  Rng rng(1);
+  std::uint64_t seq = 0;
+  auto receive = [&](std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i, ++seq) {
+      gossip::Event e;
+      e.id = EventId{static_cast<NodeId>(seq % 60), seq};
+      e.age = static_cast<std::uint32_t>(rng.next_below(12));
+      buf.insert(std::move(e));
+    }
+  };
+  receive(capacity);
   for (auto _ : state) {
-    est.observe(buf, static_cast<std::size_t>(state.range(0)));
+    receive(capacity / 6);
+    est.observe(buf, capacity);
+    auto dropped = buf.shrink_to(capacity);
     est.prune(buf);
-    benchmark::DoNotOptimize(est.avg_age());
+    benchmark::DoNotOptimize(dropped);
   }
+  state.counters["virtual_drops_per_iter"] =
+      static_cast<double>(est.observations()) /
+      static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_CongestionEstimatorObserve)->Arg(60)->Arg(180);
+BENCHMARK(BM_CongestionEstimatorObserve)->Arg(60)->Arg(120)->Arg(480);
 
 void BM_MinBuffEstimatorHeader(benchmark::State& state) {
   adaptive::MinBuffEstimator est(2, 120);

@@ -1,7 +1,5 @@
 #include "adaptive/congestion_estimator.h"
 
-#include <vector>
-
 namespace agb::adaptive {
 
 CongestionEstimator::CongestionEstimator(double alpha, double initial_age)
@@ -11,21 +9,17 @@ void CongestionEstimator::observe(const gossip::EventBuffer& events,
                                   std::size_t min_buff) {
   // "while |events - lost| > minBuff: select oldest element e from
   //  events - lost; avgAge <- alpha*avgAge + (1-alpha)*e.age; lost += {e}"
-  while (events.count_excluding(lost_) > min_buff) {
-    const gossip::Event* oldest = events.oldest_excluding(lost_);
-    if (oldest == nullptr) break;  // defensive; cannot happen if count > 0
-    avg_age_.add(static_cast<double>(oldest->age));
-    lost_.insert(oldest->id);
+  // The loop's picks are the events beyond the minBuff youngest of
+  // events - lost, oldest first, which one selection yields in order.
+  for (const gossip::EventBuffer::Slot* victim :
+       events.oldest_beyond(min_buff, &lost_)) {
+    avg_age_.add(static_cast<double>(victim->event.age));
+    lost_.insert(victim->event.id);
   }
 }
 
 void CongestionEstimator::prune(const gossip::EventBuffer& events) {
-  std::vector<EventId> dead;
-  dead.reserve(lost_.size());
-  for (const EventId& id : lost_) {
-    if (!events.contains(id)) dead.push_back(id);
-  }
-  for (const EventId& id : dead) lost_.erase(id);
+  std::erase_if(lost_, [&](const EventId& id) { return !events.contains(id); });
 }
 
 }  // namespace agb::adaptive

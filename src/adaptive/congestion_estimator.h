@@ -24,9 +24,10 @@ class CongestionEstimator {
   /// avgAge so the controller is neutral before the first observation.
   CongestionEstimator(double alpha, double initial_age);
 
-  /// Performs the virtual-drop accounting against the current buffer
-  /// contents. Call after inserting the events of a received gossip message
-  /// and before enforcing the real buffer bound.
+  /// Virtually drops the buffered events beyond the min_buff youngest not in
+  /// lost(), oldest first (ties by insertion), folding each age into avgAge:
+  /// one pass over the buffer. Call after inserting the events of a received
+  /// gossip message and before enforcing the real buffer bound.
   void observe(const gossip::EventBuffer& events, std::size_t min_buff);
 
   /// Forgets `lost` entries whose events are no longer buffered; call after

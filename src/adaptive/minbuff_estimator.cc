@@ -1,6 +1,7 @@
 #include "adaptive/minbuff_estimator.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace agb::adaptive {
 
@@ -16,14 +17,14 @@ void MinBuffEstimator::set_local_capacity(std::uint32_t capacity) {
 }
 
 void MinBuffEstimator::advance_to(PeriodId p) {
-  while (period_ < p) {
-    history_.push_front(running_);
-    while (history_.size() > window_ - 1) history_.pop_back();
-    ++period_;
-    // A fresh period starts from local knowledge only; remote minima must be
-    // re-learned, which is exactly what lets obsolete constraints expire.
-    running_ = local_;
-  }
+  if (p <= period_) return;
+  // A fresh period starts from local knowledge only; remote minima must be
+  // re-learned, which is exactly what lets obsolete constraints expire. So a
+  // gap of W or more leaves W-1 local-only periods: W pushes cover any gap.
+  for (PeriodId i = std::min<PeriodId>(p - period_, window_); i > 0; --i)
+    history_.push_front(std::exchange(running_, local_));
+  while (history_.size() > window_ - 1) history_.pop_back();
+  period_ = p;
 }
 
 void MinBuffEstimator::on_header(PeriodId p, std::uint32_t remote_min) {

@@ -33,7 +33,7 @@ class MinBuffEstimator {
   /// Advances to period `p` if it is ahead of the current one. Completed
   /// periods are pushed into the history window; periods skipped entirely
   /// (e.g. after a long stall) are filled with the local capacity, since no
-  /// remote information exists for them.
+  /// remote information exists for them. O(W) however far `p` lies ahead.
   void advance_to(PeriodId p);
 
   /// Folds a received gossip header into the estimate. Headers from later

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 namespace agb::adaptive {
 
@@ -75,13 +76,12 @@ void RobustMinEstimator::set_local_capacity(std::uint32_t capacity) {
 }
 
 void RobustMinEstimator::advance_to(PeriodId p) {
-  while (period_ < p) {
-    history_.push_front(current_);
-    while (history_.size() > window_ - 1) history_.pop_back();
-    ++period_;
-    current_.clear();
-    current_.push_back({self_, local_});
-  }
+  if (p <= period_) return;
+  // As in MinBuffEstimator, W pushes cover any gap.
+  for (PeriodId i = std::min<PeriodId>(p - period_, window_); i > 0; --i)
+    history_.push_front(std::exchange(current_, Entries{{self_, local_}}));
+  while (history_.size() > window_ - 1) history_.pop_back();
+  period_ = p;
 }
 
 void RobustMinEstimator::on_entries(

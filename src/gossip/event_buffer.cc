@@ -63,23 +63,25 @@ std::vector<Event> EventBuffer::purge_superseded() {
   return removed;
 }
 
-std::size_t EventBuffer::oldest_slot_index(
-    const std::unordered_set<EventId>* excluded) const {
-  std::size_t best = slots_.size();
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (excluded && excluded->contains(slots_[i].event.id)) continue;
-    if (best == slots_.size()) {
-      best = i;
-      continue;
-    }
-    const auto& cand = slots_[i];
-    const auto& cur = slots_[best];
-    if (cand.event.age > cur.event.age ||
-        (cand.event.age == cur.event.age && cand.fifo_seq < cur.fifo_seq)) {
-      best = i;
+std::span<const EventBuffer::Slot* const> EventBuffer::oldest_beyond(
+    std::size_t keep, const std::unordered_set<EventId>* excluded) const {
+  if (slots_.size() <= keep) return {};  // no pass when everything fits
+  thread_local std::vector<const Slot*> candidates;
+  candidates.clear();
+  for (const Slot& slot : slots_) {
+    if (excluded == nullptr || !excluded->contains(slot.event.id)) {
+      candidates.push_back(&slot);
     }
   }
-  return best;
+  if (candidates.size() <= keep) return {};
+  const auto victims = static_cast<std::ptrdiff_t>(candidates.size() - keep);
+  std::partial_sort(candidates.begin(), candidates.begin() + victims,
+                    candidates.end(), [](const Slot* a, const Slot* b) {
+                      return a->event.age != b->event.age
+                                 ? a->event.age > b->event.age
+                                 : a->fifo_seq < b->fifo_seq;
+                    });
+  return {candidates.data(), static_cast<std::size_t>(victims)};
 }
 
 void EventBuffer::erase_slot(std::size_t idx) {
@@ -92,28 +94,15 @@ void EventBuffer::erase_slot(std::size_t idx) {
 }
 
 std::vector<Event> EventBuffer::shrink_to(std::size_t capacity) {
+  const auto victims = oldest_beyond(capacity);
   std::vector<Event> removed;
-  while (slots_.size() > capacity) {
-    const std::size_t idx = oldest_slot_index(nullptr);
-    removed.push_back(slots_[idx].event);
-    erase_slot(idx);
-  }
+  removed.reserve(victims.size());
+  for (const Slot* victim : victims) removed.push_back(victim->event);
+  // erase_slot() moves the last slot into the hole, so each victim is looked
+  // up afresh. The order matters: for_each and purge_age_limit follow the
+  // slot layout, which the golden traces pin.
+  for (const Event& event : removed) erase_slot(index_.at(event.id));
   return removed;
-}
-
-const Event* EventBuffer::oldest_excluding(
-    const std::unordered_set<EventId>& excluded) const {
-  const std::size_t idx = oldest_slot_index(&excluded);
-  return idx == slots_.size() ? nullptr : &slots_[idx].event;
-}
-
-std::size_t EventBuffer::count_excluding(
-    const std::unordered_set<EventId>& excluded) const {
-  std::size_t count = 0;
-  for (const auto& slot : slots_) {
-    if (!excluded.contains(slot.event.id)) ++count;
-  }
-  return count;
 }
 
 std::vector<Event> EventBuffer::snapshot() const {

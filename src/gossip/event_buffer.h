@@ -10,13 +10,15 @@
 //    adaptive mechanism observes.
 //
 // Buffer sizes are small (tens to hundreds), so a flat vector with linear
-// scans beats node-based containers; operations are O(n) worst case.
+// scans beats node-based containers. Oldest-first eviction, real or virtual,
+// is one oldest_beyond() pass plus a partial sort of the victims.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -64,18 +66,18 @@ class EventBuffer {
   std::vector<Event> purge_superseded();
 
   /// Removes oldest events until size() <= capacity; returns them in removal
-  /// order. "Oldest" = highest age; ties broken by earliest insertion.
+  /// order, which is oldest_beyond(capacity)'s.
   std::vector<Event> shrink_to(std::size_t capacity);
 
-  /// The oldest event whose id is NOT in `excluded`, or nullptr. Used by the
-  /// congestion estimator to simulate drops at a virtual minBuff-sized
-  /// buffer (paper Fig. 5(b): "select oldest element e from events - lost").
-  [[nodiscard]] const Event* oldest_excluding(
-      const std::unordered_set<EventId>& excluded) const;
-
-  /// Number of stored events whose id is not in `excluded`.
-  [[nodiscard]] std::size_t count_excluding(
-      const std::unordered_set<EventId>& excluded) const;
+  /// The events beyond the `keep` youngest among those whose id is not in
+  /// `excluded` (if given), oldest first: age descending, ties by earliest
+  /// insertion — what repeatedly taking the oldest would yield (paper Fig.
+  /// 5(b): "select oldest element e from events - lost"), in one pass with
+  /// one exclusion probe per slot. The span aliases per-thread scratch, valid
+  /// until this thread's next call or a mutation of the buffer.
+  [[nodiscard]] std::span<const Slot* const> oldest_beyond(
+      std::size_t keep,
+      const std::unordered_set<EventId>* excluded = nullptr) const;
 
   /// Copies of all stored events (what a gossip message carries).
   [[nodiscard]] std::vector<Event> snapshot() const;
@@ -84,8 +86,6 @@ class EventBuffer {
   void for_each(const std::function<void(const Event&)>& fn) const;
 
  private:
-  std::size_t oldest_slot_index(
-      const std::unordered_set<EventId>* excluded) const;
   void erase_slot(std::size_t idx);
 
   std::vector<Slot> slots_;

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "adaptive/adaptive_node.h"
 #include "common/config.h"
 #include "core/scenario.h"
 #include "core/scenario_registry.h"
@@ -241,6 +244,9 @@ TEST(EventQueueTest, HandleOutlivingQueueIsInert) {
 // identical schedules. These fingerprints were captured from the seed
 // implementation (std::priority_queue + per-node PeriodicTimer) at seed
 // 2003 and must never change — a mismatch means the event order moved.
+// Adaptive nodes also fold in the exact bits of their avgAge EWMA, allowed
+// rate and minBuff, so the adaptive pins below cover the estimators'
+// arithmetic too; baseline runs hash exactly what they always did.
 
 std::uint64_t fnv1a_mix(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -254,8 +260,11 @@ std::uint64_t fnv1a_mix(std::uint64_t h, double v) {
   return fnv1a_mix(h, static_cast<std::uint64_t>(std::llround(v * 1e6)));
 }
 
+/// `lowest_min_buff`, when given, receives the smallest minBuff any
+/// adaptive node ends the run with.
 std::uint64_t trace_fingerprint(const std::string& preset,
-                                const std::vector<std::string>& overrides) {
+                                const std::vector<std::string>& overrides,
+                                std::uint32_t* lowest_min_buff = nullptr) {
   Config cfg;
   std::string error;
   for (const std::string& pair : overrides) {
@@ -276,6 +285,14 @@ std::uint64_t trace_fingerprint(const std::string& preset,
       h = fnv1a_mix(h, v);
     }
     h = fnv1a_mix(h, static_cast<std::uint64_t>(node->membership().size()));
+  }
+  for (const auto* node : scenario.adaptive_nodes()) {
+    h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(node->avg_age()));
+    h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(node->allowed_rate()));
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(node->min_buff()));
+    if (lowest_min_buff != nullptr) {
+      *lowest_min_buff = std::min(*lowest_min_buff, node->min_buff());
+    }
   }
   const auto& n = r.net;
   for (std::uint64_t v :
@@ -316,6 +333,31 @@ TEST(EventQueueGoldenTest, PartialViewTraceMatchesSeedImplementation) {
   auto overrides = golden_base_config();
   overrides.push_back("partial_view=1");
   EXPECT_EQ(trace_fingerprint("paper60", overrides), 0x23c07594749bf542ull);
+}
+
+// The adaptive pins were captured before the congestion estimator's
+// virtual drops and the buffer bound's real drops moved to one-pass
+// oldest-first selection, which promised the same drop sequence bit for
+// bit.
+TEST(EventQueueGoldenTest, AdaptivePaper60OverloadTraceIsPinned) {
+  auto overrides = golden_base_config();
+  overrides.push_back("adaptive=1");
+  overrides.push_back("rate=45");
+  EXPECT_EQ(trace_fingerprint("paper60", overrides), 0x244d7b1f46201ab1ull);
+}
+
+// fig9 squeezes 20% of the buffers 90 -> 45 -> 60 inside the window, so
+// minBuff falls below the real bound and virtually lost ids carry over from
+// one received message to the next.
+TEST(EventQueueGoldenTest, AdaptiveFig9SqueezeTraceIsPinned) {
+  auto overrides = golden_base_config();
+  overrides.push_back("adaptive=1");
+  overrides.push_back("t1_s=4");
+  overrides.push_back("t2_s=10");
+  std::uint32_t lowest_min_buff = UINT32_MAX;
+  EXPECT_EQ(trace_fingerprint("fig9", overrides, &lowest_min_buff),
+            0xb1a9663f3eddabccull);
+  EXPECT_LT(lowest_min_buff, 90u);  // fig9's real bound
 }
 
 }  // namespace

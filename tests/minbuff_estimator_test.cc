@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace agb::adaptive {
 namespace {
 
@@ -122,6 +124,46 @@ TEST(MinBuffEstimatorTest, AdvanceToPastPeriodIsNoop) {
   est.advance_to(2);  // backwards: ignored
   EXPECT_EQ(est.period(), 4u);
   EXPECT_EQ(est.estimate(), 25u);
+}
+
+// The header's period is an unchecked varint from the wire. A corrupted or
+// hostile one near 2^64 must cost O(W), not one step per skipped period.
+TEST(MinBuffEstimatorTest, FarFutureHeaderReturnsPromptly) {
+  MinBuffEstimator est(3, 90);
+  est.on_header(0, 10);
+  est.on_header(UINT64_MAX - 1, 60);
+  EXPECT_EQ(est.period(), UINT64_MAX - 1);
+  EXPECT_EQ(est.estimate(), 60u);  // min(local 90, 60); period 0 aged out
+}
+
+// Jumping a gap must leave what advancing one period at a time leaves. The
+// periods before the jump saw distinct minima, oldest smallest, so as the
+// window then rolls on the estimate reveals which completed periods each
+// estimator still holds.
+TEST(MinBuffEstimatorTest, GapAdvanceMatchesStepwiseAdvance) {
+  constexpr PeriodId kWindow = 4;
+  for (PeriodId gap : {PeriodId{1}, PeriodId{2}, kWindow - 1, kWindow,
+                       kWindow + 1}) {
+    SCOPED_TRACE(gap);
+    MinBuffEstimator jumped(kWindow, 100);
+    MinBuffEstimator stepped(kWindow, 100);
+    for (PeriodId p = 0; p < kWindow; ++p) {
+      for (auto* est : {&jumped, &stepped}) {
+        est->advance_to(p);
+        est->on_header(p, static_cast<std::uint32_t>(10 + 10 * p));
+      }
+    }
+    const PeriodId from = jumped.period();
+    jumped.advance_to(from + gap);
+    for (PeriodId p = from + 1; p <= from + gap; ++p) stepped.advance_to(p);
+    for (PeriodId p = from + gap; p <= from + gap + kWindow; ++p) {
+      jumped.advance_to(p);
+      stepped.advance_to(p);
+      EXPECT_EQ(jumped.period(), p);
+      EXPECT_EQ(jumped.running_minimum(), stepped.running_minimum());
+      EXPECT_EQ(jumped.estimate(), stepped.estimate()) << p;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace agb::adaptive {
 namespace {
 
@@ -113,6 +115,48 @@ TEST(RobustMinEstimatorTest, KLargerThanGroupFallsBackToLargestKnown) {
   est.on_entries(0, std::vector<MinSetEntry>{{1, 10}, {2, 20}});
   // Only 3 capacities known ({10,20,100}); k=5 clamps to the largest.
   EXPECT_EQ(est.estimate(), 100u);
+}
+
+// The header's period is an unchecked varint from the wire. A corrupted or
+// hostile one near 2^64 must cost O(W), not one step per skipped period.
+TEST(RobustMinEstimatorTest, FarFuturePeriodReturnsPromptly) {
+  RobustMinEstimator est(1, 0, 3, 0, 100);
+  est.on_entries(0, std::vector<MinSetEntry>{{5, 10}});
+  est.on_entries(UINT64_MAX - 1, std::vector<MinSetEntry>{{6, 60}});
+  EXPECT_EQ(est.period(), UINT64_MAX - 1);
+  EXPECT_EQ(est.estimate(), 60u);  // min(local 100, 60); node 5 aged out
+}
+
+// Jumping a gap must leave what advancing one period at a time leaves (see
+// the MinBuffEstimator twin of this test).
+TEST(RobustMinEstimatorTest, GapAdvanceMatchesStepwiseAdvance) {
+  constexpr PeriodId kWindow = 4;
+  for (PeriodId gap : {PeriodId{1}, PeriodId{2}, kWindow - 1, kWindow,
+                       kWindow + 1}) {
+    SCOPED_TRACE(gap);
+    RobustMinEstimator jumped(1, 0, kWindow, 0, 100);
+    RobustMinEstimator stepped(1, 0, kWindow, 0, 100);
+    for (PeriodId p = 0; p < kWindow; ++p) {
+      const std::vector<MinSetEntry> entries{
+          {static_cast<NodeId>(10 + p),
+           static_cast<std::uint32_t>(10 + 10 * p)}};
+      for (auto* est : {&jumped, &stepped}) {
+        est->advance_to(p);
+        est->on_entries(p, entries);
+      }
+    }
+    const PeriodId from = jumped.period();
+    jumped.advance_to(from + gap);
+    for (PeriodId p = from + 1; p <= from + gap; ++p) stepped.advance_to(p);
+    for (PeriodId p = from + gap; p <= from + gap + kWindow; ++p) {
+      jumped.advance_to(p);
+      stepped.advance_to(p);
+      EXPECT_EQ(jumped.period(), p);
+      EXPECT_EQ(jumped.header_entries().size(),
+                stepped.header_entries().size());
+      EXPECT_EQ(jumped.estimate(), stepped.estimate()) << p;
+    }
+  }
 }
 
 }  // namespace
