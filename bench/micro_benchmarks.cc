@@ -182,8 +182,7 @@ std::vector<agb::NodeId> batch_targets(std::size_t fanout) {
 
 void BM_InMemoryFanoutPerTargetSend(benchmark::State& state) {
   const auto fanout = static_cast<std::size_t>(state.range(0));
-  runtime::InMemoryFabric fabric({.loss_probability = 0.0,
-                                  .min_delay = 0,
+  runtime::InMemoryFabric fabric({.min_delay = 0,
                                   .max_delay = 0,
                                   .shards = 1});
   const auto targets = batch_targets(fanout);
@@ -200,8 +199,7 @@ BENCHMARK(BM_InMemoryFanoutPerTargetSend)->Arg(3)->Arg(5)->Arg(10);
 
 void BM_InMemoryFanoutBatchSend(benchmark::State& state) {
   const auto fanout = static_cast<std::size_t>(state.range(0));
-  runtime::InMemoryFabric fabric({.loss_probability = 0.0,
-                                  .min_delay = 0,
+  runtime::InMemoryFabric fabric({.min_delay = 0,
                                   .max_delay = 0,
                                   .shards = 1});
   const auto targets = batch_targets(fanout);
@@ -227,8 +225,7 @@ BENCHMARK(BM_InMemoryFanoutBatchSend)->Arg(3)->Arg(5)->Arg(10);
 void BM_InMemoryDeliveryThroughput(benchmark::State& state) {
   constexpr std::size_t kGroup = 60;
   runtime::InMemoryFabric fabric(
-      {.loss_probability = 0.0,
-       .min_delay = 0,
+      {.min_delay = 0,
        .max_delay = 0,
        .shards = static_cast<std::size_t>(state.range(0)),
        .max_burst = static_cast<std::size_t>(state.range(1))});

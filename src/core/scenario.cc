@@ -417,89 +417,91 @@ ScenarioResults Scenario::run() {
   apply_capacity_schedule();
   apply_failure_schedule();
 
-  const TimeMs eval_start = params_.warmup;
-  const TimeMs eval_end = params_.warmup + params_.duration;
-  sim_.run_until(eval_end + params_.cooldown);
+  sim_.run_until(params_.warmup + params_.duration + params_.cooldown);
 
   ScenarioResults results;
-  results.delivery = tracker_.report(eval_start, eval_end);
-  results.offered_rate = params_.offered_rate;
-  results.input_rate = results.delivery.input_rate;
-  results.output_rate = results.delivery.output_rate;
+  results.allowed_rate_ts = std::move(allowed_rate_ts_);
+  results.min_buff_ts = std::move(min_buff_ts_);
+  results.p_local_ts = std::move(p_local_ts_);
+  results.fanout_ts = std::move(fanout_ts_);
+  summarize_run(params_, tracker_, nodes_, results);
   results.avg_drop_age = eval_drop_age_.mean();
   results.refused_broadcasts = refused_;
   results.decode_failures = decode_failures_;
+  results.max_pending_depth = max_pending_depth_;
   results.net = net_->stats();
   results.peak_event_queue_len = sim_.peak_pending_events();
+  if (fault_plane_ != nullptr) results.chaos = fault_plane_->stats();
+  return results;
+}
 
-  for (const auto& node : nodes_) {
-    results.overflow_drops += node->counters().drops_overflow;
-    results.age_limit_drops += node->counters().drops_age_limit;
-    results.repair_requests += node->counters().repair_requests;
-    results.repair_replies += node->counters().repair_replies;
-    results.events_recovered += node->counters().events_recovered;
+void summarize_run(const ScenarioParams& params,
+                   const metrics::DeliveryTracker& tracker,
+                   std::span<gossip::LpbcastNode* const> nodes,
+                   ScenarioResults& results) {
+  const TimeMs eval_start = params.warmup;
+  const TimeMs eval_end = params.warmup + params.duration;
+  results.delivery = tracker.report(eval_start, eval_end);
+  results.offered_rate = params.offered_rate;
+  results.input_rate = results.delivery.input_rate;
+  results.output_rate = results.delivery.output_rate;
+  if (const auto window = chaos_recovery_window(params)) {
+    results.post_chaos_delivery =
+        tracker.report(window->first, window->second);
+  }
+  for (auto [t, v] :
+       tracker.atomicity_series(eval_start, eval_end, params.series_bucket)) {
+    results.atomicity_ts.add(t, v);
+  }
+  for (auto [t, v] : tracker.input_rate_series(eval_start, eval_end,
+                                               params.series_bucket)) {
+    results.input_rate_ts.add(t, v);
+  }
+  results.avg_allowed_rate =
+      results.allowed_rate_ts.mean_in(eval_start, eval_end);
+  results.final_allowed_rate = results.allowed_rate_ts.value_at(eval_end);
+
+  double min_buff_sum = 0.0;
+  double age_sum = 0.0;
+  double fanout_sum = 0.0;
+  double p_local_sum = 0.0;
+  std::size_t adaptive_nodes = 0;
+  std::size_t locality_nodes = 0;
+  results.membership_sizes.reserve(nodes.size());
+  for (gossip::LpbcastNode* node : nodes) {
+    const gossip::NodeCounters& counters = node->counters();
+    results.overflow_drops += counters.drops_overflow;
+    results.age_limit_drops += counters.drops_age_limit;
+    results.repair_requests += counters.repair_requests;
+    results.repair_replies += counters.repair_replies;
+    results.events_recovered += counters.events_recovered;
     if (const auto* gm = node->gossip_membership()) {
       results.membership_transitions.suspicions += gm->counters().suspicions;
       results.membership_transitions.downs += gm->counters().downs;
       results.membership_transitions.revivals += gm->counters().revivals;
     }
-  }
+    results.membership_sizes.push_back(node->membership().size());
 
-  if (fault_plane_ != nullptr) {
-    results.chaos = fault_plane_->stats();
-    if (const auto window = chaos_recovery_window(params_)) {
-      results.post_chaos_delivery =
-          tracker_.report(window->first, window->second);
+    auto* adaptive = dynamic_cast<adaptive::AdaptiveLpbcastNode*>(node);
+    if (adaptive == nullptr) continue;
+    ++adaptive_nodes;
+    min_buff_sum += static_cast<double>(adaptive->min_buff());
+    age_sum += adaptive->avg_age();
+    fanout_sum += static_cast<double>(adaptive->effective_fanout());
+    if (const double p = adaptive->p_local(); p >= 0.0) {
+      p_local_sum += p;
+      ++locality_nodes;
     }
   }
-
-  if (!adaptive_nodes_.empty()) {
-    results.avg_allowed_rate = allowed_rate_ts_.mean_in(eval_start, eval_end);
-    results.final_allowed_rate = allowed_rate_ts_.value_at(eval_end);
-    double min_buff_sum = 0.0;
-    double age_sum = 0.0;
-    for (const auto* node : adaptive_nodes_) {
-      min_buff_sum += static_cast<double>(node->min_buff());
-      age_sum += node->avg_age();
-    }
-    results.avg_min_buff =
-        min_buff_sum / static_cast<double>(adaptive_nodes_.size());
-    results.avg_age_estimate =
-        age_sum / static_cast<double>(adaptive_nodes_.size());
-
-    double p_local_sum = 0.0;
-    std::size_t locality_nodes = 0;
-    double fanout_sum = 0.0;
-    for (auto* node : adaptive_nodes_) {
-      const double p = node->p_local();
-      if (p >= 0.0) {
-        p_local_sum += p;
-        ++locality_nodes;
-      }
-      fanout_sum += static_cast<double>(node->effective_fanout());
-    }
-    if (locality_nodes > 0) {
-      results.avg_p_local =
-          p_local_sum / static_cast<double>(locality_nodes);
-    }
-    results.avg_effective_fanout =
-        fanout_sum / static_cast<double>(adaptive_nodes_.size());
+  if (adaptive_nodes > 0) {
+    const auto count = static_cast<double>(adaptive_nodes);
+    results.avg_min_buff = min_buff_sum / count;
+    results.avg_age_estimate = age_sum / count;
+    results.avg_effective_fanout = fanout_sum / count;
   }
-  results.max_pending_depth = max_pending_depth_;
-
-  results.allowed_rate_ts = allowed_rate_ts_;
-  results.min_buff_ts = min_buff_ts_;
-  results.p_local_ts = p_local_ts_;
-  results.fanout_ts = fanout_ts_;
-  for (auto [t, v] :
-       tracker_.atomicity_series(eval_start, eval_end, params_.series_bucket)) {
-    results.atomicity_ts.add(t, v);
+  if (locality_nodes > 0) {
+    results.avg_p_local = p_local_sum / static_cast<double>(locality_nodes);
   }
-  for (auto [t, v] : tracker_.input_rate_series(eval_start, eval_end,
-                                                params_.series_bucket)) {
-    results.input_rate_ts.add(t, v);
-  }
-  return results;
 }
 
 }  // namespace agb::core

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -152,17 +153,23 @@ struct ScenarioParams {
   DurationMs series_bucket = 5'000;
 };
 
+/// The run report. core::Scenario, core::ShardedScenario and
+/// core::WallclockScenario all return it, and summarize_run() fills the part
+/// they derive alike. A field an engine cannot measure stays at zero or
+/// empty; its comment names the engine.
 struct ScenarioResults {
   metrics::DeliveryReport delivery;
 
   double offered_rate = 0.0;       // configured aggregate
   double input_rate = 0.0;         // measured admitted broadcasts /s
   double output_rate = 0.0;        // messages reaching >95 % of nodes /s
-  double avg_drop_age = 0.0;       // mean age of overflow-dropped events
+  /// Mean age of overflow-dropped events inside the evaluation window.
+  /// Zero on the wall-clock path, which does not log individual drops.
+  double avg_drop_age = 0.0;
   std::uint64_t overflow_drops = 0;
   std::uint64_t age_limit_drops = 0;
   std::uint64_t refused_broadcasts = 0;  // back-pressure at the app layer
-  std::uint64_t decode_failures = 0;
+  std::uint64_t decode_failures = 0;     // datagrams that did not decode
 
   // Recovery traffic (zero unless gossip.recovery.enabled).
   std::uint64_t repair_requests = 0;
@@ -170,19 +177,28 @@ struct ScenarioResults {
   std::uint64_t events_recovered = 0;
 
   // Adaptive-only signals (0 for the baseline).
-  double avg_allowed_rate = 0.0;   // time-mean aggregate allowed rate
-  double final_allowed_rate = 0.0; // aggregate allowed rate at window end
-  double avg_min_buff = 0.0;       // mean minBuff estimate at window end
-  double avg_age_estimate = 0.0;   // mean avgAge at window end
+  /// Time-mean and window-end aggregate allowed rate, from allowed_rate_ts
+  /// (zero on the wall-clock path, which does not sample it).
+  double avg_allowed_rate = 0.0;
+  double final_allowed_rate = 0.0;
+  double avg_min_buff = 0.0;       // mean minBuff estimate at run end
+  double avg_age_estimate = 0.0;   // mean avgAge at run end
 
   // Control-plane actuator state (adaptation.control.enabled runs only).
-  double avg_p_local = 0.0;           // mean live p_local at window end
-  double avg_effective_fanout = 0.0;  // mean effective fanout at window end
+  double avg_p_local = 0.0;           // mean live p_local at run end
+  double avg_effective_fanout = 0.0;  // mean effective fanout at run end
   /// Deepest any sender's pending queue got (blocking-BROADCAST
   /// back-pressure); bounded by ScenarioParams::pending_cap by
   /// construction — the bound the adaptive parity assertions pin.
   std::size_t max_pending_depth = 0;
+  /// Pending-queue depth percentiles over every retry-tick sample of every
+  /// node. Wall-clock only (zero on the simulators).
+  std::size_t pending_depth_p50 = 0;
+  std::size_t pending_depth_p90 = 0;
+  std::size_t pending_depth_p99 = 0;
 
+  /// The datagram ledger. On the wall-clock path it is the fabric's
+  /// (runtime::InMemoryFabric::stats()).
   sim::NetworkStats net;
 
   /// What the fault plane actually injected (all zero on clean runs).
@@ -197,12 +213,19 @@ struct ScenarioResults {
   /// gossip_membership): gray failures must keep `downs` at zero,
   /// asymmetric partitions must raise `suspicions`.
   membership::MembershipCounters membership_transitions;
+  /// Each node's membership view size at run end, id order.
+  std::vector<std::size_t> membership_sizes;
 
-  /// High-water mark of the simulator's event queue over the run — the
-  /// capacity receipt the scale presets track (the round wheel keeps this
-  /// O(n/period + in-flight deliveries), not O(n)).
+  /// High-water mark of the event queue over the run — the capacity
+  /// receipt the scale presets track (the round wheel keeps this
+  /// O(n/period + in-flight deliveries), not O(n)). The sharded engine
+  /// sums its per-shard peaks; the wall-clock path reports the fabric's
+  /// deepest shard delay queue (InMemoryFabric::max_queue_depth()).
   std::size_t peak_event_queue_len = 0;
 
+  /// Per-series-bucket trajectories. allowed_rate_ts, min_buff_ts and
+  /// fanout_ts are empty on the wall-clock path; its p_local_ts is sampled
+  /// every ~200 ms of run time instead of every series bucket.
   metrics::TimeSeries allowed_rate_ts{"allowed_rate"};
   metrics::TimeSeries min_buff_ts{"min_buff"};
   metrics::TimeSeries atomicity_ts{"atomicity"};
@@ -213,6 +236,22 @@ struct ScenarioResults {
   metrics::TimeSeries p_local_ts{"p_local"};
   metrics::TimeSeries fanout_ts{"fanout"};
 };
+
+/// Fills the part of the report every harness derives alike, once the run
+/// is over and nothing else touches `tracker` or `nodes`:
+///   * from the tracker, over ScenarioParams' evaluation window: delivery,
+///     the rates, the atomicity and input-rate series and, after a chaos
+///     schedule, post_chaos_delivery;
+///   * from `nodes` (the whole group, id order): overflow and age-limit
+///     drops, repair counters, membership transitions and view sizes, and
+///     over the adaptive nodes the means of min_buff, avg_age, effective
+///     fanout and p_local (over nodes with a locality view);
+///   * avg_allowed_rate and final_allowed_rate from
+///     results.allowed_rate_ts, which the caller fills first.
+void summarize_run(const ScenarioParams& params,
+                   const metrics::DeliveryTracker& tracker,
+                   std::span<gossip::LpbcastNode* const> nodes,
+                   ScenarioResults& results);
 
 /// Rounds a group is granted to re-converge after the last fault window
 /// closes before the self-healing invariants start judging delivery again.

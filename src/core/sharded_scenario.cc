@@ -150,7 +150,7 @@ struct ShardedScenario::Impl {
     for (std::size_t i = 0; i < params_.n; ++i) {
       net_rng_.emplace_back(node_net_seed(params_.seed, static_cast<NodeId>(i)));
     }
-    burst_bad_.assign(params_.n, 0);
+    burst_bad_ = std::make_unique<bool[]>(params_.n);
     send_seq_.assign(params_.n, 0);
     down_.assign(params_.n, 0);
     if (!params_.chaos.empty()) {
@@ -247,32 +247,6 @@ struct ShardedScenario::Impl {
     }
   }
 
-  [[nodiscard]] bool loss_drop(NodeId from) {
-    Rng& rng = net_rng_[from];
-    switch (params_.network.loss.kind) {
-      case sim::LossModel::Kind::kNone:
-        return false;
-      case sim::LossModel::Kind::kIid:
-        return rng.bernoulli(params_.network.loss.p);
-      case sim::LossModel::Kind::kBurst: {
-        // One Gilbert-Elliott chain per *sender*, advanced per packet —
-        // shard-count invariant where the classic engine's single shared
-        // chain is not. Burstiness still correlates consecutive packets of
-        // a sender's fan-out, which is the loss pattern gossip fears.
-        bool bad = burst_bad_[from] != 0;
-        if (bad) {
-          if (rng.bernoulli(params_.network.loss.p_bg)) bad = false;
-        } else {
-          if (rng.bernoulli(params_.network.loss.p_gb)) bad = true;
-        }
-        burst_bad_[from] = bad ? 1 : 0;
-        return rng.bernoulli(bad ? params_.network.loss.p_bad
-                                 : params_.network.loss.p_good);
-      }
-    }
-    return false;
-  }
-
   /// The sharded twin of SimNetwork::send_batch: same stats, same drop
   /// precedence (down > loss > chaos), but every surviving datagram goes
   /// into the window-barrier channels instead of the local event queue, and
@@ -292,7 +266,11 @@ struct ShardedScenario::Impl {
         ++stats.dropped_down;
         continue;
       }
-      if (loss_drop(from)) {
+      // One Gilbert-Elliott chain per *sender*, advanced per packet —
+      // shard-count invariant where the classic engine's single shared
+      // chain is not. Burstiness still correlates consecutive packets of a
+      // sender's fan-out, which is the loss pattern gossip fears.
+      if (params_.network.loss.drop(net_rng_[from], burst_bad_[from])) {
         ++stats.dropped_loss;
         continue;
       }
@@ -667,7 +645,7 @@ struct ShardedScenario::Impl {
     }
   }
 
-  ShardedScenarioResults run() {
+  ScenarioResults run() {
     if (ran_) return {};
     ran_ = true;
 
@@ -684,25 +662,22 @@ struct ShardedScenario::Impl {
           on_barrier(window_end, batch);
         });
 
-    const TimeMs eval_start = params_.warmup;
-    const TimeMs eval_end = params_.warmup + params_.duration;
-    engine_.run_until(eval_end + params_.cooldown);
+    engine_.run_until(params_.warmup + params_.duration + params_.cooldown);
 
-    ShardedScenarioResults out;
-    ScenarioResults& results = out.base;
-    results.delivery = tracker_.report(eval_start, eval_end);
-    results.offered_rate = params_.offered_rate;
-    results.input_rate = results.delivery.input_rate;
-    results.output_rate = results.delivery.output_rate;
+    ScenarioResults results;
+    results.allowed_rate_ts = std::move(allowed_rate_ts_);
+    results.min_buff_ts = std::move(min_buff_ts_);
+    results.p_local_ts = std::move(p_local_ts_);
+    results.fanout_ts = std::move(fanout_ts_);
+    summarize_run(params_, tracker_, nodes_, results);
     results.avg_drop_age = eval_drop_age_.mean();
     results.peak_event_queue_len = engine_.peak_pending_events();
-
+    sim::NetworkStats& net = results.net;
     for (const Shard& shard : shards_) {
       results.refused_broadcasts += shard.refused;
       results.decode_failures += shard.decode_failures;
       results.max_pending_depth =
           std::max(results.max_pending_depth, shard.max_pending_depth);
-      sim::NetworkStats& net = results.net;
       const sim::NetworkStats& st = shard.stats;
       net.sent += st.sent;
       net.sent_intra_cluster += st.sent_intra_cluster;
@@ -717,93 +692,17 @@ struct ShardedScenario::Impl {
       net.dropped_chaos += st.dropped_chaos;
       net.bytes_delivered += st.bytes_delivered;
     }
-
-    for (const auto& node : nodes_) {
-      results.overflow_drops += node->counters().drops_overflow;
-      results.age_limit_drops += node->counters().drops_age_limit;
-      results.repair_requests += node->counters().repair_requests;
-      results.repair_replies += node->counters().repair_replies;
-      results.events_recovered += node->counters().events_recovered;
-      if (const auto* gm = node->gossip_membership()) {
-        results.membership_transitions.suspicions += gm->counters().suspicions;
-        results.membership_transitions.downs += gm->counters().downs;
-        results.membership_transitions.revivals += gm->counters().revivals;
-      }
+    for (const auto& plane : fault_planes_) {
+      const fault::FaultStats st = plane->stats();
+      results.chaos.corrupted += st.corrupted;
+      results.chaos.truncated += st.truncated;
+      results.chaos.duplicated += st.duplicated;
+      results.chaos.reordered += st.reordered;
+      results.chaos.dropped_oneway += st.dropped_oneway;
+      results.chaos.stalls += st.stalls;
+      results.chaos.skew_reads += st.skew_reads;
     }
-
-    if (!fault_planes_.empty()) {
-      for (const auto& plane : fault_planes_) {
-        const fault::FaultStats st = plane->stats();
-        results.chaos.corrupted += st.corrupted;
-        results.chaos.truncated += st.truncated;
-        results.chaos.duplicated += st.duplicated;
-        results.chaos.reordered += st.reordered;
-        results.chaos.dropped_oneway += st.dropped_oneway;
-        results.chaos.stalls += st.stalls;
-        results.chaos.skew_reads += st.skew_reads;
-      }
-      if (const auto window = chaos_recovery_window(params_)) {
-        results.post_chaos_delivery =
-            tracker_.report(window->first, window->second);
-      }
-    }
-
-    if (!adaptive_nodes_.empty()) {
-      results.avg_allowed_rate =
-          allowed_rate_ts_.mean_in(eval_start, eval_end);
-      results.final_allowed_rate = allowed_rate_ts_.value_at(eval_end);
-      double min_buff_sum = 0.0;
-      double age_sum = 0.0;
-      for (const auto* node : adaptive_nodes_) {
-        min_buff_sum += static_cast<double>(node->min_buff());
-        age_sum += node->avg_age();
-      }
-      results.avg_min_buff =
-          min_buff_sum / static_cast<double>(adaptive_nodes_.size());
-      results.avg_age_estimate =
-          age_sum / static_cast<double>(adaptive_nodes_.size());
-
-      double p_local_sum = 0.0;
-      std::size_t locality_nodes = 0;
-      double fanout_sum = 0.0;
-      for (auto* node : adaptive_nodes_) {
-        const double p = node->p_local();
-        if (p >= 0.0) {
-          p_local_sum += p;
-          ++locality_nodes;
-        }
-        fanout_sum += static_cast<double>(node->effective_fanout());
-      }
-      if (locality_nodes > 0) {
-        results.avg_p_local =
-            p_local_sum / static_cast<double>(locality_nodes);
-      }
-      results.avg_effective_fanout =
-          fanout_sum / static_cast<double>(adaptive_nodes_.size());
-    }
-
-    results.allowed_rate_ts = allowed_rate_ts_;
-    results.min_buff_ts = min_buff_ts_;
-    results.p_local_ts = p_local_ts_;
-    results.fanout_ts = fanout_ts_;
-    for (auto [t, v] : tracker_.atomicity_series(eval_start, eval_end,
-                                                 params_.series_bucket)) {
-      results.atomicity_ts.add(t, v);
-    }
-    for (auto [t, v] : tracker_.input_rate_series(eval_start, eval_end,
-                                                  params_.series_bucket)) {
-      results.input_rate_ts.add(t, v);
-    }
-
-    out.node_fingerprints = tracker_.per_node_fingerprints();
-    out.membership_sizes.reserve(nodes_.size());
-    for (const auto& node : nodes_) {
-      out.membership_sizes.push_back(node->membership().size());
-    }
-    out.shards = engine_.shards();
-    out.workers = engine_.workers();
-    out.windows = engine_.windows_run();
-    return out;
+    return results;
   }
 
   ScenarioParams params_;
@@ -821,7 +720,7 @@ struct ShardedScenario::Impl {
 
   // Per-node network state, confined to the owner (sender) shard.
   std::vector<Rng> net_rng_;
-  std::vector<std::uint8_t> burst_bad_;
+  std::unique_ptr<bool[]> burst_bad_;
   std::vector<std::uint64_t> send_seq_;
   std::vector<std::uint8_t> down_;
   std::vector<std::unique_ptr<fault::FaultPlane>> fault_planes_;
@@ -842,6 +741,22 @@ ShardedScenario::ShardedScenario(ScenarioParams params)
 
 ShardedScenario::~ShardedScenario() = default;
 
-ShardedScenarioResults ShardedScenario::run() { return impl_->run(); }
+ScenarioResults ShardedScenario::run() { return impl_->run(); }
+
+const metrics::DeliveryTracker& ShardedScenario::tracker() const noexcept {
+  return impl_->tracker_;
+}
+
+std::size_t ShardedScenario::shards() const noexcept {
+  return impl_->engine_.shards();
+}
+
+std::size_t ShardedScenario::workers() const noexcept {
+  return impl_->engine_.workers();
+}
+
+std::uint64_t ShardedScenario::windows() const noexcept {
+  return impl_->engine_.windows_run();
+}
 
 }  // namespace agb::core

@@ -33,31 +33,14 @@
 // Rng, the sharded one per sender.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "core/scenario.h"
 #include "sim/sharded_engine.h"
 
 namespace agb::core {
-
-struct ShardedScenarioResults {
-  /// The same report the classic Scenario produces. `net.events_scheduled`
-  /// counts batched application groups (one per (shard, deliver-time) run)
-  /// and `peak_event_queue_len` sums per-shard peaks — both engine-internal
-  /// and excluded from cross-shard-count comparisons.
-  ScenarioResults base;
-  /// metrics::DeliveryTracker::per_node_fingerprints() of the run.
-  std::vector<std::uint64_t> node_fingerprints;
-  /// Per-node membership view size at run end, id order (the classic
-  /// harness exposes this via Scenario::nodes(); the sharded one reports it
-  /// here because node storage dies with the run).
-  std::vector<std::size_t> membership_sizes;
-  std::size_t shards = 1;   // actual (power-of-two) shard count
-  std::size_t workers = 1;  // actual worker threads used
-  std::uint64_t windows = 0;  // conservative windows executed
-};
 
 class ShardedScenario {
  public:
@@ -67,8 +50,21 @@ class ShardedScenario {
   ShardedScenario(const ShardedScenario&) = delete;
   ShardedScenario& operator=(const ShardedScenario&) = delete;
 
-  /// Runs the full experiment and returns the report. Call once.
-  ShardedScenarioResults run();
+  /// Runs the full experiment and returns the report. Call once. In the
+  /// report, `net.events_scheduled` counts batched application groups (one
+  /// per (shard, deliver-time) run) and `peak_event_queue_len` sums
+  /// per-shard peaks — both engine-internal and excluded from
+  /// cross-shard-count comparisons.
+  ScenarioResults run();
+
+  /// Post-run introspection, like Scenario's: the delivery tracker (its
+  /// per_node_fingerprints() are the determinism suite's witness), the
+  /// actual (power-of-two) shard count, the worker threads used and the
+  /// conservative windows executed.
+  [[nodiscard]] const metrics::DeliveryTracker& tracker() const noexcept;
+  [[nodiscard]] std::size_t shards() const noexcept;
+  [[nodiscard]] std::size_t workers() const noexcept;
+  [[nodiscard]] std::uint64_t windows() const noexcept;
 
  private:
   struct Impl;

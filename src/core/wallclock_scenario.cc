@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
+#include <memory>
 #include <mutex>
-#include <stdexcept>
-#include <string>
 #include <thread>
+#include <vector>
 
 #include "runtime/inmemory_fabric.h"
 #include "runtime/node_runtime.h"
@@ -20,13 +19,14 @@ namespace {
 using std::chrono::milliseconds;
 
 /// Maps the preset's network model onto InMemoryFabric::Params. The fabric
-/// prices links with the same sim::DelaySampler the simulator's SimNetwork
-/// uses, so every latency model (fixed, uniform, normal), the WAN cluster
-/// rule and per-link overrides transfer verbatim — this is what retired
-/// the old validate() rejections.
+/// prices links with the same sim::DelaySampler and drops with the same
+/// sim::LossModel as the simulator's SimNetwork, so every latency model
+/// (fixed, uniform, normal), the WAN cluster rule, per-link overrides and
+/// the loss process transfer verbatim.
 runtime::InMemoryFabric::Params fabric_params(const ScenarioParams& p,
                                               const WallclockOptions& o) {
   runtime::InMemoryFabric::Params fp;
+  fp.loss = p.network.loss;
   fp.shards = o.shards;
   fp.max_burst = o.max_burst;
   sim::DelaySampler sampler(p.network.latency, p.network.clusters,
@@ -36,20 +36,6 @@ runtime::InMemoryFabric::Params fabric_params(const ScenarioParams& p,
   }
   fp.sampler = std::move(sampler);
   fp.clusters = p.network.clusters;
-  switch (p.network.loss.kind) {
-    case sim::LossModel::Kind::kNone:
-      break;
-    case sim::LossModel::Kind::kIid:
-      fp.loss_probability = p.network.loss.p;
-      break;
-    case sim::LossModel::Kind::kBurst:
-      fp.burst_loss = true;
-      fp.loss_p_good = p.network.loss.p_good;
-      fp.loss_p_bad = p.network.loss.p_bad;
-      fp.loss_p_gb = p.network.loss.p_gb;
-      fp.loss_p_bg = p.network.loss.p_bg;
-      break;
-  }
   return fp;
 }
 
@@ -78,7 +64,6 @@ struct WallclockScenario::Impl {
 
   std::mutex tracker_mutex;
   metrics::DeliveryTracker tracker{1};
-  std::uint64_t app_deliveries = 0;
 
   std::mutex sched_mutex;
   std::condition_variable sched_cv;
@@ -98,23 +83,13 @@ struct WallclockScenario::Impl {
   void apply(const ScheduledAction& action);
   void scheduler_loop(std::vector<ScheduledAction> actions);
   void sampler_loop();
-  void run_senders(std::uint64_t* offered, std::uint64_t* admitted,
-                   std::uint64_t* refused);
+  /// Drives the arrival processes; returns the refused broadcasts.
+  std::uint64_t run_senders();
 };
-
-void WallclockScenario::validate(const ScenarioParams& params) {
-  // Nothing left to reject: the fabric samples delays through the same
-  // sim::DelaySampler as the simulator, which closed the last two gaps
-  // (normal-latency models and per-link overrides). The gate stays so a
-  // future simulator-only feature has exactly one place to be refused.
-  (void)params;
-}
 
 WallclockScenario::WallclockScenario(ScenarioParams params,
                                      WallclockOptions options)
-    : impl_(std::make_unique<Impl>(std::move(params), options)) {
-  validate(impl_->params);
-}
+    : impl_(std::make_unique<Impl>(std::move(params), options)) {}
 
 WallclockScenario::~WallclockScenario() {
   if (impl_->scheduler.joinable() || impl_->plane_sampler.joinable()) {
@@ -200,9 +175,7 @@ void WallclockScenario::Impl::sampler_loop() {
   }
 }
 
-void WallclockScenario::Impl::run_senders(std::uint64_t* offered,
-                                          std::uint64_t* admitted,
-                                          std::uint64_t* refused) {
+std::uint64_t WallclockScenario::Impl::run_senders() {
   struct SenderState {
     runtime::NodeRuntime* runtime = nullptr;
     double rate = 0.0;
@@ -217,7 +190,7 @@ void WallclockScenario::Impl::run_senders(std::uint64_t* offered,
     // still flow), so the report covers the configured wall-clock span.
     std::this_thread::sleep_for(
         milliseconds(params.warmup + params.duration));
-    return;
+    return 0;
   }
   const double mean_ms = 1000.0 / per_sender;
 
@@ -235,9 +208,10 @@ void WallclockScenario::Impl::run_senders(std::uint64_t* offered,
 
   // Offered load runs across warmup + duration; the evaluation window is
   // carved out by the tracker afterwards. (The sim harness keeps its
-  // arrival processes ticking through cooldown too, so offered/refused
-  // totals are not comparable across paths — the windowed delivery
-  // metrics, which exclude cooldown on both, are.)
+  // arrival processes ticking through cooldown too, so refused totals are
+  // not comparable across paths — the windowed delivery metrics, which
+  // exclude cooldown on both, are.)
+  std::uint64_t refused = 0;
   const TimeMs window_end = params.warmup + params.duration;
   while (true) {
     TimeMs earliest = window_end;
@@ -252,21 +226,15 @@ void WallclockScenario::Impl::run_senders(std::uint64_t* offered,
       if (s.next > now || s.next >= window_end) continue;
       auto payload = gossip::make_payload(
           std::vector<std::uint8_t>(params.payload_size, 0xab));
-      ++*offered;
       // Tracker accounting happens in the deliver handler (the origin's
       // local delivery), atomically with the broadcast itself.
       if (params.adaptive) {
         // Blocking-BROADCAST semantics, like the simulator's sender path:
         // out-of-tokens arrivals queue on the node (drained as the bucket
         // refills) and only a full pending queue refuses.
-        if (s.runtime->enqueue_broadcast(std::move(payload))) {
-          ++*admitted;
-        } else {
-          ++*refused;  // pending queue full: this arrival is refused
-        }
+        if (!s.runtime->enqueue_broadcast(std::move(payload))) ++refused;
       } else {
         s.runtime->broadcast(std::move(payload));
-        ++*admitted;
       }
       const double gap = std::max(
           1.0, params.poisson_arrivals ? s.rng.exponential(mean_ms)
@@ -277,9 +245,10 @@ void WallclockScenario::Impl::run_senders(std::uint64_t* offered,
   // Run the clock out to the end of the traffic window.
   const TimeMs left = window_end - rel_now();
   if (left > 0) std::this_thread::sleep_for(milliseconds(left));
+  return refused;
 }
 
-WallclockResults WallclockScenario::run() {
+ScenarioResults WallclockScenario::run() {
   Impl& im = *impl_;
   if (im.ran) return {};
   im.ran = true;
@@ -353,7 +322,6 @@ WallclockResults WallclockScenario::run() {
             im.tracker.on_delivery(e.id, id, t);
             return;
           }
-          ++im.app_deliveries;
           im.tracker.on_delivery(e.id, id, t);
         });
     runtime->set_pending_cap(im.params.pending_cap);
@@ -390,16 +358,8 @@ WallclockResults WallclockScenario::run() {
     im.plane_sampler = std::thread([&im] { im.sampler_loop(); });
   }
 
-  WallclockResults results;
-  im.run_senders(&results.offered, &results.admitted,
-                 &results.refused_broadcasts);
-
-  // Traffic-window snapshot: the cooldown below only lets in-flight gossip
-  // land, and folding its idle tail into elapsed would understate
-  // datagrams/s.
-  results.fabric_delivered = im.fabric->delivered();
-  results.elapsed_s = static_cast<double>(im.rel_now()) / 1000.0;
-
+  ScenarioResults results;
+  results.refused_broadcasts = im.run_senders();
   if (im.params.cooldown > 0) {
     std::this_thread::sleep_for(milliseconds(im.params.cooldown));
   }
@@ -412,54 +372,20 @@ WallclockResults WallclockScenario::run() {
   if (im.plane_sampler.joinable()) im.plane_sampler.join();
   for (auto& runtime : im.runtimes) runtime->stop();
 
-  const TimeMs eval_start = im.params.warmup;
-  const TimeMs eval_end = im.params.warmup + im.params.duration;
-  {
-    std::lock_guard lock(im.tracker_mutex);
-    results.delivery = im.tracker.report(eval_start, eval_end);
-    results.app_deliveries = im.app_deliveries;
-  }
-  results.offered_rate = im.params.offered_rate;
-  results.input_rate = results.delivery.input_rate;
-  results.output_rate = results.delivery.output_rate;
-  results.fabric_dropped = im.fabric->dropped();
-  results.fabric_dropped_down = im.fabric->dropped_down();
-  results.dropped_chaos = im.fabric->dropped_chaos();
-  results.sent_intra_cluster = im.fabric->sent_intra_cluster();
-  results.sent_cross_cluster = im.fabric->sent_cross_cluster();
+  // Every thread that touched the nodes or the tracker has stopped: read
+  // them directly.
+  results.p_local_ts = std::move(im.p_local_ts);
+  std::vector<gossip::LpbcastNode*> nodes;
   std::vector<std::size_t> depth_samples;
-  double p_local_sum = 0.0;
-  std::size_t p_local_nodes = 0;
-  double fanout_sum = 0.0;
   for (auto& runtime : im.runtimes) {
-    const auto counters = runtime->counters();
-    results.overflow_drops += counters.drops_overflow;
-    results.age_limit_drops += counters.drops_age_limit;
-    results.decode_drops += runtime->decode_drops();
-    if (const auto* gm = runtime->gossip_membership()) {
-      results.membership_transitions.suspicions += gm->counters().suspicions;
-      results.membership_transitions.downs += gm->counters().downs;
-      results.membership_transitions.revivals += gm->counters().revivals;
-    }
-    results.membership_sizes.push_back(runtime->membership_size());
+    nodes.push_back(&runtime->node());
+    results.decode_failures += runtime->decode_drops();
     results.max_pending_depth =
         std::max(results.max_pending_depth, runtime->max_pending_depth());
     const auto samples = runtime->pending_depth_samples();
     depth_samples.insert(depth_samples.end(), samples.begin(), samples.end());
-    const double p = runtime->p_local();
-    if (p >= 0.0) {
-      p_local_sum += p;
-      ++p_local_nodes;
-    }
-    fanout_sum += static_cast<double>(runtime->effective_fanout());
   }
-  if (p_local_nodes > 0) {
-    results.avg_p_local = p_local_sum / static_cast<double>(p_local_nodes);
-  }
-  if (!im.runtimes.empty()) {
-    results.avg_effective_fanout =
-        fanout_sum / static_cast<double>(im.runtimes.size());
-  }
+  summarize_run(im.params, im.tracker, nodes, results);
   if (!depth_samples.empty()) {
     std::sort(depth_samples.begin(), depth_samples.end());
     const auto pct = [&depth_samples](double q) {
@@ -470,21 +396,9 @@ WallclockResults WallclockScenario::run() {
     results.pending_depth_p90 = pct(0.90);
     results.pending_depth_p99 = pct(0.99);
   }
-  {
-    std::lock_guard lock(im.sched_mutex);
-    results.p_local_ts = im.p_local_ts;
-  }
-  for (std::size_t s = 0; s < im.fabric->shard_count(); ++s) {
-    results.shard_depths.push_back(im.fabric->max_queue_depth(s));
-  }
-  if (im.fault_plane != nullptr) {
-    results.chaos = im.fault_plane->stats();
-    if (const auto window = chaos_recovery_window(im.params)) {
-      std::lock_guard lock(im.tracker_mutex);
-      results.post_chaos_delivery =
-          im.tracker.report(window->first, window->second);
-    }
-  }
+  results.net = im.fabric->stats();
+  results.peak_event_queue_len = im.fabric->max_queue_depth();
+  if (im.fault_plane != nullptr) results.chaos = im.fault_plane->stats();
   return results;
 }
 

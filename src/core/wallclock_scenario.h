@@ -21,12 +21,10 @@
 // paths and asserts they agree on the preset's invariants.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
-#include <vector>
 
 #include "core/scenario.h"
-#include "metrics/delivery_tracker.h"
 
 namespace agb::core {
 
@@ -36,70 +34,8 @@ struct WallclockOptions {
   std::size_t max_burst = 64;
 };
 
-struct WallclockResults {
-  /// Evaluation-window metrics, same rules as the simulator path.
-  metrics::DeliveryReport delivery;
-
-  double offered_rate = 0.0;  // configured aggregate
-  double input_rate = 0.0;    // measured admitted broadcasts /s
-  double output_rate = 0.0;   // messages reaching >95 % of nodes /s
-  std::uint64_t offered = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t refused_broadcasts = 0;  // adaptive token gate said no
-  std::uint64_t overflow_drops = 0;
-  std::uint64_t age_limit_drops = 0;
-
-  /// Fabric receipts. `fabric_delivered` and `elapsed_s` are snapshotted
-  /// at the end of the traffic window (throughput excludes the idle
-  /// cooldown tail); the drop counters are final values.
-  std::uint64_t fabric_delivered = 0;
-  std::uint64_t fabric_dropped = 0;
-  std::uint64_t fabric_dropped_down = 0;
-  std::uint64_t sent_intra_cluster = 0;
-  std::uint64_t sent_cross_cluster = 0;
-  double elapsed_s = 0.0;
-
-  std::uint64_t app_deliveries = 0;  // deliver-handler firings, non-origin
-
-  // Control-plane actuator state (adaptation.control.enabled runs only).
-  double avg_p_local = 0.0;           // mean live p_local at run end
-  double avg_effective_fanout = 0.0;  // mean effective fanout at run end
-
-  /// Blocking-BROADCAST back-pressure receipts: deepest any node's pending
-  /// queue ever got (bounded by ScenarioParams::pending_cap by
-  /// construction) plus depth percentiles over every retry-tick sample —
-  /// the numbers the backpressure bench record reports.
-  std::size_t max_pending_depth = 0;
-  std::size_t pending_depth_p50 = 0;
-  std::size_t pending_depth_p90 = 0;
-  std::size_t pending_depth_p99 = 0;
-
-  /// Group-mean p_local trajectory, sampled every ~200 ms of run time
-  /// (empty unless the control plane is enabled): the wall-clock twin of
-  /// ScenarioResults::p_local_ts, for the rise/recover assertions.
-  metrics::TimeSeries p_local_ts{"p_local"};
-
-  /// Post-run state per node / per shard.
-  std::vector<std::size_t> membership_sizes;
-  std::vector<std::size_t> shard_depths;
-
-  /// Fault-plane receipts, the wall-clock twins of ScenarioResults' chaos
-  /// fields (all zero / absent on clean runs): what was injected, malformed
-  /// datagrams dropped at decode across every runtime, one-way chaos drops
-  /// at the fabric, group-wide membership liveness transitions, and the
-  /// post-fault recovery report over the same window rules as the
-  /// simulator path.
-  fault::FaultStats chaos;
-  std::uint64_t decode_drops = 0;
-  std::uint64_t dropped_chaos = 0;
-  membership::MembershipCounters membership_transitions;
-  std::optional<metrics::DeliveryReport> post_chaos_delivery;
-};
-
 class WallclockScenario {
  public:
-  /// Validates eagerly: throws std::invalid_argument (see validate()) for
-  /// params that need a simulator-only feature.
   explicit WallclockScenario(ScenarioParams params,
                              WallclockOptions options = {});
   ~WallclockScenario();
@@ -107,18 +43,11 @@ class WallclockScenario {
   WallclockScenario(const WallclockScenario&) = delete;
   WallclockScenario& operator=(const WallclockScenario&) = delete;
 
-  /// The hard compatibility gate: throws std::invalid_argument naming
-  /// every feature of `params` the wall-clock path cannot honour, so a
-  /// preset never runs with part of its configuration silently dropped.
-  /// Since the fabric adopted the simulator's sim::DelaySampler there is
-  /// nothing left to reject — normal (Gaussian) latency and per-link
-  /// overrides, the last two simulator-only features, now run for real —
-  /// but the gate stays as the single place a future divergence lands.
-  static void validate(const ScenarioParams& params);
-
   /// Runs the experiment in real time (warmup + duration + cooldown
-  /// milliseconds of wall clock) and returns the report. Call once.
-  WallclockResults run();
+  /// milliseconds of wall clock) and returns the report. Call once. The
+  /// report's `net` is the fabric's ledger; see ScenarioResults for the
+  /// fields this path leaves at zero.
+  ScenarioResults run();
 
  private:
   struct Impl;

@@ -35,7 +35,7 @@ InMemoryFabric::InMemoryFabric(Params params, std::uint64_t seed)
     : params_(params),
       sampler_(resolve_sampler(params)),
       zero_delay_(sampler_.always_zero()),
-      has_loss_(params.loss_probability > 0.0 || params.burst_loss),
+      has_loss_(params.loss.kind != sim::LossModel::Kind::kNone),
       epoch_(std::chrono::steady_clock::now()) {
   // Round the shard count up to a power of two so node -> shard/slot is a
   // mask and a shift instead of a division.
@@ -93,22 +93,6 @@ void InMemoryFabric::detach(NodeId node) {
   if (std::this_thread::get_id() != shard.dispatcher_id) {
     shard.idle_cv.wait(lock, [&] { return shard.in_flight != node; });
   }
-}
-
-bool InMemoryFabric::loss_drop(Shard& shard) {
-  if (!params_.burst_loss) {
-    return shard.rng.bernoulli(params_.loss_probability);
-  }
-  // Advance the shard's Gilbert-Elliott chain once per datagram, then
-  // sample the state-conditional drop probability (sim::SimNetwork's rule,
-  // one chain per shard instead of one global chain).
-  if (shard.burst_bad) {
-    if (shard.rng.bernoulli(params_.loss_p_bg)) shard.burst_bad = false;
-  } else {
-    if (shard.rng.bernoulli(params_.loss_p_gb)) shard.burst_bad = true;
-  }
-  return shard.rng.bernoulli(shard.burst_bad ? params_.loss_p_bad
-                                             : params_.loss_p_good);
 }
 
 bool InMemoryFabric::is_down(NodeId node) const {
@@ -244,8 +228,8 @@ void InMemoryFabric::send_batch(Multicast batch) {
       if (has_loss_) {
         std::size_t kept = 0;
         for (NodeId to : sub) {
-          if (loss_drop(shard)) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
+          if (params_.loss.drop(shard.rng, shard.burst_bad)) {
+            dropped_loss_.fetch_add(1, std::memory_order_relaxed);
           } else {
             sub[kept++] = to;
           }
@@ -301,8 +285,8 @@ void InMemoryFabric::send_batch(Multicast batch) {
       std::lock_guard lock(shard.mutex);
       send_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
       if (shard.stopping) continue;
-      if (has_loss_ && loss_drop(shard)) {
-        dropped_.fetch_add(1, std::memory_order_relaxed);
+      if (has_loss_ && params_.loss.drop(shard.rng, shard.burst_bad)) {
+        dropped_loss_.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       const DurationMs delay =
@@ -315,6 +299,21 @@ void InMemoryFabric::send_batch(Multicast batch) {
     }
     if (notify) shard.cv.notify_one();
   }
+}
+
+sim::NetworkStats InMemoryFabric::stats() const {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  sim::NetworkStats s;
+  s.sent_intra_cluster = sent_intra_cluster_.load(kRelaxed);
+  s.sent_cross_cluster = sent_cross_cluster_.load(kRelaxed);
+  s.sent = s.sent_intra_cluster + s.sent_cross_cluster;
+  s.delivered = delivered_.load(kRelaxed);
+  s.bytes_delivered = bytes_delivered_.load(kRelaxed);
+  s.dropped_loss = dropped_loss_.load(kRelaxed);
+  s.dropped_down = dropped_down_.load(kRelaxed);
+  s.dropped_detached = dropped_detached_.load(kRelaxed);
+  s.dropped_chaos = dropped_chaos_.load(kRelaxed);
+  return s;
 }
 
 std::size_t InMemoryFabric::max_queue_depth(std::size_t shard) const {
@@ -344,7 +343,7 @@ void InMemoryFabric::shutdown() {
       shard.stopping = true;
       // Discard everything still queued: after shutdown() no handler runs
       // again, so a caller may tear down handler state right away.
-      dropped_.fetch_add(shard.depth(), std::memory_order_relaxed);
+      dropped_detached_.fetch_add(shard.depth(), std::memory_order_relaxed);
       shard.delayed.clear();
       shard.ready.clear();
       shard.ready_count = 0;
@@ -381,7 +380,7 @@ void InMemoryFabric::dispatch_loop(Shard& shard) {
     // the floor right here when the receiver is unknown or detached.
     const std::size_t slot = slot_of(datagram.to);
     if (slot >= shard.handlers.size() || !shard.handlers[slot]) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      dropped_detached_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     // Receiver crashed while the datagram was in flight: re-check at
@@ -453,14 +452,19 @@ void InMemoryFabric::dispatch_loop(Shard& shard) {
       for (std::size_t offset = 0; offset < burst.size();
            offset += max_burst) {
         if (shard.stopping || !shard.handlers[slot]) {
-          dropped_.fetch_add(burst.size() - offset,
-                             std::memory_order_relaxed);
+          dropped_detached_.fetch_add(burst.size() - offset,
+                                      std::memory_order_relaxed);
           break;
         }
         BatchHandler handler = shard.handlers[slot];  // copy: may detach
         const std::size_t count =
             std::min(max_burst, burst.size() - offset);
+        std::uint64_t bytes = 0;
+        for (std::size_t i = offset; i < offset + count; ++i) {
+          bytes += burst[i].payload.size();
+        }
         delivered_.fetch_add(count, std::memory_order_relaxed);
+        bytes_delivered_.fetch_add(bytes, std::memory_order_relaxed);
         shard.in_flight = burst[offset].to;
         lock.unlock();
         handler(burst.data() + offset, count, now());

@@ -3,12 +3,12 @@
 // The paper validates its simulations against a prototype running on 60
 // workstations; our runtime substitutes an in-process fabric: real threads,
 // real wall-clock timing, real serialized datagrams, optional loss and
-// delay injection. The network models mirror the simulator's: i.i.d. or
-// bursty Gilbert-Elliott loss, a WAN cluster rule (node i lives in cluster
-// i % clusters; cross-cluster datagrams sample the wan delay range instead
-// of the LAN one, and the intra/cross split is counted like
-// sim::NetworkStats), and per-node crash/recover via set_node_up — so every
-// scenario the simulator can price, the wall-clock path can run.
+// delay injection. The network models are the simulator's: the same
+// sim::LossModel (i.i.d. or bursty Gilbert-Elliott), a WAN cluster rule
+// (node i lives in cluster i % clusters; cross-cluster datagrams sample the
+// wan delay range instead of the LAN one), and per-node crash/recover via
+// set_node_up — so every scenario the simulator can price, the wall-clock
+// path can run — and it reports the simulator's sim::NetworkStats ledger.
 //
 // The fabric is sharded by receiver: node n belongs to shard n % shards,
 // and each shard owns its own delay-ordered queue and dispatcher thread.
@@ -42,22 +42,17 @@
 #include "common/types.h"
 #include "fault/fault_plane.h"
 #include "sim/delay_sampler.h"
+#include "sim/network.h"
 
 namespace agb::runtime {
 
 class InMemoryFabric final : public DatagramNetwork {
  public:
   struct Params {
-    double loss_probability = 0.0;
-    /// Bursty Gilbert-Elliott loss (the correlated-loss regime the paper
-    /// singles out): when enabled it replaces `loss_probability`. Each
-    /// shard advances its own two-state chain — per-shard streams, the
-    /// same statistics as the simulator's single chain.
-    bool burst_loss = false;
-    double loss_p_good = 0.0;
-    double loss_p_bad = 0.9;
-    double loss_p_gb = 0.01;
-    double loss_p_bg = 0.2;
+    /// The simulator's loss process. Under kBurst each shard advances its
+    /// own Gilbert-Elliott chain — per-shard streams, the same statistics
+    /// as the simulator's single chain.
+    sim::LossModel loss{};
     DurationMs min_delay = 0;
     DurationMs max_delay = 2;
     /// WAN cluster rule, mirroring sim::NetworkParams: with clusters > 1,
@@ -83,7 +78,7 @@ class InMemoryFabric final : public DatagramNetwork {
     /// latency and the intra/cross stats split); when empty the fabric
     /// builds an equivalent sampler from min/max_delay, clusters and
     /// wan_min/max_delay, so existing callers are unchanged.
-    std::optional<sim::DelaySampler> sampler;
+    std::optional<sim::DelaySampler> sampler{};
   };
 
   explicit InMemoryFabric(Params params, std::uint64_t seed = 1);
@@ -113,10 +108,10 @@ class InMemoryFabric final : public DatagramNetwork {
   /// Crash/recover, the wall-clock twin of sim::SimNetwork::set_node_up: a
   /// down node neither sends nor receives (its handler stays attached, so
   /// recovery is just set_node_up(node, true)). Sends from a down node and
-  /// deliveries to one are counted in dropped_down(); datagrams already in
-  /// flight when the receiver goes down are re-checked at delivery time,
-  /// like the simulator does. Thread-safe against concurrent senders and
-  /// dispatchers.
+  /// deliveries to one are counted in stats().dropped_down; datagrams
+  /// already in flight when the receiver goes down are re-checked at
+  /// delivery time, like the simulator does. Thread-safe against concurrent
+  /// senders and dispatchers.
   void set_node_up(NodeId node, bool up);
   [[nodiscard]] bool node_up(NodeId node) const;
 
@@ -131,35 +126,14 @@ class InMemoryFabric final : public DatagramNetwork {
   /// Milliseconds since the fabric was created (the runtime's clock).
   [[nodiscard]] TimeMs now() const;
 
-  [[nodiscard]] std::uint64_t delivered() const {
-    return delivered_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t dropped() const {
-    return dropped_.load(std::memory_order_relaxed);
-  }
-
-  /// Datagrams suppressed because an endpoint was down (set_node_up), kept
-  /// apart from dropped() so churn runs can tell failure suppression from
-  /// loss — the counter scenario churn conformance asserts on.
-  [[nodiscard]] std::uint64_t dropped_down() const {
-    return dropped_down_.load(std::memory_order_relaxed);
-  }
-
-  /// Datagrams suppressed by a fault-plane one-way partition rule — the
-  /// asymmetric counterpart of dropped_down() (the reverse direction keeps
-  /// flowing).
-  [[nodiscard]] std::uint64_t dropped_chaos() const {
-    return dropped_chaos_.load(std::memory_order_relaxed);
-  }
-
-  /// The `sent` split of sim::NetworkStats, counted per addressed target
-  /// before any drop: with Params::clusters <= 1 everything is intra.
-  [[nodiscard]] std::uint64_t sent_intra_cluster() const {
-    return sent_intra_cluster_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t sent_cross_cluster() const {
-    return sent_cross_cluster_.load(std::memory_order_relaxed);
-  }
+  /// The datagram ledger in the simulator's vocabulary. `sent` counts every
+  /// addressed target before any drop, split intra/cross by the cluster
+  /// rule; each drop lands under one reason: loss, down (sender or
+  /// receiver, set_node_up), chaos (fault-plane one-way rule) or detached
+  /// (receiver unknown or detached, or discarded by shutdown()). batches,
+  /// events_scheduled and dropped_partition stay zero. Exact once traffic
+  /// has stopped.
+  [[nodiscard]] sim::NetworkStats stats() const;
 
   /// How many times the send path took a shard lock. A fan-out costs one
   /// acquisition per shard it touches — at most min(fan-out, shards), and
@@ -212,8 +186,8 @@ class InMemoryFabric final : public DatagramNetwork {
     std::size_t ready_count = 0;  // datagrams across `ready` batches
     std::vector<BatchHandler> handlers;  // slot-indexed; empty = detached
     Rng rng{1};
-    /// Gilbert-Elliott chain state (Params::burst_loss): one chain per
-    /// shard, advanced per datagram under `mutex`.
+    /// Gilbert-Elliott chain state (kBurst loss): one chain per shard,
+    /// advanced per datagram under `mutex`.
     bool burst_bad = false;
     bool stopping = false;
     /// True while the dispatcher sits in a cv wait: senders skip the
@@ -251,9 +225,6 @@ class InMemoryFabric final : public DatagramNetwork {
 
   void dispatch_loop(Shard& shard);
 
-  /// Samples the loss process for one datagram (caller holds shard.mutex).
-  [[nodiscard]] bool loss_drop(Shard& shard);
-
   /// Slow-path liveness probe, gated by `down_count_` at every call site so
   /// fabrics with no failures never touch the mutex.
   [[nodiscard]] bool is_down(NodeId node) const;
@@ -279,7 +250,9 @@ class InMemoryFabric final : public DatagramNetwork {
   std::atomic<std::size_t> down_count_{0};
   fault::FaultPlane* fault_plane_ = nullptr;
   std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> dropped_{0};
+  std::atomic<std::uint64_t> bytes_delivered_{0};
+  std::atomic<std::uint64_t> dropped_loss_{0};
+  std::atomic<std::uint64_t> dropped_detached_{0};
   std::atomic<std::uint64_t> dropped_down_{0};
   std::atomic<std::uint64_t> dropped_chaos_{0};
   std::atomic<std::uint64_t> sent_intra_cluster_{0};

@@ -229,11 +229,6 @@ double NodeRuntime::p_local() const {
   return adaptive_ ? adaptive_->p_local() : -1.0;
 }
 
-std::size_t NodeRuntime::effective_fanout() const {
-  std::lock_guard lock(mutex_);
-  return node_->effective_fanout();
-}
-
 void NodeRuntime::add_member(NodeId node) {
   std::lock_guard lock(mutex_);
   node_->membership().add(node);
@@ -242,11 +237,6 @@ void NodeRuntime::add_member(NodeId node) {
 void NodeRuntime::remove_member(NodeId node) {
   std::lock_guard lock(mutex_);
   node_->membership().remove(node);
-}
-
-std::size_t NodeRuntime::membership_size() const {
-  std::lock_guard lock(mutex_);
-  return node_->membership().size();
 }
 
 void NodeRuntime::on_recover(bool migrate_binding) {

@@ -102,11 +102,9 @@ class NodeRuntime {
   [[nodiscard]] std::size_t max_pending_depth() const;
   [[nodiscard]] std::vector<std::size_t> pending_depth_samples() const;
 
-  /// Control-plane actuator snapshots: the LocalityView's live p_local
-  /// (-1 without locality / without an adaptive node) and the fanout the
-  /// next round will use.
+  /// Control-plane actuator snapshot: the LocalityView's live p_local (-1
+  /// without locality / without an adaptive node).
   [[nodiscard]] double p_local() const;
-  [[nodiscard]] std::size_t effective_fanout() const;
 
   /// Runtime equivalent of the dynamic-resources experiment.
   void set_capacity(std::size_t max_events);
@@ -119,7 +117,6 @@ class NodeRuntime {
   /// bridge re-election sees the update atomically.
   void add_member(NodeId node);
   void remove_member(NodeId node);
-  [[nodiscard]] std::size_t membership_size() const;
 
   /// Restart hook for nodes running membership::GossipMembership: bumps
   /// the node's own revision (rejoin semantics — its records beat every
@@ -137,6 +134,11 @@ class NodeRuntime {
   /// touch before start() (listener wiring) or after stop() (assertions):
   /// in between, the round and dispatcher threads own it via the lock.
   [[nodiscard]] membership::GossipMembership* gossip_membership();
+
+  /// The protocol node itself, under the same rule as gossip_membership():
+  /// only before start() or after stop() (core::WallclockScenario reads
+  /// its report from here).
+  [[nodiscard]] gossip::LpbcastNode& node() { return *node_; }
 
  private:
   void round_loop();

@@ -16,27 +16,6 @@ void SimNetwork::attach(NodeId node, DatagramHandler handler) {
 
 void SimNetwork::detach(NodeId node) { handlers_.erase(node); }
 
-bool SimNetwork::loss_drop() {
-  switch (params_.loss.kind) {
-    case LossModel::Kind::kNone:
-      return false;
-    case LossModel::Kind::kIid:
-      return rng_.bernoulli(params_.loss.p);
-    case LossModel::Kind::kBurst: {
-      // Advance the Gilbert-Elliott chain once per packet, then sample the
-      // state-conditional drop probability.
-      if (burst_bad_) {
-        if (rng_.bernoulli(params_.loss.p_bg)) burst_bad_ = false;
-      } else {
-        if (rng_.bernoulli(params_.loss.p_gb)) burst_bad_ = true;
-      }
-      return rng_.bernoulli(burst_bad_ ? params_.loss.p_bad
-                                       : params_.loss.p_good);
-    }
-  }
-  return false;
-}
-
 void SimNetwork::send_batch(Multicast batch) {
   ++stats_.batches;
   stats_.sent += batch.targets.size();
@@ -74,7 +53,7 @@ void SimNetwork::send_batch(Multicast batch) {
       ++stats_.dropped_partition;
       continue;
     }
-    if (loss_drop()) {
+    if (params_.loss.drop(rng_, burst_bad_)) {
       ++stats_.dropped_loss;
       continue;
     }

@@ -51,6 +51,28 @@ struct LossModel {
     m.p_bg = p_bg;
     return m;
   }
+
+  /// Samples one packet: true = drop. kBurst first advances the caller's
+  /// Gilbert-Elliott chain state `bad` once, then samples the state's drop
+  /// probability. Every fabric keeps its own chain state and Rng and calls
+  /// this per (datagram, target); kNone draws nothing, and neither does a
+  /// probability of 0 (Rng::bernoulli short-circuits).
+  [[nodiscard]] bool drop(Rng& rng, bool& bad) const {
+    switch (kind) {
+      case Kind::kNone:
+        return false;
+      case Kind::kIid:
+        return rng.bernoulli(p);
+      case Kind::kBurst:
+        if (bad) {
+          if (rng.bernoulli(p_bg)) bad = false;
+        } else {
+          if (rng.bernoulli(p_gb)) bad = true;
+        }
+        return rng.bernoulli(bad ? p_bad : p_good);
+    }
+    return false;
+  }
 };
 
 struct NetworkParams {
@@ -66,7 +88,9 @@ struct NetworkParams {
   LatencyModel wan_latency = LatencyModel::uniform(20.0, 60.0);
 };
 
-/// Counters exposed for tests and benches.
+/// The datagram ledger every fabric reports: sim::SimNetwork, the sharded
+/// engine's per-shard networks and runtime::InMemoryFabric. A counter a
+/// fabric cannot measure stays at zero (see each field).
 struct NetworkStats {
   std::uint64_t sent = 0;        // one per (batch, target) pair
   /// `sent`, split by the cluster rule: a (batch, target) pair whose
@@ -76,14 +100,19 @@ struct NetworkStats {
   /// (directional gossip, paper §5).
   std::uint64_t sent_intra_cluster = 0;
   std::uint64_t sent_cross_cluster = 0;
-  std::uint64_t batches = 0;     // send_batch calls (a fan-out counts once)
+  /// send_batch calls (a fan-out counts once). Zero on InMemoryFabric.
+  std::uint64_t batches = 0;
   /// Simulator events scheduled for deliveries: same-delay targets of one
   /// batch share one event, so a fixed-latency fan-out of F costs 1, not F.
+  /// Zero on InMemoryFabric, which has no event queue.
   std::uint64_t events_scheduled = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dropped_loss = 0;
+  /// Symmetric partitions (SimNetwork::partition); zero elsewhere.
   std::uint64_t dropped_partition = 0;
   std::uint64_t dropped_down = 0;
+  /// Receiver unknown or detached at delivery time; on InMemoryFabric also
+  /// every datagram shutdown() discards.
   std::uint64_t dropped_detached = 0;
   /// Dropped by a fault-plane one-way partition rule (asymmetric: the
   /// reverse direction keeps flowing, unlike `dropped_partition`).
@@ -134,8 +163,6 @@ class SimNetwork final : public DatagramNetwork {
   }
 
  private:
-  [[nodiscard]] bool loss_drop();
-
   Simulator& sim_;
   NetworkParams params_;
   Rng rng_;

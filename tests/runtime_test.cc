@@ -41,24 +41,72 @@ TEST(InMemoryFabricTest, DeliversToAttachedHandler) {
   });
   fabric.send(Datagram{0, 1, {7}});
   EXPECT_TRUE(eventually([&] { return received.load() == 1; }));
-  EXPECT_EQ(fabric.delivered(), 1u);
+  EXPECT_EQ(fabric.stats().delivered, 1u);
+  EXPECT_EQ(fabric.stats().bytes_delivered, 1u);
 }
 
 TEST(InMemoryFabricTest, DropsForUnknownDestination) {
   InMemoryFabric fabric({});
   fabric.send(Datagram{0, 42, {1}});
-  EXPECT_TRUE(eventually([&] { return fabric.dropped() == 1; }));
+  EXPECT_TRUE(eventually([&] { return fabric.stats().dropped_detached == 1; }));
 }
 
 TEST(InMemoryFabricTest, FullLossDropsEverything) {
   InMemoryFabric::Params params;
-  params.loss_probability = 1.0;
+  params.loss = sim::LossModel::iid(1.0);
   InMemoryFabric fabric(params);
   std::atomic<int> received{0};
   fabric.attach(1, [&](const Datagram&, TimeMs) { received.fetch_add(1); });
   for (int i = 0; i < 20; ++i) fabric.send(Datagram{0, 1, {1}});
-  EXPECT_TRUE(eventually([&] { return fabric.dropped() == 20; }));
+  EXPECT_TRUE(eventually([&] { return fabric.stats().dropped_loss == 20; }));
   EXPECT_EQ(received.load(), 0);
+  EXPECT_EQ(fabric.stats().dropped_detached, 0u);
+}
+
+TEST(InMemoryFabricTest, DownSenderAndDownReceiverCountAsDroppedDown) {
+  // Crash/recover on the ledger: a down sender's whole fan-out and every
+  // datagram addressed to a down receiver land in dropped_down and under
+  // no other reason.
+  InMemoryFabric fabric({});
+  std::atomic<int> received{0};
+  for (NodeId t = 0; t < 3; ++t) {
+    fabric.attach(t, [&](const Datagram&, TimeMs) { received.fetch_add(1); });
+  }
+  fabric.set_node_up(0, false);
+  fabric.send_batch(Multicast{0, {1, 2}, {0x01}});  // down sender: both
+  fabric.set_node_up(0, true);
+  fabric.set_node_up(2, false);
+  fabric.send_batch(Multicast{0, {1, 2}, {0x02}});  // down receiver: one
+  EXPECT_TRUE(eventually([&] { return received.load() == 1; }));
+  const sim::NetworkStats stats = fabric.stats();
+  EXPECT_EQ(stats.sent, 4u);
+  EXPECT_EQ(stats.dropped_down, 3u);
+  EXPECT_EQ(stats.delivered, 1u);
+  EXPECT_EQ(stats.dropped_loss + stats.dropped_detached + stats.dropped_chaos,
+            0u);
+  fabric.shutdown();
+}
+
+TEST(InMemoryFabricTest, SentSplitsByClusterRuleAndBalancesTheLedger) {
+  // Node i lives in cluster i % 2: from node 0, target 2 is intra-cluster
+  // and targets 1 and 3 cross. `sent` is the split's sum, and once traffic
+  // stops every sent datagram is delivered or dropped under one reason.
+  InMemoryFabric fabric({.clusters = 2});
+  std::atomic<int> received{0};
+  for (NodeId t = 0; t < 4; ++t) {
+    fabric.attach(t, [&](const Datagram&, TimeMs) { received.fetch_add(1); });
+  }
+  fabric.send_batch(Multicast{0, {1, 2, 3}, {0x01, 0x02}});
+  EXPECT_TRUE(eventually([&] { return received.load() == 3; }));
+  const sim::NetworkStats stats = fabric.stats();
+  EXPECT_EQ(stats.sent_intra_cluster, 1u);
+  EXPECT_EQ(stats.sent_cross_cluster, 2u);
+  EXPECT_EQ(stats.sent, stats.sent_intra_cluster + stats.sent_cross_cluster);
+  EXPECT_EQ(stats.sent, stats.delivered + stats.dropped_loss +
+                            stats.dropped_down + stats.dropped_detached +
+                            stats.dropped_chaos);
+  EXPECT_EQ(stats.bytes_delivered, 6u);
+  fabric.shutdown();
 }
 
 TEST(InMemoryFabricTest, ShutdownIsIdempotentAndStopsDelivery) {
@@ -90,7 +138,7 @@ TEST(InMemoryFabricTest, ShutdownDiscardsQueuedDatagramsWithoutDelivery) {
   for (int i = 0; i < 50; ++i) fabric.send(Datagram{0, 1, {1}});
   fabric.shutdown();
   EXPECT_EQ(received.load(), 0);
-  EXPECT_EQ(fabric.dropped(), 50u);
+  EXPECT_EQ(fabric.stats().dropped_detached, 50u);
 }
 
 TEST(InMemoryFabricTest, ShutdownFromHandlerDoesNotDeadlock) {
@@ -133,7 +181,7 @@ TEST(InMemoryFabricTest, DetachWaitsOutInFlightHandler) {
   detacher.join();
   state.reset();  // safe: no handler can reference it anymore
   fabric.send(Datagram{0, 1, {1}});  // dropped, handler gone
-  EXPECT_TRUE(eventually([&] { return fabric.dropped() >= 1; }));
+  EXPECT_TRUE(eventually([&] { return fabric.stats().dropped_detached >= 1; }));
 }
 
 TEST(InMemoryFabricTest, BatchDeliversAllTargetsUnderOneLockAcquisition) {
@@ -145,7 +193,7 @@ TEST(InMemoryFabricTest, BatchDeliversAllTargetsUnderOneLockAcquisition) {
   fabric.send_batch(Multicast{0, {1, 2, 3, 4, 5}, {0x42}});
   EXPECT_EQ(fabric.send_lock_acquisitions(), 1u);  // F targets, ONE lock
   EXPECT_TRUE(eventually([&] { return received.load() == 5; }));
-  EXPECT_EQ(fabric.delivered(), 5u);
+  EXPECT_EQ(fabric.stats().delivered, 5u);
 }
 
 TEST(InMemoryFabricTest, BatchTakesOneLockPerTouchedShard) {
@@ -209,7 +257,7 @@ TEST(InMemoryFabricTest, BatchHandlerSeesWholeBurstsForOneReceiver) {
   }));
   std::lock_guard lock(mu);
   for (std::uint8_t i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_EQ(fabric.delivered(), 16u);
+  EXPECT_EQ(fabric.stats().delivered, 16u);
 }
 
 TEST(InMemoryFabricTest, DetachRacesSaturatedQueueOnEveryShard) {
@@ -271,7 +319,7 @@ TEST(InMemoryFabricTest, BatchPayloadPointerIdentityAcrossTargets) {
 
 TEST(InMemoryFabricTest, BatchSamplesLossPerTarget) {
   InMemoryFabric::Params params;
-  params.loss_probability = 0.5;
+  params.loss = sim::LossModel::iid(0.5);
   InMemoryFabric fabric(params);
   std::atomic<int> received{0};
   std::vector<NodeId> targets;
@@ -281,10 +329,11 @@ TEST(InMemoryFabricTest, BatchSamplesLossPerTarget) {
   }
   fabric.send_batch(Multicast{0, targets, {0x01}});
   EXPECT_TRUE(eventually([&] {
-    return received.load() + static_cast<int>(fabric.dropped()) == 200;
+    return received.load() + static_cast<int>(fabric.stats().dropped_loss) ==
+           200;
   }));
   EXPECT_GT(received.load(), 50);
-  EXPECT_GT(fabric.dropped(), 50u);
+  EXPECT_GT(fabric.stats().dropped_loss, 50u);
 }
 
 TEST(InMemoryFabricTest, ClockIsMonotone) {
@@ -670,7 +719,7 @@ TEST(InMemoryFabricTest, OneWayChaosDropsOnlyTheDeadDirection) {
   }
   EXPECT_TRUE(eventually([&] { return at_zero.load() == 10; }));
   EXPECT_EQ(at_one.load(), 0);
-  EXPECT_EQ(fabric.dropped_chaos(), 10u);
+  EXPECT_EQ(fabric.stats().dropped_chaos, 10u);
   EXPECT_EQ(plane.stats().dropped_oneway, 10u);
   fabric.shutdown();
 }

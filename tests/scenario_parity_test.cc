@@ -18,9 +18,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -119,35 +121,30 @@ const std::map<std::string, ParityBounds>& parity_bounds() {
   return bounds;
 }
 
+/// One report per engine, all of them core::ScenarioResults: the classic
+/// simulator, the multi-core sharded simulator at sim_shards=4 — every
+/// invariant asserted on the classic column is asserted there too, so a
+/// preset cannot regress only on the sharded engine — and the wall-clock
+/// runtime.
 struct PairResults {
   ScenarioResults sim;
-  std::vector<std::size_t> sim_memberships;
-  /// Third column: the same preset on the multi-core sharded simulator at
-  /// sim_shards=4 — every invariant asserted on the classic sim column is
-  /// asserted here too, so a preset cannot regress only on the sharded
-  /// engine.
-  ShardedScenarioResults sharded;
-  WallclockResults wc;
+  ScenarioResults sharded;
+  ScenarioResults wc;
+
+  [[nodiscard]] std::array<std::pair<const char*, const ScenarioResults*>, 3>
+  columns() const {
+    return {{{"sim", &sim}, {"sharded", &sharded}, {"wallclock", &wc}}};
+  }
 };
 
 PairResults run_pair(const std::string& name, const Config& cfg) {
   const ScenarioParams params = ScenarioRegistry::instance().build(name, cfg);
   PairResults out;
-  {
-    Scenario scenario(params);
-    out.sim = scenario.run();
-    for (const auto& node : scenario.nodes()) {
-      out.sim_memberships.push_back(node->membership().size());
-    }
-  }
-  {
-    ScenarioParams sharded_params = params;
-    sharded_params.sim_shards = 4;
-    ShardedScenario scenario(sharded_params);
-    out.sharded = scenario.run();
-  }
-  WallclockScenario wallclock(params, WallclockOptions{.shards = 4});
-  out.wc = wallclock.run();
+  out.sim = Scenario(params).run();
+  ScenarioParams sharded_params = params;
+  sharded_params.sim_shards = 4;
+  out.sharded = ShardedScenario(sharded_params).run();
+  out.wc = WallclockScenario(params, WallclockOptions{.shards = 4}).run();
   return out;
 }
 
@@ -159,174 +156,129 @@ double cross_share(std::uint64_t intra, std::uint64_t cross) {
 
 void assert_invariants(const ScenarioParams& params, const PairResults& r,
                        const ParityBounds& bounds) {
-  const ScenarioResults& sh = r.sharded.base;
+  for (const auto& [engine, column] : r.columns()) {
+    SCOPED_TRACE(engine);
+    const ScenarioResults& c = *column;
 
-  // All paths evaluated real traffic and met the preset's delivery floor.
-  EXPECT_GT(r.sim.delivery.messages, 0u);
-  EXPECT_GT(sh.delivery.messages, 0u);
-  EXPECT_GT(r.wc.delivery.messages, 0u);
-  EXPECT_GE(r.sim.delivery.avg_receiver_pct, bounds.min_receiver_pct);
-  EXPECT_GE(sh.delivery.avg_receiver_pct, bounds.min_receiver_pct);
-  EXPECT_GE(r.wc.delivery.avg_receiver_pct, bounds.min_receiver_pct);
+    // Every path evaluated real traffic and met the preset's delivery
+    // floor.
+    EXPECT_GT(c.delivery.messages, 0u);
+    EXPECT_GE(c.delivery.avg_receiver_pct, bounds.min_receiver_pct);
 
-  // WAN topology: both paths split traffic by the same cluster rule, and
-  // the share lands on the same side of the preset's bound.
-  if (params.network.clusters > 1) {
-    const double sim_share = cross_share(r.sim.net.sent_intra_cluster,
-                                         r.sim.net.sent_cross_cluster);
-    const double wc_share =
-        cross_share(r.wc.sent_intra_cluster, r.wc.sent_cross_cluster);
-    const double sharded_share =
-        cross_share(sh.net.sent_intra_cluster, sh.net.sent_cross_cluster);
-    EXPECT_GT(r.sim.net.sent_intra_cluster, 0u);
-    EXPECT_GT(sh.net.sent_intra_cluster, 0u);
-    EXPECT_GT(r.wc.sent_intra_cluster, 0u);
-    EXPECT_GT(r.sim.net.sent_cross_cluster, 0u);
-    EXPECT_GT(sh.net.sent_cross_cluster, 0u);
-    EXPECT_GT(r.wc.sent_cross_cluster, 0u);
-    if (bounds.max_cross_share >= 0.0) {
-      EXPECT_LE(sim_share, bounds.max_cross_share);
-      EXPECT_LE(sharded_share, bounds.max_cross_share);
-      EXPECT_LE(wc_share, bounds.max_cross_share);
+    // WAN topology: every path splits traffic by the same cluster rule, and
+    // the share lands on the same side of the preset's bound.
+    if (params.network.clusters > 1) {
+      EXPECT_GT(c.net.sent_intra_cluster, 0u);
+      EXPECT_GT(c.net.sent_cross_cluster, 0u);
+      const double share =
+          cross_share(c.net.sent_intra_cluster, c.net.sent_cross_cluster);
+      if (bounds.max_cross_share >= 0.0) {
+        EXPECT_LE(share, bounds.max_cross_share);
+      }
+      if (bounds.min_cross_share >= 0.0) {
+        EXPECT_GE(share, bounds.min_cross_share);
+      }
     }
-    if (bounds.min_cross_share >= 0.0) {
-      EXPECT_GE(sim_share, bounds.min_cross_share);
-      EXPECT_GE(sharded_share, bounds.min_cross_share);
-      EXPECT_GE(wc_share, bounds.min_cross_share);
-    }
-  }
 
-  // Self-tuning control plane: both paths run the same feedback layer, so
-  // the actuators must land inside their configured clamps on each, the
-  // blocking-BROADCAST queues must respect the pending cap, and locality
-  // runs must converge into the same p_local band (wall-clock timing is
-  // noisy, so the cross-path contract is a band, not equality).
-  if (params.adaptive && params.adaptation.control.enabled) {
-    const auto& control = params.adaptation.control;
-    EXPECT_LE(r.sim.max_pending_depth, params.pending_cap);
-    EXPECT_LE(sh.max_pending_depth, params.pending_cap);
-    EXPECT_LE(r.wc.max_pending_depth, params.pending_cap);
-    EXPECT_GE(r.sim.avg_effective_fanout, 1.0);
-    EXPECT_GE(sh.avg_effective_fanout, 1.0);
-    EXPECT_GE(r.wc.avg_effective_fanout, 1.0);
-    if (params.locality.enabled) {
-      EXPECT_GE(r.sim.avg_p_local, control.p_local_min);
-      EXPECT_LE(r.sim.avg_p_local, control.p_local_max);
-      EXPECT_GE(sh.avg_p_local, control.p_local_min);
-      EXPECT_LE(sh.avg_p_local, control.p_local_max);
-      EXPECT_GE(r.wc.avg_p_local, control.p_local_min);
-      EXPECT_LE(r.wc.avg_p_local, control.p_local_max);
-      EXPECT_NEAR(r.sim.avg_p_local, r.wc.avg_p_local, 0.35);
-      EXPECT_NEAR(r.sim.avg_p_local, sh.avg_p_local, 0.35);
+    // The paper's adaptation signals reach the report on every path: a
+    // minBuff estimate inside (0, buffer] and a positive avgAge.
+    if (params.adaptive) {
+      EXPECT_GT(c.avg_min_buff, 0.0);
+      EXPECT_LE(c.avg_min_buff, static_cast<double>(params.gossip.max_events));
+      EXPECT_GT(c.avg_age_estimate, 0.0);
     }
-  }
 
-  // A failure schedule must actually fire: down nodes suppress traffic on
-  // both paths (the wall-clock scheduler thread really detached them).
-  if (!params.failure_schedule.empty()) {
-    EXPECT_GT(r.sim.net.dropped_down, 0u);
-    EXPECT_GT(sh.net.dropped_down, 0u);
-    EXPECT_GT(r.wc.fabric_dropped_down, 0u);
-  }
+    // Self-tuning control plane: every path runs the same feedback layer,
+    // so the actuators must land inside their configured clamps and the
+    // blocking-BROADCAST queues must respect the pending cap.
+    if (params.adaptive && params.adaptation.control.enabled) {
+      const auto& control = params.adaptation.control;
+      EXPECT_LE(c.max_pending_depth, params.pending_cap);
+      EXPECT_GE(c.avg_effective_fanout, 1.0);
+      if (params.locality.enabled) {
+        EXPECT_GE(c.avg_p_local, control.p_local_min);
+        EXPECT_LE(c.avg_p_local, control.p_local_max);
+      }
+    }
 
-  // Fault-plane receipts and self-healing. A preset with a chaos schedule
-  // must show the faults actually fired (the injected kinds' counters
-  // moved on every path where the kind is live) and that the group healed:
-  // delivery over the window starting kChaosRecoveryRounds after the last
-  // fault window closes is back above the preset floor on BOTH paths. A
-  // preset without one must stay spotless — the null-plane path cannot
-  // corrupt, so any decode drop on a clean run is a codec regression.
-  if (!params.chaos.empty()) {
-    if (params.chaos.corrupts()) {
-      // Corruption/truncation reached live decoders and was dropped there
-      // without crashing either harness (finishing the run IS the
-      // no-crash receipt).
-      EXPECT_GT(r.sim.chaos.mutations(), 0u);
-      EXPECT_GT(sh.chaos.mutations(), 0u);
-      EXPECT_GT(r.wc.chaos.mutations(), 0u);
-      EXPECT_GT(r.sim.decode_failures, 0u);
-      EXPECT_GT(sh.decode_failures, 0u);
-      EXPECT_GT(r.wc.decode_drops, 0u);
+    // A failure schedule must actually fire: down nodes suppress traffic
+    // on every path (the wall-clock scheduler thread really took them
+    // down).
+    if (!params.failure_schedule.empty()) {
+      EXPECT_GT(c.net.dropped_down, 0u);
     }
-    if (params.chaos.asymmetric()) {
-      // One-way rules really dropped datagrams (fabric-side counters on
-      // both paths) and the suspicion plane noticed the silence; the
-      // membership band below is the re-convergence receipt.
-      EXPECT_GT(r.sim.net.dropped_chaos, 0u);
-      EXPECT_GT(sh.net.dropped_chaos, 0u);
-      EXPECT_GT(r.wc.dropped_chaos, 0u);
-      EXPECT_GT(r.sim.chaos.dropped_oneway, 0u);
-      EXPECT_GT(sh.chaos.dropped_oneway, 0u);
-      EXPECT_GT(r.wc.chaos.dropped_oneway, 0u);
-      EXPECT_GT(r.sim.membership_transitions.suspicions, 0u);
-      EXPECT_GT(sh.membership_transitions.suspicions, 0u);
-      EXPECT_GT(r.wc.membership_transitions.suspicions, 0u);
-    }
-    if (params.chaos.gray()) {
-      // Stalls and skewed clock reads are wall-clock phenomena (the
-      // simulator runs double as the clean control); the membership
-      // contract is the point: slow-but-up nodes never earn a down
-      // verdict on any path.
-      EXPECT_GT(r.wc.chaos.stalls, 0u);
-      EXPECT_GT(r.wc.chaos.skew_reads, 0u);
-      EXPECT_EQ(r.sim.membership_transitions.downs, 0u);
-      EXPECT_EQ(sh.membership_transitions.downs, 0u);
-      EXPECT_EQ(r.wc.membership_transitions.downs, 0u);
-    }
-    ASSERT_TRUE(r.sim.post_chaos_delivery.has_value());
-    ASSERT_TRUE(sh.post_chaos_delivery.has_value());
-    ASSERT_TRUE(r.wc.post_chaos_delivery.has_value());
-    EXPECT_GT(r.sim.post_chaos_delivery->messages, 0u);
-    EXPECT_GT(sh.post_chaos_delivery->messages, 0u);
-    EXPECT_GT(r.wc.post_chaos_delivery->messages, 0u);
-    EXPECT_GE(r.sim.post_chaos_delivery->avg_receiver_pct,
-              bounds.min_receiver_pct);
-    EXPECT_GE(sh.post_chaos_delivery->avg_receiver_pct,
-              bounds.min_receiver_pct);
-    EXPECT_GE(r.wc.post_chaos_delivery->avg_receiver_pct,
-              bounds.min_receiver_pct);
-  } else {
-    EXPECT_EQ(r.sim.chaos.mutations(), 0u);
-    EXPECT_EQ(sh.chaos.mutations(), 0u);
-    EXPECT_EQ(r.wc.chaos.mutations(), 0u);
-    EXPECT_EQ(r.sim.decode_failures, 0u);
-    EXPECT_EQ(sh.decode_failures, 0u);
-    EXPECT_EQ(r.wc.decode_drops, 0u);
-  }
 
-  // Membership after the run. Full-membership groups end at n-1 on every
-  // path — churned nodes were re-added on recovery (the failure-detector
-  // path), or never left the views at all. Partial views stay bounded.
-  ASSERT_EQ(r.sim_memberships.size(), params.n);
-  ASSERT_EQ(r.sharded.membership_sizes.size(), params.n);
-  ASSERT_EQ(r.wc.membership_sizes.size(), params.n);
-  for (std::size_t i = 0; i < params.n; ++i) {
-    if (params.gossip_membership) {
-      // Gossiped liveness counts *up* peers only: nodes the suspicion
-      // plane hasn't re-confirmed by run end may still be suspect, so the
-      // contract is a band, not equality — but every node must have
-      // re-learned most of the group (no mutual-tombstone isolation).
-      EXPECT_GE(r.sim_memberships[i], params.n / 2) << "node " << i;
-      EXPECT_LE(r.sim_memberships[i], params.n - 1) << "node " << i;
-      EXPECT_GE(r.sharded.membership_sizes[i], params.n / 2) << "node " << i;
-      EXPECT_LE(r.sharded.membership_sizes[i], params.n - 1) << "node " << i;
-      EXPECT_GE(r.wc.membership_sizes[i], params.n / 2) << "node " << i;
-      EXPECT_LE(r.wc.membership_sizes[i], params.n - 1) << "node " << i;
-    } else if (params.partial_view) {
-      EXPECT_GE(r.sim_memberships[i], 1u) << "node " << i;
-      EXPECT_LE(r.sim_memberships[i], params.view_params.max_view)
-          << "node " << i;
-      EXPECT_GE(r.sharded.membership_sizes[i], 1u) << "node " << i;
-      EXPECT_LE(r.sharded.membership_sizes[i], params.view_params.max_view)
-          << "node " << i;
-      EXPECT_GE(r.wc.membership_sizes[i], 1u) << "node " << i;
-      EXPECT_LE(r.wc.membership_sizes[i], params.view_params.max_view)
-          << "node " << i;
+    // Fault-plane receipts and self-healing. A preset with a chaos
+    // schedule must show the faults actually fired (the injected kinds'
+    // counters moved) and that the group healed: delivery over the window
+    // starting kChaosRecoveryRounds after the last fault window closes is
+    // back above the preset floor. A preset without one must stay
+    // spotless — the null-plane path cannot corrupt, so any decode failure
+    // on a clean run is a codec regression.
+    if (!params.chaos.empty()) {
+      if (params.chaos.corrupts()) {
+        // Corruption/truncation reached live decoders and was dropped
+        // there without crashing the harness (finishing the run IS the
+        // no-crash receipt).
+        EXPECT_GT(c.chaos.mutations(), 0u);
+        EXPECT_GT(c.decode_failures, 0u);
+      }
+      if (params.chaos.asymmetric()) {
+        // One-way rules really dropped datagrams (the network ledger and
+        // the plane agree) and the suspicion plane noticed the silence;
+        // the membership band below is the re-convergence receipt.
+        EXPECT_GT(c.net.dropped_chaos, 0u);
+        EXPECT_GT(c.chaos.dropped_oneway, 0u);
+        EXPECT_GT(c.membership_transitions.suspicions, 0u);
+      }
+      if (params.chaos.gray()) {
+        // Slow-but-up nodes never earn a down verdict on any path.
+        EXPECT_EQ(c.membership_transitions.downs, 0u);
+      }
+      ASSERT_TRUE(c.post_chaos_delivery.has_value());
+      EXPECT_GT(c.post_chaos_delivery->messages, 0u);
+      EXPECT_GE(c.post_chaos_delivery->avg_receiver_pct,
+                bounds.min_receiver_pct);
     } else {
-      EXPECT_EQ(r.sim_memberships[i], params.n - 1) << "node " << i;
-      EXPECT_EQ(r.sharded.membership_sizes[i], params.n - 1) << "node " << i;
-      EXPECT_EQ(r.wc.membership_sizes[i], params.n - 1) << "node " << i;
+      EXPECT_EQ(c.chaos.mutations(), 0u);
+      EXPECT_EQ(c.decode_failures, 0u);
     }
+
+    // Membership after the run. Full-membership groups end at n-1 on every
+    // path — churned nodes were re-added on recovery (the failure-detector
+    // path), or never left the views at all. Partial views stay bounded.
+    ASSERT_EQ(c.membership_sizes.size(), params.n);
+    for (std::size_t i = 0; i < params.n; ++i) {
+      const std::size_t size = c.membership_sizes[i];
+      if (params.gossip_membership) {
+        // Gossiped liveness counts *up* peers only: nodes the suspicion
+        // plane hasn't re-confirmed by run end may still be suspect, so
+        // the contract is a band, not equality — but every node must have
+        // re-learned most of the group (no mutual-tombstone isolation).
+        EXPECT_GE(size, params.n / 2) << "node " << i;
+        EXPECT_LE(size, params.n - 1) << "node " << i;
+      } else if (params.partial_view) {
+        EXPECT_GE(size, 1u) << "node " << i;
+        EXPECT_LE(size, params.view_params.max_view) << "node " << i;
+      } else {
+        EXPECT_EQ(size, params.n - 1) << "node " << i;
+      }
+    }
+  }
+
+  // Locality runs under the control plane converge into the same p_local
+  // band on every path (wall-clock timing is noisy, so the cross-path
+  // contract is a band, not equality).
+  if (params.adaptive && params.adaptation.control.enabled &&
+      params.locality.enabled) {
+    EXPECT_NEAR(r.sim.avg_p_local, r.wc.avg_p_local, 0.35);
+    EXPECT_NEAR(r.sim.avg_p_local, r.sharded.avg_p_local, 0.35);
+  }
+  // Stalls and skewed clock reads are wall-clock phenomena (the simulator
+  // runs double as the clean control).
+  if (params.chaos.gray()) {
+    EXPECT_GT(r.wc.chaos.stalls, 0u);
+    EXPECT_GT(r.wc.chaos.skew_reads, 0u);
   }
 }
 
@@ -387,10 +339,9 @@ TEST(ScenarioParityTest, LocalityOverPartialViewsRunsOnRealThreads) {
 }
 
 TEST(ScenarioParityTest, WallclockRunsFormerSimulatorOnlyFeatures) {
-  // Regression for the two retired validate() rejections: normal (Gaussian)
-  // latency models and per-link overrides run on the fabric for real now —
-  // both paths price links through the shared sim::DelaySampler — instead
-  // of throwing (agb_sim used to translate the throw to exit 2).
+  // Normal (Gaussian) latency models and per-link overrides, once
+  // simulator-only, run on the fabric: both paths price links through the
+  // shared sim::DelaySampler.
   ParityBounds bounds;
   bounds.min_receiver_pct = 70.0;
   bounds.overrides = {"latency=normal:5:2"};
@@ -400,16 +351,15 @@ TEST(ScenarioParityTest, WallclockRunsFormerSimulatorOnlyFeatures) {
   params.network.clusters = 3;
   params.network.wan_latency = sim::LatencyModel::normal(40.0, 10.0);
   params.link_latencies.push_back({0, 1, sim::LatencyModel::fixed(9.0)});
-  EXPECT_NO_THROW(WallclockScenario::validate(params));
 
   WallclockScenario wallclock(params, WallclockOptions{.shards = 4});
-  const WallclockResults results = wallclock.run();
+  const ScenarioResults results = wallclock.run();
   EXPECT_GT(results.delivery.messages, 0u);
   EXPECT_GE(results.delivery.avg_receiver_pct, bounds.min_receiver_pct);
-  EXPECT_GT(results.fabric_delivered, 0u);
+  EXPECT_GT(results.net.delivered, 0u);
   // The cluster rule really priced links: both sides of the split moved.
-  EXPECT_GT(results.sent_intra_cluster, 0u);
-  EXPECT_GT(results.sent_cross_cluster, 0u);
+  EXPECT_GT(results.net.sent_intra_cluster, 0u);
+  EXPECT_GT(results.net.sent_cross_cluster, 0u);
 }
 
 TEST(ScenarioParityTest, BackpressureQueuesAreBusyButBoundedOnBothPaths) {

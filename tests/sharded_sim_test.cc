@@ -50,14 +50,27 @@ Config make_config(const std::vector<std::string>& overrides) {
   return cfg;
 }
 
-ShardedScenarioResults run_sharded(const std::string& preset,
-                                   const Config& cfg, std::size_t shards,
-                                   std::size_t workers) {
+/// One sharded run: the report, the tracker's per-node fingerprints and
+/// the layout the engine actually ran.
+struct ShardedRun {
+  ScenarioResults report;
+  std::vector<std::uint64_t> node_fingerprints;
+  std::size_t shards = 0;
+  std::uint64_t windows = 0;
+};
+
+ShardedRun run_sharded(const std::string& preset, const Config& cfg,
+                       std::size_t shards, std::size_t workers) {
   ScenarioParams params = ScenarioRegistry::instance().build(preset, cfg);
   params.sim_shards = shards;
   params.sim_workers = workers;
   ShardedScenario scenario(std::move(params));
-  return scenario.run();
+  ShardedRun run;
+  run.report = scenario.run();
+  run.node_fingerprints = scenario.tracker().per_node_fingerprints();
+  run.shards = scenario.shards();
+  run.windows = scenario.windows();
+  return run;
 }
 
 void expect_same_series(const metrics::TimeSeries& a,
@@ -84,89 +97,92 @@ void expect_same_report(const metrics::DeliveryReport& a,
 }
 
 /// The whole scenario-visible surface, compared EXACTLY (doubles included:
-/// determinism is by construction, not by tolerance). `a` is the baseline
-/// (sim_shards=1 on the sharded path), `b` the candidate layout.
-void expect_identical(const ShardedScenarioResults& a,
-                      const ShardedScenarioResults& b) {
+/// determinism is by construction, not by tolerance). `run_a` is the
+/// baseline (sim_shards=1 on the sharded path), `run_b` the candidate
+/// layout.
+void expect_identical(const ShardedRun& run_a, const ShardedRun& run_b) {
   // The strongest witness first: per-node delivered-event fingerprints.
   // Every (event, node, delivery-time) triple hashes in; one reordered or
   // re-timed delivery anywhere in the run flips a node's fingerprint.
-  ASSERT_EQ(a.node_fingerprints.size(), b.node_fingerprints.size());
-  for (std::size_t i = 0; i < a.node_fingerprints.size(); ++i) {
-    EXPECT_EQ(a.node_fingerprints[i], b.node_fingerprints[i]) << "node " << i;
+  ASSERT_EQ(run_a.node_fingerprints.size(), run_b.node_fingerprints.size());
+  for (std::size_t i = 0; i < run_a.node_fingerprints.size(); ++i) {
+    EXPECT_EQ(run_a.node_fingerprints[i], run_b.node_fingerprints[i])
+        << "node " << i;
   }
+  const ScenarioResults& a = run_a.report;
+  const ScenarioResults& b = run_b.report;
   ASSERT_EQ(a.membership_sizes.size(), b.membership_sizes.size());
   for (std::size_t i = 0; i < a.membership_sizes.size(); ++i) {
     EXPECT_EQ(a.membership_sizes[i], b.membership_sizes[i]) << "node " << i;
   }
 
-  expect_same_report(a.base.delivery, b.base.delivery, "delivery");
-  EXPECT_EQ(a.base.post_chaos_delivery.has_value(),
-            b.base.post_chaos_delivery.has_value());
-  if (a.base.post_chaos_delivery && b.base.post_chaos_delivery) {
-    expect_same_report(*a.base.post_chaos_delivery,
-                       *b.base.post_chaos_delivery, "post_chaos_delivery");
+  expect_same_report(a.delivery, b.delivery, "delivery");
+  EXPECT_EQ(a.post_chaos_delivery.has_value(),
+            b.post_chaos_delivery.has_value());
+  if (a.post_chaos_delivery && b.post_chaos_delivery) {
+    expect_same_report(*a.post_chaos_delivery,
+                       *b.post_chaos_delivery, "post_chaos_delivery");
   }
 
-  EXPECT_EQ(a.base.offered_rate, b.base.offered_rate);
-  EXPECT_EQ(a.base.input_rate, b.base.input_rate);
-  EXPECT_EQ(a.base.output_rate, b.base.output_rate);
-  EXPECT_EQ(a.base.avg_drop_age, b.base.avg_drop_age);
-  EXPECT_EQ(a.base.overflow_drops, b.base.overflow_drops);
-  EXPECT_EQ(a.base.age_limit_drops, b.base.age_limit_drops);
-  EXPECT_EQ(a.base.refused_broadcasts, b.base.refused_broadcasts);
-  EXPECT_EQ(a.base.decode_failures, b.base.decode_failures);
-  EXPECT_EQ(a.base.repair_requests, b.base.repair_requests);
-  EXPECT_EQ(a.base.repair_replies, b.base.repair_replies);
-  EXPECT_EQ(a.base.events_recovered, b.base.events_recovered);
-  EXPECT_EQ(a.base.avg_allowed_rate, b.base.avg_allowed_rate);
-  EXPECT_EQ(a.base.final_allowed_rate, b.base.final_allowed_rate);
-  EXPECT_EQ(a.base.avg_min_buff, b.base.avg_min_buff);
-  EXPECT_EQ(a.base.avg_age_estimate, b.base.avg_age_estimate);
-  EXPECT_EQ(a.base.avg_p_local, b.base.avg_p_local);
-  EXPECT_EQ(a.base.avg_effective_fanout, b.base.avg_effective_fanout);
-  EXPECT_EQ(a.base.max_pending_depth, b.base.max_pending_depth);
+  EXPECT_EQ(a.offered_rate, b.offered_rate);
+  EXPECT_EQ(a.input_rate, b.input_rate);
+  EXPECT_EQ(a.output_rate, b.output_rate);
+  EXPECT_EQ(a.avg_drop_age, b.avg_drop_age);
+  EXPECT_EQ(a.overflow_drops, b.overflow_drops);
+  EXPECT_EQ(a.age_limit_drops, b.age_limit_drops);
+  EXPECT_EQ(a.refused_broadcasts, b.refused_broadcasts);
+  EXPECT_EQ(a.decode_failures, b.decode_failures);
+  EXPECT_EQ(a.repair_requests, b.repair_requests);
+  EXPECT_EQ(a.repair_replies, b.repair_replies);
+  EXPECT_EQ(a.events_recovered, b.events_recovered);
+  EXPECT_EQ(a.avg_allowed_rate, b.avg_allowed_rate);
+  EXPECT_EQ(a.final_allowed_rate, b.final_allowed_rate);
+  EXPECT_EQ(a.avg_min_buff, b.avg_min_buff);
+  EXPECT_EQ(a.avg_age_estimate, b.avg_age_estimate);
+  EXPECT_EQ(a.avg_p_local, b.avg_p_local);
+  EXPECT_EQ(a.avg_effective_fanout, b.avg_effective_fanout);
+  EXPECT_EQ(a.max_pending_depth, b.max_pending_depth);
 
   // The network ledger, minus events_scheduled: batched application merges
   // same-(shard, time) runs, so the event count is a property of the
   // layout, not of the traffic. Everything the protocols can observe —
   // sends, deliveries, every drop reason, bytes — must match.
-  EXPECT_EQ(a.base.net.sent, b.base.net.sent);
-  EXPECT_EQ(a.base.net.sent_intra_cluster, b.base.net.sent_intra_cluster);
-  EXPECT_EQ(a.base.net.sent_cross_cluster, b.base.net.sent_cross_cluster);
-  EXPECT_EQ(a.base.net.batches, b.base.net.batches);
-  EXPECT_EQ(a.base.net.delivered, b.base.net.delivered);
-  EXPECT_EQ(a.base.net.dropped_loss, b.base.net.dropped_loss);
-  EXPECT_EQ(a.base.net.dropped_partition, b.base.net.dropped_partition);
-  EXPECT_EQ(a.base.net.dropped_down, b.base.net.dropped_down);
-  EXPECT_EQ(a.base.net.dropped_detached, b.base.net.dropped_detached);
-  EXPECT_EQ(a.base.net.dropped_chaos, b.base.net.dropped_chaos);
-  EXPECT_EQ(a.base.net.bytes_delivered, b.base.net.bytes_delivered);
+  EXPECT_EQ(a.net.sent, b.net.sent);
+  EXPECT_EQ(a.net.sent_intra_cluster, b.net.sent_intra_cluster);
+  EXPECT_EQ(a.net.sent_cross_cluster, b.net.sent_cross_cluster);
+  EXPECT_EQ(a.net.batches, b.net.batches);
+  EXPECT_EQ(a.net.delivered, b.net.delivered);
+  EXPECT_EQ(a.net.dropped_loss, b.net.dropped_loss);
+  EXPECT_EQ(a.net.dropped_partition, b.net.dropped_partition);
+  EXPECT_EQ(a.net.dropped_down, b.net.dropped_down);
+  EXPECT_EQ(a.net.dropped_detached, b.net.dropped_detached);
+  EXPECT_EQ(a.net.dropped_chaos, b.net.dropped_chaos);
+  EXPECT_EQ(a.net.bytes_delivered, b.net.bytes_delivered);
 
   // Fault-plane receipts: per-node planes with fixed seed derivations, so
   // what chaos injected cannot depend on who shares a shard.
-  EXPECT_EQ(a.base.chaos.corrupted, b.base.chaos.corrupted);
-  EXPECT_EQ(a.base.chaos.truncated, b.base.chaos.truncated);
-  EXPECT_EQ(a.base.chaos.duplicated, b.base.chaos.duplicated);
-  EXPECT_EQ(a.base.chaos.reordered, b.base.chaos.reordered);
-  EXPECT_EQ(a.base.chaos.dropped_oneway, b.base.chaos.dropped_oneway);
+  EXPECT_EQ(a.chaos.corrupted, b.chaos.corrupted);
+  EXPECT_EQ(a.chaos.truncated, b.chaos.truncated);
+  EXPECT_EQ(a.chaos.duplicated, b.chaos.duplicated);
+  EXPECT_EQ(a.chaos.reordered, b.chaos.reordered);
+  EXPECT_EQ(a.chaos.dropped_oneway, b.chaos.dropped_oneway);
 
-  EXPECT_EQ(a.base.membership_transitions.suspicions,
-            b.base.membership_transitions.suspicions);
-  EXPECT_EQ(a.base.membership_transitions.downs,
-            b.base.membership_transitions.downs);
-  EXPECT_EQ(a.base.membership_transitions.revivals,
-            b.base.membership_transitions.revivals);
+  EXPECT_EQ(a.membership_transitions.suspicions,
+            b.membership_transitions.suspicions);
+  EXPECT_EQ(a.membership_transitions.downs,
+            b.membership_transitions.downs);
+  EXPECT_EQ(a.membership_transitions.revivals,
+            b.membership_transitions.revivals);
 
-  expect_same_series(a.base.allowed_rate_ts, b.base.allowed_rate_ts,
+  expect_same_series(a.allowed_rate_ts, b.allowed_rate_ts,
                      "allowed_rate_ts");
-  expect_same_series(a.base.min_buff_ts, b.base.min_buff_ts, "min_buff_ts");
-  expect_same_series(a.base.atomicity_ts, b.base.atomicity_ts,
+  expect_same_series(a.min_buff_ts, b.min_buff_ts, "min_buff_ts");
+  expect_same_series(a.atomicity_ts, b.atomicity_ts,
                      "atomicity_ts");
-  expect_same_series(a.base.input_rate_ts, b.base.input_rate_ts,
+  expect_same_series(a.input_rate_ts, b.input_rate_ts,
                      "input_rate_ts");
-  expect_same_series(a.base.p_local_ts, b.base.p_local_ts, "p_local_ts");
-  expect_same_series(a.base.fanout_ts, b.base.fanout_ts, "fanout_ts");
+  expect_same_series(a.p_local_ts, b.p_local_ts, "p_local_ts");
+  expect_same_series(a.fanout_ts, b.fanout_ts, "fanout_ts");
 }
 
 /// The determinism matrix for one preset: run sim_shards=1 as the baseline,
@@ -182,7 +198,7 @@ void run_matrix(const std::string& preset,
   const Config cfg = make_config(overrides);
   const std::size_t hw = std::max<std::size_t>(
       4, std::thread::hardware_concurrency());
-  const ShardedScenarioResults baseline = run_sharded(preset, cfg, 1, 1);
+  const ShardedRun baseline = run_sharded(preset, cfg, 1, 1);
   EXPECT_EQ(baseline.shards, 1u);
   EXPECT_FALSE(baseline.node_fingerprints.empty());
   for (std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
@@ -191,7 +207,7 @@ void run_matrix(const std::string& preset,
         SCOPED_TRACE(preset + " shards=" + std::to_string(shards) +
                      " workers=" + std::to_string(workers) + " rep=" +
                      std::to_string(rep));
-        const ShardedScenarioResults run =
+        const ShardedRun run =
             run_sharded(preset, cfg, shards, workers);
         EXPECT_EQ(run.shards, shards);
         EXPECT_GT(run.windows, 0u);
@@ -238,12 +254,12 @@ TEST(ShardedSimDeterminism, ScaleSmokePartialViewsAcrossShards) {
   const Config cfg = make_config({"n=1024", "senders=8", "rate=40",
                                   "warmup_s=1", "duration_s=1",
                                   "cooldown_s=1"});
-  const ShardedScenarioResults baseline =
+  const ShardedRun baseline =
       run_sharded("scale-1e5", cfg, 1, 1);
   EXPECT_FALSE(baseline.node_fingerprints.empty());
   for (std::size_t shards : {std::size_t{4}, std::size_t{8}}) {
     SCOPED_TRACE("scale-1e5 shards=" + std::to_string(shards));
-    const ShardedScenarioResults run =
+    const ShardedRun run =
         run_sharded("scale-1e5", cfg, shards, 4);
     expect_identical(baseline, run);
   }
@@ -255,10 +271,10 @@ TEST(ShardedSimDeterminism, RepeatedRunsAreBitIdentical) {
   // over pointer-keyed containers, no wall-clock reads, no racing
   // accumulator anywhere in the threaded path.
   const Config cfg = make_config({});
-  const ShardedScenarioResults first = run_sharded("paper60", cfg, 4, 4);
+  const ShardedRun first = run_sharded("paper60", cfg, 4, 4);
   for (int rep = 1; rep < 5; ++rep) {
     SCOPED_TRACE("rep " + std::to_string(rep));
-    const ShardedScenarioResults again = run_sharded("paper60", cfg, 4, 4);
+    const ShardedRun again = run_sharded("paper60", cfg, 4, 4);
     expect_identical(first, again);
   }
 }
@@ -267,9 +283,9 @@ TEST(ShardedSimDeterminism, DifferentSeedsDiverge) {
   // The comparison machinery must be able to fail: a different seed moves
   // the per-node fingerprints (guards against expect_identical comparing
   // empty surfaces or the harness ignoring the seed).
-  const ShardedScenarioResults a =
+  const ShardedRun a =
       run_sharded("paper60", make_config({}), 4, 1);
-  const ShardedScenarioResults b =
+  const ShardedRun b =
       run_sharded("paper60", make_config({"seed=12"}), 4, 1);
   EXPECT_NE(a.node_fingerprints, b.node_fingerprints);
 }

@@ -57,10 +57,10 @@
 //   warmup_s(40) duration_s(150) cooldown_s(30) bucket_s(5) seed(42)
 //   csv=prefix   (writes <prefix>_series.csv)
 //   bench=path.json   (sim fabric: writes a BENCH_sim_scale record —
-//                      preset, n, sim_seconds, wall_seconds,
-//                      nodes_simulated_per_second, bytes_per_node,
-//                      peak_event_queue_len — for the perf trajectory;
-//                      pair with scenario=scale-1e5 / scale-1e6.
+//                      preset, n, sim_seconds, wall_seconds (construction
+//                      + run(), no teardown), nodes_simulated_per_second,
+//                      bytes_per_node, peak_event_queue_len — for the perf
+//                      trajectory; pair with scenario=scale-1e5 / scale-1e6.
 //                      with chaos active it writes a BENCH_chaos record
 //                      instead — recovery-rounds p50/p99 (post-fault
 //                      latency over the gossip period), post-chaos
@@ -80,9 +80,12 @@
 // capacity schedules, and the adaptive control plane with real blocking
 // back-pressure. duration_s is then real seconds — keep it small:
 //   agb_sim scenario=wan-directional fabric=inmemory n=30 period_ms=50 duration_s=5
+//
+// Every engine prints the same report (core::ScenarioResults); only the
+// engine line differs. "delivery throughput" is the network's delivered
+// datagrams over the wall time of construction + run().
 #include <sys/resource.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -90,6 +93,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/config.h"
@@ -172,112 +176,73 @@ int run_sweep(const agb::core::ScenarioPreset& preset, const agb::Config& cfg,
   return 0;
 }
 
-/// Wall-clock twin of the sim run: the full preset — membership mode,
-/// locality, schedules, network model — over runtime::NodeRuntime threads
-/// on the sharded InMemoryFabric, via core::WallclockScenario. Reports the
-/// same reliability metrics as the simulator path plus end-to-end delivery
-/// throughput (datagrams/s), the runtime number BENCH trajectories track.
-int run_wallclock(const agb::core::ScenarioParams& p,
-                  const agb::core::ScenarioPreset& preset, std::size_t shards,
-                  const std::string& bench_path) {
-  using namespace agb;
+/// One bench record: a flat JSON object written in key order. Values are
+/// preformatted JSON (numbers bare, strings already quoted).
+using BenchRecord = std::vector<std::pair<const char*, std::string>>;
 
-  core::WallclockOptions options;
-  options.shards = shards;
-  // An unsupported preset feature is a hard error (exit 2), never a
-  // silently-ignored note: numbers for a workload the preset does not
-  // describe are worse than no numbers.
-  core::WallclockResults r;
-  try {
-    core::WallclockScenario scenario(p, options);
-    r = scenario.run();
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "agb_sim: %s\n", e.what());
-    return 2;
+std::string fixed(double value, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*f", digits, value);
+  return buf;
+}
+
+std::string quoted(const std::string& text) { return "\"" + text + "\""; }
+
+int write_bench_record(const std::string& path, const BenchRecord& record) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "agb_sim: cannot write %s\n", path.c_str());
+    return 1;
   }
+  out << "{\n";
+  for (std::size_t i = 0; i < record.size(); ++i) {
+    out << "  \"" << record[i].first << "\": " << record[i].second
+        << (i + 1 < record.size() ? ",\n" : "\n");
+  }
+  out << "}\n";
+  std::printf("bench record     : %s\n", path.c_str());
+  return 0;
+}
 
-  const std::size_t sender_count =
-      std::max<std::size_t>(1, std::min(p.senders, p.n));
+/// The run report, the same on every engine; only `engine` differs.
+/// "delivery throughput" is net.delivered over `wall_seconds`, the wall
+/// time of construction + run().
+void print_report(const agb::core::ScenarioParams& p,
+                  const agb::core::ScenarioPreset& preset,
+                  const std::string& engine,
+                  const agb::core::ScenarioResults& r, double wall_seconds) {
+  using ull = unsigned long long;
   std::printf("scenario         : %s (%s)\n", preset.name.c_str(),
               preset.summary.c_str());
-  std::printf("fabric           : inmemory wall-clock, %zu shards, "
-              "max_burst %zu\n",
-              r.shard_depths.size(), options.max_burst);
+  std::printf("engine           : %s\n", engine.c_str());
   std::printf("algorithm        : %s%s%s%s\n",
               p.adaptive ? "adaptive" : "lpbcast",
               p.gossip.recovery.enabled ? " + recovery" : "",
               p.partial_view ? " + partial views" : "",
               p.locality.enabled ? " + locality bias" : "");
   std::printf("group            : %zu nodes, %zu senders, fanout %zu, "
-              "T=%lld ms\n",
-              p.n, sender_count, p.gossip.fanout,
-              static_cast<long long>(p.gossip.gossip_period));
-  std::printf("offered load     : %llu broadcasts (%llu admitted, %llu "
-              "refused) over %.1f s\n",
-              static_cast<unsigned long long>(r.offered),
-              static_cast<unsigned long long>(r.admitted),
-              static_cast<unsigned long long>(r.refused_broadcasts),
-              r.elapsed_s);
+              "T=%lld ms, buffer %zu\n",
+              p.n, agb::core::scenario_sender_ids(p.n, p.senders).size(),
+              p.gossip.fanout, static_cast<long long>(p.gossip.gossip_period),
+              p.gossip.max_events);
+  std::printf("offered load     : %.2f msg/s   admitted: %.2f msg/s   "
+              "output: %.2f msg/s\n",
+              p.offered_rate, r.input_rate, r.output_rate);
   std::printf("reliability      : avg receivers %.2f%%   atomic (>95%%) "
               "%.2f%%   (%llu messages evaluated)\n",
               r.delivery.avg_receiver_pct, r.delivery.atomicity_pct,
-              static_cast<unsigned long long>(r.delivery.messages));
-  std::printf("delivery throughput: %.0f datagrams/s over the %.1f s "
-              "traffic window (%llu delivered, %llu dropped, %llu "
-              "down-suppressed)\n",
-              r.elapsed_s > 0.0
-                  ? static_cast<double>(r.fabric_delivered) / r.elapsed_s
-                  : 0.0,
-              r.elapsed_s,
-              static_cast<unsigned long long>(r.fabric_delivered),
-              static_cast<unsigned long long>(r.fabric_dropped),
-              static_cast<unsigned long long>(r.fabric_dropped_down));
-  std::printf("drops            : overflow %llu   age-limit %llu\n",
-              static_cast<unsigned long long>(r.overflow_drops),
-              static_cast<unsigned long long>(r.age_limit_drops));
-  if (!p.chaos.empty()) {
-    std::printf("chaos            : %llu corrupted, %llu truncated, %llu "
-                "duplicated, %llu reordered, %llu oneway-dropped, %llu "
-                "stalls, %llu skewed clock reads\n",
-                static_cast<unsigned long long>(r.chaos.corrupted),
-                static_cast<unsigned long long>(r.chaos.truncated),
-                static_cast<unsigned long long>(r.chaos.duplicated),
-                static_cast<unsigned long long>(r.chaos.reordered),
-                static_cast<unsigned long long>(r.chaos.dropped_oneway),
-                static_cast<unsigned long long>(r.chaos.stalls),
-                static_cast<unsigned long long>(r.chaos.skew_reads));
-    std::printf("chaos receipts   : %llu decode drops, membership %llu "
-                "suspicions / %llu downs / %llu revivals\n",
-                static_cast<unsigned long long>(r.decode_drops),
-                static_cast<unsigned long long>(
-                    r.membership_transitions.suspicions),
-                static_cast<unsigned long long>(
-                    r.membership_transitions.downs),
-                static_cast<unsigned long long>(
-                    r.membership_transitions.revivals));
-    if (r.post_chaos_delivery) {
-      std::printf("post-chaos       : avg receivers %.2f%%   atomic %.2f%% "
-                  "over the recovery window\n",
-                  r.post_chaos_delivery->avg_receiver_pct,
-                  r.post_chaos_delivery->atomicity_pct);
-    }
-  }
-  if (p.network.clusters > 1) {
-    const std::uint64_t sent = r.sent_intra_cluster + r.sent_cross_cluster;
-    const double cross_pct =
-        sent == 0 ? 0.0
-                  : 100.0 * static_cast<double>(r.sent_cross_cluster) /
-                        static_cast<double>(sent);
-    std::printf("wan traffic      : %llu intra-cluster, %llu cross-cluster "
-                "datagrams (%.1f%% cross%s)\n",
-                static_cast<unsigned long long>(r.sent_intra_cluster),
-                static_cast<unsigned long long>(r.sent_cross_cluster),
-                cross_pct, p.locality.enabled ? ", locality-biased" : "");
-  }
-  if (!p.failure_schedule.empty()) {
-    std::printf("failures         : %zu scheduled events replayed%s\n",
-                p.failure_schedule.size(),
-                p.failure_detector ? " (perfect detector)" : "");
+              static_cast<ull>(r.delivery.messages));
+  std::printf("latency to atomic: p50 %.0f ms   p99 %.0f ms\n",
+              r.delivery.latency_p50_ms, r.delivery.latency_p99_ms);
+  std::printf("drops            : overflow %llu (avg age %.2f hops)   "
+              "age-limit %llu\n",
+              static_cast<ull>(r.overflow_drops), r.avg_drop_age,
+              static_cast<ull>(r.age_limit_drops));
+  if (p.adaptive) {
+    std::printf("adaptation       : allowed %.2f msg/s (final %.2f)   "
+                "minBuff %.1f   avgAge %.2f   refused %llu\n",
+                r.avg_allowed_rate, r.final_allowed_rate, r.avg_min_buff,
+                r.avg_age_estimate, static_cast<ull>(r.refused_broadcasts));
   }
   if (p.adaptive && p.adaptation.control.enabled) {
     std::printf("control plane    : avg p_local %.3f   avg fanout %.2f   "
@@ -286,93 +251,64 @@ int run_wallclock(const agb::core::ScenarioParams& p,
                 r.pending_depth_p90, r.pending_depth_p99, r.max_pending_depth,
                 p.pending_cap);
   }
-  std::printf("app deliveries   : %llu events\n",
-              static_cast<unsigned long long>(r.app_deliveries));
-  std::printf("queue depth      : per shard:");
-  for (std::size_t depth : r.shard_depths) std::printf(" %zu", depth);
-  std::printf("\n");
-
-  if (!bench_path.empty() && !p.chaos.empty()) {
-    // Chaos bench, wall-clock flavour: the same record the sim path
-    // writes — healing speed in gossip rounds over the post-fault window.
-    const double period = static_cast<double>(p.gossip.gossip_period);
-    const double p50_rounds =
-        r.post_chaos_delivery ? r.post_chaos_delivery->latency_p50_ms / period
-                              : -1.0;
-    const double p99_rounds =
-        r.post_chaos_delivery ? r.post_chaos_delivery->latency_p99_ms / period
-                              : -1.0;
-    std::ofstream out(bench_path);
-    if (!out) {
-      std::fprintf(stderr, "agb_sim: cannot write %s\n", bench_path.c_str());
-      return 1;
-    }
-    char record[640];
-    std::snprintf(
-        record, sizeof(record),
-        "{\n"
-        "  \"bench\": \"chaos\",\n"
-        "  \"preset\": \"%s\",\n"
-        "  \"n\": %zu,\n"
-        "  \"seed\": %llu,\n"
-        "  \"mutations\": %llu,\n"
-        "  \"duplicated\": %llu,\n"
-        "  \"reordered\": %llu,\n"
-        "  \"dropped_oneway\": %llu,\n"
-        "  \"decode_drops\": %llu,\n"
-        "  \"recovery_rounds_p50\": %.2f,\n"
-        "  \"recovery_rounds_p99\": %.2f,\n"
-        "  \"post_chaos_avg_receiver_pct\": %.2f\n"
-        "}\n",
-        preset.name.c_str(), p.n, static_cast<unsigned long long>(p.seed),
-        static_cast<unsigned long long>(r.chaos.mutations()),
-        static_cast<unsigned long long>(r.chaos.duplicated),
-        static_cast<unsigned long long>(r.chaos.reordered),
-        static_cast<unsigned long long>(r.chaos.dropped_oneway),
-        static_cast<unsigned long long>(r.decode_drops), p50_rounds,
-        p99_rounds,
-        r.post_chaos_delivery ? r.post_chaos_delivery->avg_receiver_pct
-                              : -1.0);
-    out << record;
-    std::printf("bench record     : %s (recovery rounds p50 %.2f / p99 "
-                "%.2f, post-chaos receivers %.2f%%)\n",
-                bench_path.c_str(), p50_rounds, p99_rounds,
-                r.post_chaos_delivery ? r.post_chaos_delivery->avg_receiver_pct
-                                      : -1.0);
-  } else if (!bench_path.empty()) {
-    std::ofstream out(bench_path);
-    if (!out) {
-      std::fprintf(stderr, "agb_sim: cannot write %s\n", bench_path.c_str());
-      return 1;
-    }
-    char record[512];
-    std::snprintf(record, sizeof(record),
-                  "{\n"
-                  "  \"bench\": \"backpressure\",\n"
-                  "  \"preset\": \"%s\",\n"
-                  "  \"n\": %zu,\n"
-                  "  \"pending_cap\": %zu,\n"
-                  "  \"pending_depth_p50\": %zu,\n"
-                  "  \"pending_depth_p90\": %zu,\n"
-                  "  \"pending_depth_p99\": %zu,\n"
-                  "  \"max_pending_depth\": %zu,\n"
-                  "  \"refused_broadcasts\": %llu,\n"
-                  "  \"avg_p_local\": %.4f,\n"
-                  "  \"avg_effective_fanout\": %.3f\n"
-                  "}\n",
-                  preset.name.c_str(), p.n, p.pending_cap,
-                  r.pending_depth_p50, r.pending_depth_p90,
-                  r.pending_depth_p99, r.max_pending_depth,
-                  static_cast<unsigned long long>(r.refused_broadcasts),
-                  r.avg_p_local, r.avg_effective_fanout);
-    out << record;
-    std::printf("bench record     : %s (pending p50/p90/p99/max "
-                "%zu/%zu/%zu/%zu, %llu refused)\n",
-                bench_path.c_str(), r.pending_depth_p50, r.pending_depth_p90,
-                r.pending_depth_p99, r.max_pending_depth,
-                static_cast<unsigned long long>(r.refused_broadcasts));
+  if (p.gossip.recovery.enabled) {
+    std::printf("recovery         : %llu requests, %llu replies, %llu "
+                "events recovered\n",
+                static_cast<ull>(r.repair_requests),
+                static_cast<ull>(r.repair_replies),
+                static_cast<ull>(r.events_recovered));
   }
-  return 0;
+  std::printf("network          : %llu sent, %llu delivered, %llu lost, "
+              "%llu down, %llu chaos, %llu detached, %.1f MB\n",
+              static_cast<ull>(r.net.sent), static_cast<ull>(r.net.delivered),
+              static_cast<ull>(r.net.dropped_loss),
+              static_cast<ull>(r.net.dropped_down),
+              static_cast<ull>(r.net.dropped_chaos),
+              static_cast<ull>(r.net.dropped_detached),
+              static_cast<double>(r.net.bytes_delivered) / 1e6);
+  std::printf("delivery throughput: %.0f datagrams/s (%llu delivered in "
+              "%.2f s wall)\n",
+              wall_seconds > 0.0
+                  ? static_cast<double>(r.net.delivered) / wall_seconds
+                  : 0.0,
+              static_cast<ull>(r.net.delivered), wall_seconds);
+  if (p.network.clusters > 1) {
+    const double cross_pct =
+        r.net.sent == 0 ? 0.0
+                        : 100.0 * static_cast<double>(r.net.sent_cross_cluster)
+                              / static_cast<double>(r.net.sent);
+    std::printf("wan traffic      : %llu intra-cluster, %llu cross-cluster "
+                "datagrams (%.1f%% cross%s)\n",
+                static_cast<ull>(r.net.sent_intra_cluster),
+                static_cast<ull>(r.net.sent_cross_cluster), cross_pct,
+                p.locality.enabled ? ", locality-biased" : "");
+  }
+  if (!p.chaos.empty()) {
+    std::printf("chaos            : %llu corrupted, %llu truncated, %llu "
+                "duplicated, %llu reordered, %llu oneway-dropped, %llu "
+                "stalls, %llu skewed clock reads; decode failures %llu\n",
+                static_cast<ull>(r.chaos.corrupted),
+                static_cast<ull>(r.chaos.truncated),
+                static_cast<ull>(r.chaos.duplicated),
+                static_cast<ull>(r.chaos.reordered),
+                static_cast<ull>(r.chaos.dropped_oneway),
+                static_cast<ull>(r.chaos.stalls),
+                static_cast<ull>(r.chaos.skew_reads),
+                static_cast<ull>(r.decode_failures));
+    if (p.gossip_membership) {
+      std::printf("membership chaos : %llu suspicions / %llu downs / %llu "
+                  "revivals\n",
+                  static_cast<ull>(r.membership_transitions.suspicions),
+                  static_cast<ull>(r.membership_transitions.downs),
+                  static_cast<ull>(r.membership_transitions.revivals));
+    }
+    if (r.post_chaos_delivery) {
+      std::printf("post-chaos       : avg receivers %.2f%%   atomic %.2f%% "
+                  "over the recovery window\n",
+                  r.post_chaos_delivery->avg_receiver_pct,
+                  r.post_chaos_delivery->atomicity_pct);
+    }
+  }
 }
 
 }  // namespace
@@ -486,237 +422,123 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "agb_sim: warning: unknown key '%s'\n", key.c_str());
   }
 
-  if (fabric == "inmemory") {
-    if (cfg.raw("sim_shards")) {
-      std::fprintf(stderr,
-                   "agb_sim: warning: sim_shards= has no effect on "
-                   "fabric=inmemory (use shards= for receiver shards)\n");
-    }
-    return run_wallclock(p, *preset, shards, bench_path);
-  }
-  if (fabric != "sim") {
+  if (fabric != "sim" && fabric != "inmemory") {
     std::fprintf(stderr, "agb_sim: unknown fabric '%s' (sim | inmemory)\n",
                  fabric.c_str());
     return 2;
   }
+  if (fabric == "inmemory" && cfg.raw("sim_shards")) {
+    std::fprintf(stderr,
+                 "agb_sim: warning: sim_shards= has no effect on "
+                 "fabric=inmemory (use shards= for receiver shards)\n");
+  }
 
-  // sim_shards<=1 keeps the classic single-queue engine — its event traces
-  // are the golden fingerprints — while sim_shards>1 dispatches to the
-  // sharded engine, whose scenario-visible results are shard/worker-count
+  // Every engine is timed over construction + run() and lives until main
+  // returns, so no engine's wall time includes its teardown. sim_shards<=1
+  // keeps the classic single-queue engine — its event traces are the
+  // golden fingerprints — while sim_shards>1 dispatches to the sharded
+  // engine, whose scenario-visible results are shard/worker-count
   // invariant (tests/sharded_sim_test.cc pins that contract).
-  const auto wall_start = std::chrono::steady_clock::now();
   std::optional<core::Scenario> classic;
+  std::optional<core::ShardedScenario> sharded;
+  std::optional<core::WallclockScenario> wallclock;
   core::ScenarioResults r;
-  std::size_t run_shards = 1;
-  std::size_t run_workers = 1;
-  std::uint64_t run_windows = 0;
-  if (p.sim_shards > 1) {
-    core::ShardedScenario sharded(p);
-    auto sr = sharded.run();
-    r = std::move(sr.base);
-    run_shards = sr.shards;
-    run_workers = sr.workers;
-    run_windows = sr.windows;
+  char engine[160];
+  const auto wall_start = std::chrono::steady_clock::now();
+  if (fabric == "inmemory") {
+    const core::WallclockOptions options{.shards = shards};
+    wallclock.emplace(p, options);
+    r = wallclock->run();
+    std::snprintf(engine, sizeof(engine),
+                  "inmemory wall-clock, shards=%zu, max_burst %zu",
+                  options.shards, options.max_burst);
+  } else if (p.sim_shards > 1) {
+    sharded.emplace(p);
+    r = sharded->run();
+    std::snprintf(engine, sizeof(engine),
+                  "sharded sim, %zu shards, %zu workers, %llu windows",
+                  sharded->shards(), sharded->workers(),
+                  static_cast<unsigned long long>(sharded->windows()));
   } else {
     classic.emplace(p);
     r = classic->run();
+    std::snprintf(engine, sizeof(engine), "classic sim");
   }
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     wall_start)
           .count();
+  print_report(p, *preset, engine, r, wall_seconds);
 
-  std::printf("scenario         : %s (%s)\n", preset->name.c_str(),
-              preset->summary.c_str());
-  if (run_shards > 1) {
-    std::printf("engine           : sharded sim, %zu shards, %zu workers, "
-                "%llu windows\n",
-                run_shards, run_workers,
-                static_cast<unsigned long long>(run_windows));
-  }
-  std::printf("algorithm        : %s%s\n",
-              p.adaptive ? "adaptive" : "lpbcast",
-              p.gossip.recovery.enabled ? " + recovery" : "");
-  std::printf("group            : %zu nodes, %zu senders, fanout %zu, "
-              "T=%lld ms, buffer %zu\n",
-              p.n, p.senders, p.gossip.fanout,
-              static_cast<long long>(p.gossip.gossip_period),
-              p.gossip.max_events);
-  std::printf("offered load     : %.2f msg/s   admitted: %.2f msg/s   "
-              "output: %.2f msg/s\n",
-              p.offered_rate, r.input_rate, r.output_rate);
-  std::printf("reliability      : avg receivers %.2f%%   atomic (>95%%) "
-              "%.2f%%\n",
-              r.delivery.avg_receiver_pct, r.delivery.atomicity_pct);
-  std::printf("latency to atomic: p50 %.0f ms   p99 %.0f ms\n",
-              r.delivery.latency_p50_ms, r.delivery.latency_p99_ms);
-  std::printf("drops            : overflow %llu (avg age %.2f hops)   "
-              "age-limit %llu\n",
-              static_cast<unsigned long long>(r.overflow_drops),
-              r.avg_drop_age,
-              static_cast<unsigned long long>(r.age_limit_drops));
-  if (p.adaptive) {
-    std::printf("adaptation       : allowed %.2f msg/s (final %.2f)   "
-                "minBuff %.1f   avgAge %.2f   refused %llu\n",
-                r.avg_allowed_rate, r.final_allowed_rate, r.avg_min_buff,
-                r.avg_age_estimate,
-                static_cast<unsigned long long>(r.refused_broadcasts));
-  }
-  if (p.gossip.recovery.enabled) {
-    std::printf("recovery         : %llu requests, %llu replies, %llu "
-                "events recovered\n",
-                static_cast<unsigned long long>(r.repair_requests),
-                static_cast<unsigned long long>(r.repair_replies),
-                static_cast<unsigned long long>(r.events_recovered));
-  }
-  std::printf("network          : %llu sent, %llu delivered, %llu lost, "
-              "%.1f MB\n",
-              static_cast<unsigned long long>(r.net.sent),
-              static_cast<unsigned long long>(r.net.delivered),
-              static_cast<unsigned long long>(r.net.dropped_loss),
-              static_cast<double>(r.net.bytes_delivered) / 1e6);
-  if (p.network.clusters > 1) {
-    const double cross_pct =
-        r.net.sent == 0 ? 0.0
-                        : 100.0 * static_cast<double>(r.net.sent_cross_cluster)
-                              / static_cast<double>(r.net.sent);
-    std::printf("wan traffic      : %llu intra-cluster, %llu cross-cluster "
-                "datagrams (%.1f%% cross%s)\n",
-                static_cast<unsigned long long>(r.net.sent_intra_cluster),
-                static_cast<unsigned long long>(r.net.sent_cross_cluster),
-                cross_pct,
-                p.locality.enabled ? ", locality-biased" : "");
-  }
-  if (!p.chaos.empty()) {
-    std::printf("chaos            : %llu corrupted, %llu truncated, %llu "
-                "duplicated, %llu reordered, %llu oneway-dropped; decode "
-                "drops %llu\n",
-                static_cast<unsigned long long>(r.chaos.corrupted),
-                static_cast<unsigned long long>(r.chaos.truncated),
-                static_cast<unsigned long long>(r.chaos.duplicated),
-                static_cast<unsigned long long>(r.chaos.reordered),
-                static_cast<unsigned long long>(r.chaos.dropped_oneway),
-                static_cast<unsigned long long>(r.decode_failures));
-    if (p.gossip_membership) {
-      std::printf("membership chaos : %llu suspicions / %llu downs / %llu "
-                  "revivals\n",
-                  static_cast<unsigned long long>(
-                      r.membership_transitions.suspicions),
-                  static_cast<unsigned long long>(
-                      r.membership_transitions.downs),
-                  static_cast<unsigned long long>(
-                      r.membership_transitions.revivals));
+  if (!bench_path.empty()) {
+    BenchRecord record;
+    if (!p.chaos.empty()) {
+      // Chaos bench: how fast did the group heal? Latency percentiles over
+      // the post-fault window, expressed in gossip rounds — the
+      // recovery-rounds baseline the CI artifact tracks.
+      const double period = static_cast<double>(p.gossip.gossip_period);
+      const auto& post = r.post_chaos_delivery;
+      record = {
+          {"bench", quoted("chaos")},
+          {"preset", quoted(preset->name)},
+          {"n", std::to_string(p.n)},
+          {"seed", std::to_string(p.seed)},
+          {"mutations", std::to_string(r.chaos.mutations())},
+          {"duplicated", std::to_string(r.chaos.duplicated)},
+          {"reordered", std::to_string(r.chaos.reordered)},
+          {"dropped_oneway", std::to_string(r.chaos.dropped_oneway)},
+          {"decode_drops", std::to_string(r.decode_failures)},
+          {"recovery_rounds_p50",
+           fixed(post ? post->latency_p50_ms / period : -1.0, 2)},
+          {"recovery_rounds_p99",
+           fixed(post ? post->latency_p99_ms / period : -1.0, 2)},
+          {"post_chaos_avg_receiver_pct",
+           fixed(post ? post->avg_receiver_pct : -1.0, 2)}};
+    } else if (wallclock) {
+      record = {{"bench", quoted("backpressure")},
+                {"preset", quoted(preset->name)},
+                {"n", std::to_string(p.n)},
+                {"pending_cap", std::to_string(p.pending_cap)},
+                {"pending_depth_p50", std::to_string(r.pending_depth_p50)},
+                {"pending_depth_p90", std::to_string(r.pending_depth_p90)},
+                {"pending_depth_p99", std::to_string(r.pending_depth_p99)},
+                {"max_pending_depth", std::to_string(r.max_pending_depth)},
+                {"refused_broadcasts", std::to_string(r.refused_broadcasts)},
+                {"avg_p_local", fixed(r.avg_p_local, 4)},
+                {"avg_effective_fanout", fixed(r.avg_effective_fanout, 3)}};
+    } else {
+      struct rusage usage {};
+      getrusage(RUSAGE_SELF, &usage);
+      const double sim_seconds =
+          static_cast<double>(p.warmup + p.duration + p.cooldown) / 1000.0;
+      // ru_maxrss is KiB on Linux; whole-process peak RSS is the honest
+      // number for "how much memory does a run this size need".
+      const double bytes_per_node = static_cast<double>(usage.ru_maxrss) *
+                                    1024.0 / static_cast<double>(p.n);
+      record = {
+          {"bench", quoted("sim_scale")},
+          {"preset", quoted(preset->name)},
+          {"n", std::to_string(p.n)},
+          {"sim_shards", std::to_string(sharded ? sharded->shards() : 1)},
+          {"sim_workers", std::to_string(sharded ? sharded->workers() : 1)},
+          {"windows", std::to_string(sharded ? sharded->windows() : 0)},
+          {"sim_seconds", fixed(sim_seconds, 3)},
+          {"wall_seconds", fixed(wall_seconds, 3)},
+          {"nodes_simulated_per_second",
+           fixed(wall_seconds > 0.0 ? static_cast<double>(p.n) * sim_seconds /
+                                          wall_seconds
+                                    : 0.0,
+                 1)},
+          {"bytes_per_node", fixed(bytes_per_node, 1)},
+          {"peak_event_queue_len", std::to_string(r.peak_event_queue_len)}};
     }
-    if (r.post_chaos_delivery) {
-      std::printf("post-chaos       : avg receivers %.2f%%   atomic %.2f%% "
-                  "over the recovery window\n",
-                  r.post_chaos_delivery->avg_receiver_pct,
-                  r.post_chaos_delivery->atomicity_pct);
-    }
-  }
-
-  if (!bench_path.empty() && !p.chaos.empty()) {
-    // Chaos bench: how fast did the group heal? Latency percentiles over
-    // the post-fault window, expressed in gossip rounds — the
-    // recovery-rounds baseline the CI artifact tracks.
-    const double period = static_cast<double>(p.gossip.gossip_period);
-    const double p50_rounds =
-        r.post_chaos_delivery
-            ? r.post_chaos_delivery->latency_p50_ms / period
-            : -1.0;
-    const double p99_rounds =
-        r.post_chaos_delivery
-            ? r.post_chaos_delivery->latency_p99_ms / period
-            : -1.0;
-    std::ofstream out(bench_path);
-    if (!out) {
-      std::fprintf(stderr, "agb_sim: cannot write %s\n", bench_path.c_str());
-      return 1;
-    }
-    char record[640];
-    std::snprintf(
-        record, sizeof(record),
-        "{\n"
-        "  \"bench\": \"chaos\",\n"
-        "  \"preset\": \"%s\",\n"
-        "  \"n\": %zu,\n"
-        "  \"seed\": %llu,\n"
-        "  \"mutations\": %llu,\n"
-        "  \"duplicated\": %llu,\n"
-        "  \"reordered\": %llu,\n"
-        "  \"dropped_oneway\": %llu,\n"
-        "  \"decode_drops\": %llu,\n"
-        "  \"recovery_rounds_p50\": %.2f,\n"
-        "  \"recovery_rounds_p99\": %.2f,\n"
-        "  \"post_chaos_avg_receiver_pct\": %.2f\n"
-        "}\n",
-        preset->name.c_str(), p.n,
-        static_cast<unsigned long long>(p.seed),
-        static_cast<unsigned long long>(r.chaos.mutations()),
-        static_cast<unsigned long long>(r.chaos.duplicated),
-        static_cast<unsigned long long>(r.chaos.reordered),
-        static_cast<unsigned long long>(r.chaos.dropped_oneway),
-        static_cast<unsigned long long>(r.decode_failures),
-        p50_rounds, p99_rounds,
-        r.post_chaos_delivery ? r.post_chaos_delivery->avg_receiver_pct
-                              : -1.0);
-    out << record;
-    std::printf("bench record     : %s (recovery rounds p50 %.2f / p99 "
-                "%.2f, post-chaos receivers %.2f%%)\n",
-                bench_path.c_str(), p50_rounds, p99_rounds,
-                r.post_chaos_delivery ? r.post_chaos_delivery->avg_receiver_pct
-                                      : -1.0);
-  } else if (!bench_path.empty()) {
-    struct rusage usage {};
-    getrusage(RUSAGE_SELF, &usage);
-    const double sim_seconds =
-        static_cast<double>(p.warmup + p.duration + p.cooldown) / 1000.0;
-    const double nodes_per_second =
-        wall_seconds > 0.0
-            ? static_cast<double>(p.n) * sim_seconds / wall_seconds
-            : 0.0;
-    // ru_maxrss is KiB on Linux; whole-process peak RSS is the honest
-    // number for "how much memory does a run this size need".
-    const double bytes_per_node =
-        static_cast<double>(usage.ru_maxrss) * 1024.0 /
-        static_cast<double>(p.n);
-    std::ofstream out(bench_path);
-    if (!out) {
-      std::fprintf(stderr, "agb_sim: cannot write %s\n", bench_path.c_str());
-      return 1;
-    }
-    char record[640];
-    std::snprintf(record, sizeof(record),
-                  "{\n"
-                  "  \"bench\": \"sim_scale\",\n"
-                  "  \"preset\": \"%s\",\n"
-                  "  \"n\": %zu,\n"
-                  "  \"sim_shards\": %zu,\n"
-                  "  \"sim_workers\": %zu,\n"
-                  "  \"windows\": %llu,\n"
-                  "  \"sim_seconds\": %.3f,\n"
-                  "  \"wall_seconds\": %.3f,\n"
-                  "  \"nodes_simulated_per_second\": %.1f,\n"
-                  "  \"bytes_per_node\": %.1f,\n"
-                  "  \"peak_event_queue_len\": %zu\n"
-                  "}\n",
-                  preset->name.c_str(), p.n, run_shards, run_workers,
-                  static_cast<unsigned long long>(run_windows), sim_seconds,
-                  wall_seconds, nodes_per_second, bytes_per_node,
-                  r.peak_event_queue_len);
-    out << record;
-    std::printf("bench record     : %s (%.0f nodes_sim/s, sim %.1f s in "
-                "wall %.2f s, %zu shards x %zu workers, %.0f B/node, peak "
-                "queue %zu)\n",
-                bench_path.c_str(), nodes_per_second, sim_seconds,
-                wall_seconds, run_shards, run_workers, bytes_per_node,
-                r.peak_event_queue_len);
+    if (write_bench_record(bench_path, record) != 0) return 1;
   }
 
   if (per_node && !classic) {
     std::fprintf(stderr,
-                 "agb_sim: warning: per_node= is not available with "
-                 "sim_shards>1 (node storage is torn down with the run)\n");
+                 "agb_sim: warning: per_node= needs the classic simulator "
+                 "(fabric=sim, sim_shards<=1)\n");
   } else if (per_node) {
     std::printf("\n%-6s %-8s %-10s %-9s %-9s %-9s %-9s\n", "node", "bcasts",
                 "delivered", "dups", "ovf_drop", "age_drop", "minbuff");
