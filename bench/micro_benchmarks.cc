@@ -120,6 +120,36 @@ void BM_MessageDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageDecode)->Arg(30)->Arg(120)->Arg(500);
 
+// The simulator's receive side of one gossip round: F receivers of one
+// 120-event message, which share one SharedBytes buffer. memo=0 decodes per
+// receiver with decode_any; memo=1 goes through one WireDecoder, as both
+// simulator engines do, and decodes once per fan-out. Iterations alternate
+// between two byte-equal buffers, so every fan-out starts with a memo miss.
+void BM_FanoutDecode(benchmark::State& state) {
+  const auto receivers = static_cast<std::size_t>(state.range(0));
+  const bool memo = state.range(1) != 0;
+  const SharedBytes first = make_message(120, 16).encode_shared();
+  const SharedBytes buffers[2] = {first, SharedBytes::copy_of(first.view())};
+  gossip::WireDecoder decoder;
+  std::size_t round = 0;
+  for (auto _ : state) {
+    const SharedBytes& bytes = buffers[round++ % 2];
+    for (std::size_t r = 0; r < receivers; ++r) {
+      if (memo) {
+        benchmark::DoNotOptimize(&decoder.decode(bytes));
+      } else {
+        auto decoded = gossip::decode_any(bytes);
+        benchmark::DoNotOptimize(decoded);
+      }
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(receivers));
+}
+BENCHMARK(BM_FanoutDecode)
+    ->ArgNames({"receivers", "memo"})
+    ->ArgsProduct({{1, 4, 8}, {0, 1}});
+
 // The encode-once refactor's receipts: fanning one encoded gossip message
 // out to F targets with per-target payload copies (the old Datagram) vs
 // SharedBytes aliasing (the current pipeline). bytes_per_second counts the
@@ -423,6 +453,33 @@ void BM_EventBufferSnapshot(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EventBufferSnapshot)->Arg(60)->Arg(180);
+
+// The receive path's digest check (paper Fig. 1's eventIds): one insert per
+// incoming event on sim-paper-adaptive's id stream — 16% novel ids, 84%
+// duplicates of ids still remembered — at the scale presets' digest bound
+// (384) and paper60's (4000). allocs_per_op counts heap allocations per
+// insert once the digest is warm.
+void BM_EventIdBufferInsert(benchmark::State& state) {
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  gossip::EventIdBuffer digest(capacity);
+  Rng rng(1);
+  std::uint64_t next = 0;
+  auto step = [&] {
+    if (next < capacity || rng.bernoulli(0.16)) {
+      ++next;
+      return digest.insert(EventId{static_cast<NodeId>(next % 60), next});
+    }
+    const std::uint64_t seq = next - rng.next_below(capacity / 2);
+    return digest.insert(EventId{static_cast<NodeId>(seq % 60), seq});
+  };
+  while (next < 5 * capacity) step();  // warm: the digest is at its bound
+  const std::uint64_t allocs_before = g_heap_allocs.load();
+  for (auto _ : state) benchmark::DoNotOptimize(step());
+  state.counters["allocs_per_op"] =
+      static_cast<double>(g_heap_allocs.load() - allocs_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_EventIdBufferInsert)->Arg(384)->Arg(4000);
 
 // The adaptive node's on_gossip steady state: a buffer at capacity C takes
 // C/6 novel events (sim-paper-adaptive's novel ratio is ~0.16), then the

@@ -19,7 +19,7 @@ void CongestionEstimator::observe(const gossip::EventBuffer& events,
 }
 
 void CongestionEstimator::prune(const gossip::EventBuffer& events) {
-  std::erase_if(lost_, [&](const EventId& id) { return !events.contains(id); });
+  lost_.erase_if([&](const EventId& id) { return !events.contains(id); });
 }
 
 }  // namespace agb::adaptive

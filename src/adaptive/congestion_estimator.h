@@ -10,11 +10,10 @@
 // (paper §3.2, validated by the dynamic-buffer experiment).
 #pragma once
 
-#include <unordered_set>
-
 #include "common/moving_average.h"
 #include "common/types.h"
 #include "gossip/event_buffer.h"
+#include "gossip/event_id_table.h"
 
 namespace agb::adaptive {
 
@@ -46,7 +45,7 @@ class CongestionEstimator {
   [[nodiscard]] std::size_t observations() const noexcept {
     return avg_age_.samples();
   }
-  [[nodiscard]] const std::unordered_set<EventId>& lost() const noexcept {
+  [[nodiscard]] const gossip::EventIdTable& lost() const noexcept {
     return lost_;
   }
 
@@ -54,7 +53,7 @@ class CongestionEstimator {
 
  private:
   Ewma avg_age_;
-  std::unordered_set<EventId> lost_;
+  gossip::EventIdTable lost_;
 };
 
 }  // namespace agb::adaptive

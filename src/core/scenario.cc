@@ -172,7 +172,7 @@ void Scenario::build_nodes() {
         });
 
     net_->attach(id, [this, node](const Datagram& d, TimeMs now) {
-      if (!node->on_wire(gossip::decode_any(d.payload), now)) {
+      if (!node->on_wire(decoder_.decode(d.payload), now)) {
         ++decode_failures_;
         return;
       }

@@ -361,6 +361,7 @@ class Scenario {
   RunningStats eval_drop_age_;
   std::uint64_t refused_ = 0;
   std::uint64_t decode_failures_ = 0;
+  gossip::WireDecoder decoder_;  // a fan-out's receivers share one decode
   std::size_t max_pending_depth_ = 0;
   metrics::TimeSeries allowed_rate_ts_{"allowed_rate"};
   metrics::TimeSeries min_buff_ts_{"min_buff"};

@@ -21,6 +21,21 @@ std::vector<std::string> split(const std::string& text, char sep) {
                               "'");
 }
 
+/// Reads a size- or count-typed key. Cast straight to an unsigned type, a
+/// negative value would wrap to about 2^64 (n=-1 asked vector::reserve for
+/// that many nodes), so it is rejected, naming the key and the value.
+std::size_t get_size(const Config& cfg, const std::string& key,
+                     std::size_t fallback) {
+  const auto raw = cfg.raw(key);
+  if (!raw) return fallback;
+  const std::int64_t value = cfg.get_int(key, 0);
+  if (value < 0) {
+    throw std::invalid_argument("bad " + key + " value '" + *raw +
+                                "' (must be >= 0)");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 /// Plain Levenshtein distance; preset names are short, so the quadratic
 /// table is microscopic.
 std::size_t edit_distance(std::string_view a, std::string_view b) {
@@ -166,8 +181,8 @@ ScenarioParams build_fig9(const Config& cfg) {
     const TimeMs t1 = cfg.get_int("t1_s", 150) * 1000;
     const TimeMs t2 = cfg.get_int("t2_s", 300) * 1000;
     const double fraction = cfg.get_double("fraction", 0.2);
-    const auto buf1 = static_cast<std::size_t>(cfg.get_int("buf1", 45));
-    const auto buf2 = static_cast<std::size_t>(cfg.get_int("buf2", 60));
+    const auto buf1 = get_size(cfg, "buf1", 45);
+    const auto buf2 = get_size(cfg, "buf2", 60);
     p.capacity_schedule = {
         {p.warmup + t1, fraction, buf1},
         {p.warmup + t2, fraction, buf2},
@@ -185,8 +200,7 @@ ScenarioParams build_churn(const Config& cfg) {
     // included.
     const DurationMs every = cfg.get_int("churn_every_s", 20) * 1000;
     const DurationMs down_for = cfg.get_int("churn_down_s", 15) * 1000;
-    const auto count =
-        static_cast<std::size_t>(cfg.get_int("churn_count", 8));
+    const auto count = get_size(cfg, "churn_count", 8);
     for (std::size_t i = 0; i < count; ++i) {
       const auto node = static_cast<NodeId>((3 + 7 * i) % p.n);
       const TimeMs at = p.warmup + static_cast<TimeMs>(i) * every;
@@ -245,8 +259,7 @@ ScenarioParams build_wan_directional_churn(const Config& cfg) {
   if (!cfg.raw("failures")) {
     const DurationMs every = cfg.get_int("churn_every_s", 30) * 1000;
     const DurationMs down_for = cfg.get_int("churn_down_s", 20) * 1000;
-    const auto count =
-        static_cast<std::size_t>(cfg.get_int("churn_count", 3));
+    const auto count = get_size(cfg, "churn_count", 3);
     const std::size_t clusters = std::max<std::size_t>(p.network.clusters, 1);
     for (std::size_t i = 0; i < count; ++i) {
       const auto bridge = static_cast<NodeId>(i % clusters);
@@ -289,8 +302,7 @@ ScenarioParams build_churn_blind(const Config& cfg) {
   if (!cfg.raw("failures")) {
     const DurationMs every = cfg.get_int("churn_every_s", 30) * 1000;
     const DurationMs down_for = cfg.get_int("churn_down_s", 20) * 1000;
-    const auto count =
-        static_cast<std::size_t>(cfg.get_int("churn_count", 3));
+    const auto count = get_size(cfg, "churn_count", 3);
     const std::size_t clusters = std::max<std::size_t>(p.network.clusters, 1);
     for (std::size_t i = 0; i < count; ++i) {
       const auto bridge = static_cast<NodeId>(i % clusters);
@@ -316,8 +328,7 @@ ScenarioParams build_host_migration(const Config& cfg) {
   if (!cfg.raw("failures")) {
     const DurationMs every = cfg.get_int("churn_every_s", 20) * 1000;
     const DurationMs down_for = cfg.get_int("churn_down_s", 15) * 1000;
-    const auto count =
-        static_cast<std::size_t>(cfg.get_int("churn_count", 8));
+    const auto count = get_size(cfg, "churn_count", 8);
     for (std::size_t i = 0; i < count; ++i) {
       const auto node = static_cast<NodeId>((3 + 7 * i) % p.n);
       const TimeMs at = p.warmup + static_cast<TimeMs>(i) * every;
@@ -353,7 +364,7 @@ ScenarioParams build_adaptive_wan(const Config& cfg) {
     const TimeMs squeeze = p.warmup + p.duration / 4;
     const TimeMs heal = p.warmup + (p.duration * 5) / 8;
     const double fraction = cfg.get_double("fraction", 0.5);
-    const auto low = static_cast<std::size_t>(cfg.get_int("buf1", 30));
+    const auto low = get_size(cfg, "buf1", 30);
     p.capacity_schedule = {
         {squeeze, fraction, low},
         {heal, fraction, p.gossip.max_events},
@@ -377,7 +388,7 @@ ScenarioParams build_adaptive_backpressure(const Config& cfg) {
   if (!cfg.raw("capacity")) {
     const TimeMs squeeze = p.warmup + p.duration / 4;
     const double fraction = cfg.get_double("fraction", 0.3);
-    const auto low = static_cast<std::size_t>(cfg.get_int("buf1", 45));
+    const auto low = get_size(cfg, "buf1", 45);
     p.capacity_schedule = {{squeeze, fraction, low}};
   }
   return p;
@@ -666,48 +677,38 @@ std::string bad_chaos_spec_message(const std::string& spec) {
 ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
   ScenarioParams p = std::move(base);
 
-  p.n = static_cast<std::size_t>(
-      cfg.get_int("n", static_cast<std::int64_t>(p.n)));
-  p.senders = static_cast<std::size_t>(
-      cfg.get_int("senders", static_cast<std::int64_t>(p.senders)));
+  p.n = get_size(cfg, "n", p.n);
+  p.senders = get_size(cfg, "senders", p.senders);
   p.offered_rate = cfg.get_double("rate", p.offered_rate);
   p.poisson_arrivals = cfg.get_bool("poisson", p.poisson_arrivals);
-  p.payload_size = static_cast<std::size_t>(
-      cfg.get_int("payload", static_cast<std::int64_t>(p.payload_size)));
+  p.payload_size = get_size(cfg, "payload", p.payload_size);
   p.supersede_probability =
       cfg.get_double("supersede", p.supersede_probability);
   p.adaptive = cfg.get_bool("adaptive", p.adaptive);
-  p.pending_cap = static_cast<std::size_t>(
-      cfg.get_int("pending_cap", static_cast<std::int64_t>(p.pending_cap)));
+  p.pending_cap = get_size(cfg, "pending_cap", p.pending_cap);
   p.seed = static_cast<std::uint64_t>(
       cfg.get_int("seed", static_cast<std::int64_t>(p.seed)));
-  p.sim_shards = static_cast<std::size_t>(
-      cfg.get_int("sim_shards", static_cast<std::int64_t>(p.sim_shards)));
-  p.sim_workers = static_cast<std::size_t>(
-      cfg.get_int("sim_workers", static_cast<std::int64_t>(p.sim_workers)));
+  p.sim_shards = get_size(cfg, "sim_shards", p.sim_shards);
+  p.sim_workers = get_size(cfg, "sim_workers", p.sim_workers);
   p.lookahead_ms = cfg.get_int("lookahead_ms", p.lookahead_ms);
 
-  p.gossip.fanout = static_cast<std::size_t>(
-      cfg.get_int("fanout", static_cast<std::int64_t>(p.gossip.fanout)));
+  p.gossip.fanout = get_size(cfg, "fanout", p.gossip.fanout);
   p.gossip.gossip_period = cfg.get_int("period_ms", p.gossip.gossip_period);
-  p.gossip.max_events = static_cast<std::size_t>(cfg.get_int(
-      "buffer", static_cast<std::int64_t>(p.gossip.max_events)));
-  p.gossip.max_event_ids = static_cast<std::size_t>(cfg.get_int(
-      "event_ids", static_cast<std::int64_t>(p.gossip.max_event_ids)));
+  p.gossip.max_events = get_size(cfg, "buffer", p.gossip.max_events);
+  p.gossip.max_event_ids = get_size(cfg, "event_ids", p.gossip.max_event_ids);
   p.gossip.max_age =
-      static_cast<std::uint32_t>(cfg.get_int("max_age", p.gossip.max_age));
+      static_cast<std::uint32_t>(get_size(cfg, "max_age", p.gossip.max_age));
   p.gossip.semantic_purge =
       cfg.get_bool("semantic_purge", p.gossip.semantic_purge);
 
   auto& recovery = p.gossip.recovery;
   recovery.enabled = cfg.get_bool("recovery", recovery.enabled);
-  recovery.repair_after_rounds = static_cast<Round>(cfg.get_int(
-      "repair_after", static_cast<std::int64_t>(recovery.repair_after_rounds)));
-  recovery.give_up_after_rounds = static_cast<Round>(cfg.get_int(
-      "give_up_after",
-      static_cast<std::int64_t>(recovery.give_up_after_rounds)));
-  recovery.retrieve_rounds = static_cast<Round>(cfg.get_int(
-      "retrieve_rounds", static_cast<std::int64_t>(recovery.retrieve_rounds)));
+  recovery.repair_after_rounds =
+      get_size(cfg, "repair_after", recovery.repair_after_rounds);
+  recovery.give_up_after_rounds =
+      get_size(cfg, "give_up_after", recovery.give_up_after_rounds);
+  recovery.retrieve_rounds =
+      get_size(cfg, "retrieve_rounds", recovery.retrieve_rounds);
 
   // Adaptation knobs whose defaults derive from other parameters: the
   // sample period tracks the gossip period, the marks bracket the critical
@@ -721,8 +722,7 @@ ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
       "tau_ms", a.sample_period != stock.sample_period
                     ? a.sample_period
                     : 2 * p.gossip.gossip_period);
-  a.min_buff_window = static_cast<std::size_t>(cfg.get_int(
-      "window", static_cast<std::int64_t>(a.min_buff_window)));
+  a.min_buff_window = get_size(cfg, "window", a.min_buff_window);
   a.alpha = cfg.get_double("alpha", a.alpha);
   a.critical_age = cfg.get_double("critical_age", a.critical_age);
   a.low_age_mark = cfg.get_double(
@@ -741,10 +741,9 @@ ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
       "initial_rate", a.initial_rate != stock.initial_rate
                           ? a.initial_rate
                           : p.offered_rate / static_cast<double>(p.senders));
-  a.robust_k = static_cast<std::size_t>(
-      cfg.get_int("robust_k", static_cast<std::int64_t>(a.robust_k)));
+  a.robust_k = get_size(cfg, "robust_k", a.robust_k);
   a.robust_floor =
-      static_cast<std::uint32_t>(cfg.get_int("robust_floor", a.robust_floor));
+      static_cast<std::uint32_t>(get_size(cfg, "robust_floor", a.robust_floor));
   a.idle_age_boost = cfg.get_bool("idle_age_boost", a.idle_age_boost);
 
   // Control-plane keys (the self-tuning feedback layer; only consulted
@@ -762,12 +761,10 @@ ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
   c.starve_threshold = cfg.get_double("starve_threshold", c.starve_threshold);
 
   p.partial_view = cfg.get_bool("partial_view", p.partial_view);
-  p.view_params.max_view = static_cast<std::size_t>(cfg.get_int(
-      "view_max", static_cast<std::int64_t>(p.view_params.max_view)));
-  p.view_params.max_subs = static_cast<std::size_t>(cfg.get_int(
-      "view_subs", static_cast<std::int64_t>(p.view_params.max_subs)));
-  p.view_params.max_unsubs = static_cast<std::size_t>(cfg.get_int(
-      "view_unsubs", static_cast<std::int64_t>(p.view_params.max_unsubs)));
+  p.view_params.max_view = get_size(cfg, "view_max", p.view_params.max_view);
+  p.view_params.max_subs = get_size(cfg, "view_subs", p.view_params.max_subs);
+  p.view_params.max_unsubs =
+      get_size(cfg, "view_unsubs", p.view_params.max_unsubs);
 
   // Second-granularity keys replace the base value only when present, so a
   // base carrying sub-second values is never silently truncated.
@@ -776,13 +773,11 @@ ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
   if (cfg.raw("cooldown_s")) p.cooldown = cfg.get_int("cooldown_s", 0) * 1000;
   if (cfg.raw("bucket_s")) p.series_bucket = cfg.get_int("bucket_s", 0) * 1000;
 
-  p.network.clusters = static_cast<std::size_t>(cfg.get_int(
-      "clusters", static_cast<std::int64_t>(p.network.clusters)));
+  p.network.clusters = get_size(cfg, "clusters", p.network.clusters);
   p.locality.enabled = cfg.get_bool("locality", p.locality.enabled);
   p.locality.p_local = cfg.get_double("p_local", p.locality.p_local);
-  p.locality.bridges_per_cluster = static_cast<std::size_t>(cfg.get_int(
-      "bridges_per_cluster",
-      static_cast<std::int64_t>(p.locality.bridges_per_cluster)));
+  p.locality.bridges_per_cluster = get_size(cfg, "bridges_per_cluster",
+                                            p.locality.bridges_per_cluster);
   p.failure_detector = cfg.get_bool("failure_detector", p.failure_detector);
   p.gossip_membership =
       cfg.get_bool("gossip_membership", p.gossip_membership);
@@ -790,10 +785,8 @@ ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
       "suspect_after_ms", p.membership_params.suspect_after);
   p.membership_params.down_after =
       cfg.get_int("down_after_ms", p.membership_params.down_after);
-  p.membership_params.digest_budget_bytes = static_cast<std::size_t>(
-      cfg.get_int("membership_budget",
-                  static_cast<std::int64_t>(
-                      p.membership_params.digest_budget_bytes)));
+  p.membership_params.digest_budget_bytes = get_size(
+      cfg, "membership_budget", p.membership_params.digest_budget_bytes);
   p.migrate_on_rejoin =
       cfg.get_bool("migrate_on_rejoin", p.migrate_on_rejoin);
   if (auto spec = cfg.raw("latency")) {

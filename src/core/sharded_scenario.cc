@@ -566,10 +566,8 @@ struct ShardedScenario::Impl {
     Shard& shard = shards_[s];
     const TimeMs now = engine_.shard(s).now();
     // Entries sharing a payload buffer (one fan-out's targets) are adjacent
-    // in canonical order — decode once, deliver to every receiver. Safe
-    // because SharedBytes is immutable and nodes copy what they keep.
-    const std::uint8_t* decoded_bytes = nullptr;
-    gossip::WireMessage decoded;
+    // in canonical order, so the memo decodes each fan-out once.
+    gossip::WireDecoder decoder;
     for (const sim::CrossShardDatagram& d : entries) {
       // Mirror the classic delivery-time checks, in the classic order:
       // liveness, then attachment. Ids outside the group are real traffic —
@@ -586,12 +584,8 @@ struct ShardedScenario::Impl {
       }
       ++shard.stats.delivered;
       shard.stats.bytes_delivered += d.payload.size();
-      if (d.payload.data() != decoded_bytes) {
-        decoded = gossip::decode_any(d.payload);
-        decoded_bytes = d.payload.data();
-      }
       gossip::LpbcastNode* node = nodes_[d.to];
-      if (!node->on_wire(decoded, now)) {
+      if (!node->on_wire(decoder.decode(d.payload), now)) {
         ++shard.decode_failures;
         continue;
       }

@@ -1,20 +1,22 @@
 #include "gossip/event_buffer.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 namespace agb::gossip {
 
 bool EventBuffer::insert(Event event) {
-  if (index_.contains(event.id)) return false;
-  index_.emplace(event.id, slots_.size());
+  if (!index_.insert(event.id, static_cast<std::uint32_t>(slots_.size()))) {
+    return false;
+  }
   slots_.push_back(Slot{std::move(event), next_seq_++});
   return true;
 }
 
 void EventBuffer::bump_age(const EventId& id, std::uint32_t age) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  auto& stored = slots_[it->second].event;
+  const std::uint32_t pos = index_.find(id);
+  if (pos == EventIdTable::kAbsent) return;
+  auto& stored = slots_[pos].event;
   stored.age = std::max(stored.age, age);
 }
 
@@ -64,7 +66,7 @@ std::vector<Event> EventBuffer::purge_superseded() {
 }
 
 std::span<const EventBuffer::Slot* const> EventBuffer::oldest_beyond(
-    std::size_t keep, const std::unordered_set<EventId>* excluded) const {
+    std::size_t keep, const EventIdTable* excluded) const {
   if (slots_.size() <= keep) return {};  // no pass when everything fits
   thread_local std::vector<const Slot*> candidates;
   candidates.clear();
@@ -88,7 +90,8 @@ void EventBuffer::erase_slot(std::size_t idx) {
   index_.erase(slots_[idx].event.id);
   if (idx != slots_.size() - 1) {
     slots_[idx] = std::move(slots_.back());
-    index_[slots_[idx].event.id] = idx;
+    index_.insert_or_assign(slots_[idx].event.id,
+                            static_cast<std::uint32_t>(idx));
   }
   slots_.pop_back();
 }
@@ -101,7 +104,7 @@ std::vector<Event> EventBuffer::shrink_to(std::size_t capacity) {
   // erase_slot() moves the last slot into the hole, so each victim is looked
   // up afresh. The order matters: for_each and purge_age_limit follow the
   // slot layout, which the golden traces pin.
-  for (const Event& event : removed) erase_slot(index_.at(event.id));
+  for (const Event& event : removed) erase_slot(index_.find(event.id));
   return removed;
 }
 
@@ -124,8 +127,7 @@ void EventBuffer::for_each(
 }
 
 bool EventIdBuffer::insert(const EventId& id) {
-  if (set_.contains(id)) return false;
-  set_.insert(id);
+  if (!set_.insert(id)) return false;
   fifo_.push_back(id);
   evict_to_capacity();
   return true;

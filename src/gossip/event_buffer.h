@@ -9,21 +9,22 @@
 //    until the buffer fits its bound — the age-based purging of [7] that the
 //    adaptive mechanism observes.
 //
-// Buffer sizes are small (tens to hundreds), so a flat vector with linear
-// scans beats node-based containers. Oldest-first eviction, real or virtual,
-// is one oldest_beyond() pass plus a partial sort of the victims.
+// Buffer sizes are small (tens to hundreds), so events live in a flat vector
+// of slots, found by id through a flat EventIdTable index (id -> slot
+// position); erasing moves the last slot into the hole. Oldest-first
+// eviction, real or virtual, is one oldest_beyond() pass plus a partial sort
+// of the victims, and its selection contract (age descending, ties by
+// insertion) does not depend on the index.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <span>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "gossip/event.h"
+#include "gossip/event_id_table.h"
 
 namespace agb::gossip {
 
@@ -45,8 +46,8 @@ class EventBuffer {
   /// Stored event with this id, or nullptr. The pointer is invalidated by
   /// any mutating call.
   [[nodiscard]] const Event* find(const EventId& id) const {
-    auto it = index_.find(id);
-    return it == index_.end() ? nullptr : &slots_[it->second].event;
+    const std::uint32_t pos = index_.find(id);
+    return pos == EventIdTable::kAbsent ? nullptr : &slots_[pos].event;
   }
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
@@ -76,8 +77,7 @@ class EventBuffer {
   /// one exclusion probe per slot. The span aliases per-thread scratch, valid
   /// until this thread's next call or a mutation of the buffer.
   [[nodiscard]] std::span<const Slot* const> oldest_beyond(
-      std::size_t keep,
-      const std::unordered_set<EventId>* excluded = nullptr) const;
+      std::size_t keep, const EventIdTable* excluded = nullptr) const;
 
   /// Copies of all stored events (what a gossip message carries).
   [[nodiscard]] std::vector<Event> snapshot() const;
@@ -89,7 +89,7 @@ class EventBuffer {
   void erase_slot(std::size_t idx);
 
   std::vector<Slot> slots_;
-  std::unordered_map<EventId, std::size_t> index_;  // id -> slot position
+  EventIdTable index_;  // id -> slot position
   std::uint64_t next_seq_ = 0;
 };
 
@@ -114,7 +114,7 @@ class EventIdBuffer {
   void evict_to_capacity();
 
   std::size_t capacity_;
-  std::unordered_set<EventId> set_;
+  EventIdTable set_;
   std::vector<EventId> fifo_;  // insertion order; head = fifo_[head_]
   std::size_t head_ = 0;
 };

@@ -298,4 +298,12 @@ WireMessage decode_any(std::span<const std::uint8_t> bytes) {
   return std::monostate{};
 }
 
+const WireMessage& WireDecoder::decode(const SharedBytes& bytes) {
+  if (bytes.data() != bytes_.data() || bytes.size() != bytes_.size()) {
+    message_ = decode_any(bytes);
+    bytes_ = bytes;
+  }
+  return message_;
+}
+
 }  // namespace agb::gossip

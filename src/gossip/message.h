@@ -106,4 +106,22 @@ using WireMessage =
 /// Decodes any protocol message by its type byte.
 [[nodiscard]] WireMessage decode_any(std::span<const std::uint8_t> bytes);
 
+/// A one-entry decode memo. A gossip round's fan-out targets all receive one
+/// SharedBytes buffer, so a simulator that delivers them back to back
+/// decodes the round once. The memo keeps a reference to the buffer it
+/// decoded, so that buffer's address cannot be reused for other bytes while
+/// memoised; since decoding is a pure function of immutable bytes, the memo
+/// never changes a result. A byte-equal copy in another buffer decodes
+/// afresh.
+class WireDecoder {
+ public:
+  /// decode_any(bytes), reused while `bytes` is the previous call's buffer.
+  /// The reference is valid until the next call.
+  const WireMessage& decode(const SharedBytes& bytes);
+
+ private:
+  SharedBytes bytes_;
+  WireMessage message_;
+};
+
 }  // namespace agb::gossip

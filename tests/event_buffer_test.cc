@@ -34,6 +34,14 @@ std::vector<EventId> ids_of(const std::vector<Event>& events) {
   return ids;
 }
 
+/// The buffer takes its exclusion set as an EventIdTable; the reference
+/// model below keeps a std::unordered_set.
+EventIdTable table_of(const std::unordered_set<EventId>& ids) {
+  EventIdTable table;
+  for (const EventId& id : ids) table.insert(id);
+  return table;
+}
+
 /// The buffer's slots in storage order (the order for_each visits).
 std::vector<Event> slot_layout(const EventBuffer& buf) {
   std::vector<Event> layout;
@@ -193,7 +201,8 @@ TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
     SCOPED_TRACE(::testing::Message() << "size " << buf.size() << " keep "
                                       << keep << " excluded "
                                       << excluded.size());
-    EXPECT_EQ(ids_of(buf.oldest_beyond(keep, &excluded)),
+    const EventIdTable excluded_table = table_of(excluded);
+    EXPECT_EQ(ids_of(buf.oldest_beyond(keep, &excluded_table)),
               naive_oldest_beyond(buf, keep, &excluded, false).victims);
     EXPECT_EQ(ids_of(buf.oldest_beyond(keep)),
               naive_oldest_beyond(buf, keep, nullptr, false).victims);
@@ -219,7 +228,8 @@ TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
   two.insert(make_event(1, 1, 9));
   two.insert(make_event(1, 2, 7));
   const std::unordered_set<EventId> first{EventId{1, 1}};
-  EXPECT_EQ(ids_of(two.oldest_beyond(0, &first)),
+  const EventIdTable first_table = table_of(first);
+  EXPECT_EQ(ids_of(two.oldest_beyond(0, &first_table)),
             (std::vector<EventId>{EventId{1, 2}}));
   check(two, 0, first);
   check(two, 0, {EventId{1, 1}, EventId{1, 2}});
@@ -227,7 +237,8 @@ TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
   for (std::uint64_t seq = 1; seq <= 3; ++seq) three.insert(make_event(1, seq));
   const std::unordered_set<EventId> partly_absent{EventId{1, 2},
                                                   EventId{9, 9}};
-  EXPECT_EQ(three.oldest_beyond(0, &partly_absent).size(), 2u);
+  const EventIdTable partly_absent_table = table_of(partly_absent);
+  EXPECT_EQ(three.oldest_beyond(0, &partly_absent_table).size(), 2u);
   EXPECT_EQ(three.oldest_beyond(0).size(), 3u);
   check(three, 1, partly_absent);
 

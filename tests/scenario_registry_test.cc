@@ -8,6 +8,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace agb::core {
 namespace {
@@ -65,6 +66,66 @@ TEST(ScenarioRegistryTest, MalformedSpecValuesThrow) {
   auto loss_cfg = config_of({"loss=burst:0.1"});
   EXPECT_THROW((void)ScenarioRegistry::instance().build("paper60", loss_cfg),
                std::invalid_argument);
+}
+
+// Size- and count-typed keys reject a negative value, naming the key,
+// instead of wrapping it to about 2^64 (n=-1 used to abort the process in
+// vector::reserve; buffer=-1 ran with an 18446744073709551615-event buffer).
+TEST(ScenarioRegistryTest, NegativeSizeKeysThrowNamingTheKey) {
+  auto& registry = ScenarioRegistry::instance();
+  const std::pair<const char*, const char*> cases[] = {
+      {"paper60", "n"},
+      {"paper60", "senders"},
+      {"paper60", "payload"},
+      {"paper60", "pending_cap"},
+      {"paper60", "sim_shards"},
+      {"paper60", "sim_workers"},
+      {"paper60", "fanout"},
+      {"paper60", "buffer"},
+      {"paper60", "event_ids"},
+      {"paper60", "max_age"},
+      {"paper60", "repair_after"},
+      {"paper60", "give_up_after"},
+      {"paper60", "retrieve_rounds"},
+      {"paper60", "window"},
+      {"paper60", "robust_k"},
+      {"paper60", "robust_floor"},
+      {"paper60", "view_max"},
+      {"paper60", "view_subs"},
+      {"paper60", "view_unsubs"},
+      {"paper60", "clusters"},
+      {"paper60", "bridges_per_cluster"},
+      {"paper60", "membership_budget"},
+      {"fig9", "buf1"},
+      {"fig9", "buf2"},
+      {"churn", "churn_count"},
+      {"wan-directional-churn", "churn_count"},
+      {"churn-blind", "churn_count"},
+      {"host-migration", "churn_count"},
+      {"adaptive-wan", "buf1"},
+      {"adaptive-backpressure", "buf1"},
+  };
+  for (const auto& [preset, key] : cases) {
+    Config cfg;
+    cfg.set(key, "-1");
+    try {
+      (void)registry.build(preset, cfg);
+      ADD_FAILURE() << preset << " built with " << key << "=-1";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("bad ") + key +
+                                           " value '-1'"),
+                std::string::npos)
+          << preset << ": " << e.what();
+    }
+  }
+}
+
+TEST(ScenarioRegistryTest, EveryPresetBuildsWithItsDefaults) {
+  auto& registry = ScenarioRegistry::instance();
+  for (const ScenarioPreset* preset : registry.presets()) {
+    EXPECT_NO_THROW((void)registry.build(preset->name, Config{}))
+        << preset->name;
+  }
 }
 
 TEST(ScenarioRegistryTest, Paper60CarriesTheCalibratedDefaults) {
