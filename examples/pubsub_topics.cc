@@ -141,8 +141,8 @@ int main() {
   // situation of the paper's §1.
   sim.at(kJoinAt, [&] {
     for (std::size_t i = kMembers - kOverlap; i < kMembers; ++i) {
-      market->nodes[i]->set_capacity(kBudget / 2, sim.now());
-      alerts->nodes[i]->set_capacity(kBudget / 2, sim.now());
+      market->nodes[i]->set_max_events(kBudget / 2, sim.now());
+      alerts->nodes[i]->set_max_events(kBudget / 2, sim.now());
     }
     std::printf("t=%4llds  >>> %zu nodes split buffers between topics <<<\n",
                 static_cast<long long>(sim.now() / 1000), kOverlap);

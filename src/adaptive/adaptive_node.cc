@@ -50,14 +50,6 @@ bool AdaptiveLpbcastNode::try_broadcast_on_stream(gossip::Payload payload,
   return true;
 }
 
-void AdaptiveLpbcastNode::set_capacity(std::size_t max_events, TimeMs now) {
-  set_max_events(max_events, now);
-  min_buff_.set_local_capacity(static_cast<std::uint32_t>(max_events));
-  if (robust_) {
-    robust_->set_local_capacity(static_cast<std::uint32_t>(max_events));
-  }
-}
-
 PeriodId AdaptiveLpbcastNode::period_for(TimeMs now) const {
   return static_cast<PeriodId>(now / params_.sample_period);
 }
@@ -126,6 +118,12 @@ void AdaptiveLpbcastNode::before_shrink(TimeMs /*now*/) {
 
 void AdaptiveLpbcastNode::after_gc(TimeMs /*now*/) {
   congestion_.prune(events());
+}
+
+void AdaptiveLpbcastNode::on_capacity_change(TimeMs /*now*/) {
+  const auto capacity = static_cast<std::uint32_t>(params().max_events);
+  min_buff_.set_local_capacity(capacity);
+  if (robust_) robust_->set_local_capacity(capacity);
 }
 
 void AdaptiveLpbcastNode::on_event_ingested(const gossip::Event& event,

@@ -34,7 +34,7 @@ class AdaptiveLpbcastNode final : public gossip::LpbcastNode {
                       Rng rng);
 
   /// Rate-gated broadcast: consumes a token or refuses. Callers queue
-  /// refused messages and retry (see core::Sender).
+  /// refused messages and retry (see core::ScenarioGroup's sender queues).
   bool try_broadcast(gossip::Payload payload, TimeMs now,
                      EventId* out_id = nullptr);
 
@@ -49,10 +49,6 @@ class AdaptiveLpbcastNode final : public gossip::LpbcastNode {
   [[nodiscard]] bool tokens_available(TimeMs now) noexcept {
     return bucket_.level(now) >= 1.0;
   }
-
-  /// Dynamic resources: updates both the real bound and the running
-  /// per-period minimum the node advertises.
-  void set_capacity(std::size_t max_events, TimeMs now);
 
   // Introspection for metrics, tests and benches.
   [[nodiscard]] double allowed_rate() const noexcept {
@@ -96,6 +92,9 @@ class AdaptiveLpbcastNode final : public gossip::LpbcastNode {
                       TimeMs now) override;
   void before_shrink(TimeMs now) override;
   void after_gc(TimeMs now) override;
+  /// Dynamic resources: the running per-period minimum the node advertises
+  /// follows the new real bound.
+  void on_capacity_change(TimeMs now) override;
   void on_event_ingested(const gossip::Event& event, TimeMs now) override;
 
  private:

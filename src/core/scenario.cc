@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <functional>
+#include <type_traits>
 #include <unordered_map>
 
 #include "membership/full_membership.h"
@@ -18,17 +20,6 @@ std::vector<NodeId> scenario_sender_ids(std::size_t n, std::size_t senders) {
   return ids;
 }
 
-struct Scenario::SenderState {
-  NodeId id = kInvalidNode;
-  gossip::LpbcastNode* node = nullptr;             // non-owning
-  adaptive::AdaptiveLpbcastNode* adaptive = nullptr;  // null for baseline
-  double rate = 0.0;                               // offered msg/s
-  Rng rng{0};
-  std::deque<gossip::Payload> pending;
-  std::unique_ptr<sim::PeriodicTimer> retry_timer;
-  bool retry_armed = false;
-};
-
 std::optional<std::pair<TimeMs, TimeMs>> chaos_recovery_window(
     const ScenarioParams& params) {
   if (params.chaos.empty()) return std::nullopt;
@@ -39,25 +30,6 @@ std::optional<std::pair<TimeMs, TimeMs>> chaos_recovery_window(
   const TimeMs eval_end = params.warmup + params.duration;
   if (from >= eval_end) return std::nullopt;
   return std::make_pair(from, eval_end);
-}
-
-Scenario::Scenario(ScenarioParams params)
-    : params_(std::move(params)),
-      master_rng_(params_.seed),
-      tracker_(params_.n) {
-  net_ = std::make_unique<sim::SimNetwork>(sim_, params_.network,
-                                           master_rng_.split());
-  if (!params_.chaos.empty()) {
-    fault_plane_ = std::make_unique<fault::FaultPlane>(
-        params_.chaos, fault::chaos_seed(params_.seed));
-    net_->set_fault_plane(fault_plane_.get());
-  }
-}
-
-Scenario::~Scenario() = default;
-
-bool Scenario::in_eval_window(TimeMs t) const {
-  return t >= params_.warmup && t < params_.warmup + params_.duration;
 }
 
 std::shared_ptr<const membership::ClusterMap> scenario_cluster_map(
@@ -124,311 +96,404 @@ std::unique_ptr<gossip::LpbcastNode> build_scenario_node(
       id, params.gossip, std::move(view), master_rng.split());
 }
 
-void Scenario::build_nodes() {
-  nodes_.reserve(params_.n);
-  const auto cluster_map = scenario_cluster_map(params_);
-  // Arena-allocate the group: the membership bootstrap and the node seed
-  // are drawn from master_rng_ in exactly the order build_scenario_node
-  // uses, so arena and heap builds are trace-identical (the parity
-  // contract with WallclockScenario).
-  if (params_.adaptive) {
+std::size_t capacity_targets(const CapacityChange& change, std::size_t n) {
+  return std::min(
+      static_cast<std::size_t>(change.node_fraction * static_cast<double>(n)),
+      n);
+}
+
+void apply_oracle_view(gossip::LpbcastNode& survivor,
+                       const FailureEvent& event) {
+  if (survivor.id() == event.node) return;
+  if (event.up) {
+    survivor.membership().add(event.node);
+  } else {
+    survivor.membership().remove(event.node);
+  }
+}
+
+/// One application sender behind the paper's blocking BROADCAST: arrivals
+/// (Poisson or periodic) queue up to pending_cap and are refused beyond
+/// it; a token-gated drain admits the queue front at every arrival and on
+/// a 100 ms retry timer, and hands each admitted id to the caller's sink.
+/// Baseline nodes admit at once.
+class ScenarioGroup::SenderQueue {
+ public:
+  using AdmitFn = std::function<void(EventId id, TimeMs now)>;
+
+  SenderQueue(const ScenarioParams& params, gossip::LpbcastNode& node,
+              double rate, Rng rng, AdmitFn admitted)
+      : params_(params),
+        node_(node),
+        adaptive_(dynamic_cast<adaptive::AdaptiveLpbcastNode*>(&node)),
+        rate_(rate),
+        rng_(rng),
+        admitted_(std::move(admitted)) {}
+
+  /// Arms the retry timer, then the first arrival, on `clock`.
+  void start(sim::Simulator& clock) {
+    clock_ = &clock;
+    // Token-refill retries: cheap fixed-cadence drain attempts; only does
+    // work while the pending queue is non-empty.
+    retry_ = std::make_unique<sim::PeriodicTimer>(
+        clock, 100, 100, [this](TimeMs) {
+          if (!pending_.empty()) drain();
+        });
+    const auto first =
+        static_cast<DurationMs>(rng_.exponential(1000.0 / rate_));
+    clock.after(std::max<DurationMs>(first, 1), [this] { arrive(); });
+  }
+
+  [[nodiscard]] NodeId id() const noexcept { return node_.id(); }
+  [[nodiscard]] std::uint64_t refused() const noexcept { return refused_; }
+  [[nodiscard]] std::size_t max_depth() const noexcept { return max_depth_; }
+
+ private:
+  void arrive() {
+    if (pending_.size() >= params_.pending_cap) {
+      ++refused_;
+    } else {
+      pending_.push_back(gossip::make_payload(
+          std::vector<std::uint8_t>(params_.payload_size, 0xab)));
+      max_depth_ = std::max(max_depth_, pending_.size());
+    }
+    drain();
+
+    // Schedule the next application arrival.
+    const double mean_ms = 1000.0 / rate_;
+    const auto gap = static_cast<DurationMs>(std::max(
+        1.0, params_.poisson_arrivals ? rng_.exponential(mean_ms) : mean_ms));
+    clock_->after(gap, [this] { arrive(); });
+  }
+
+  void drain() {
+    const TimeMs now = clock_->now();
+    while (!pending_.empty()) {
+      EventId id;
+      const bool supersedes =
+          params_.supersede_probability > 0.0 &&
+          rng_.bernoulli(params_.supersede_probability);
+      if (adaptive_ != nullptr) {
+        if (!adaptive_->try_broadcast_on_stream(pending_.front(), now,
+                                                /*stream=*/node_.id(),
+                                                supersedes, &id)) {
+          break;  // no tokens; the retry timer will try again
+        }
+      } else {
+        id = node_.broadcast_on_stream(pending_.front(), now,
+                                       /*stream=*/node_.id(), supersedes);
+      }
+      pending_.pop_front();
+      admitted_(id, now);
+    }
+  }
+
+  const ScenarioParams& params_;
+  gossip::LpbcastNode& node_;
+  adaptive::AdaptiveLpbcastNode* adaptive_;  // null for baseline
+  double rate_;                              // offered msg/s
+  Rng rng_;
+  AdmitFn admitted_;
+  sim::Simulator* clock_ = nullptr;
+  std::deque<gossip::Payload> pending_;
+  std::unique_ptr<sim::PeriodicTimer> retry_;
+  std::uint64_t refused_ = 0;
+  std::size_t max_depth_ = 0;
+};
+
+ScenarioGroup::ScenarioGroup(const ScenarioParams& params, std::size_t shards,
+                             Engine& engine)
+    : params_(params),
+      engine_(engine),
+      mask_(shards - 1),
+      members_(shards),
+      buckets_(shards),
+      tracker_(params.n) {}
+
+ScenarioGroup::~ScenarioGroup() = default;
+
+template <class Node>
+void ScenarioGroup::build_arenas(Rng& master_rng) {
+  std::vector<std::size_t> population(members_.size(), 0);
+  for (std::size_t i = 0; i < params_.n; ++i) {
+    ++population[shard_of(static_cast<NodeId>(i))];
+  }
+  std::vector<NodeArena<Node>*> arenas;
+  for (std::size_t count : population) {
     auto arena =
-        std::make_unique<NodeArena<adaptive::AdaptiveLpbcastNode>>(params_.n);
-    adaptive_nodes_.reserve(params_.n);
-    for (std::size_t i = 0; i < params_.n; ++i) {
-      const auto id = static_cast<NodeId>(i);
-      auto view =
-          build_scenario_membership(params_, id, master_rng_, cluster_map);
-      auto* node = arena->emplace(id, params_.gossip, params_.adaptation,
-                                  std::move(view), master_rng_.split());
+        std::make_unique<NodeArena<Node>>(std::max<std::size_t>(1, count));
+    arenas.push_back(arena.get());
+    storage_.push_back(std::move(arena));
+  }
+  const auto cluster_map = scenario_cluster_map(params_);
+  // Global id order, each membership bootstrap before its node seed: the
+  // master-RNG consumption build_scenario_node makes, so arena and heap
+  // builds are trace-identical (the parity contract with
+  // WallclockScenario).
+  for (std::size_t i = 0; i < params_.n; ++i) {
+    const auto id = static_cast<NodeId>(i);
+    auto view = build_scenario_membership(params_, id, master_rng, cluster_map);
+    if constexpr (std::is_same_v<Node, adaptive::AdaptiveLpbcastNode>) {
+      Node* node = arenas[shard_of(id)]->emplace(
+          id, params_.gossip, params_.adaptation, std::move(view),
+          master_rng.split());
       adaptive_nodes_.push_back(node);
       nodes_.push_back(node);
+    } else {
+      nodes_.push_back(arenas[shard_of(id)]->emplace(
+          id, params_.gossip, std::move(view), master_rng.split()));
     }
-    node_storage_ = std::move(arena);
-  } else {
-    auto arena = std::make_unique<NodeArena<gossip::LpbcastNode>>(params_.n);
-    for (std::size_t i = 0; i < params_.n; ++i) {
-      const auto id = static_cast<NodeId>(i);
-      auto view =
-          build_scenario_membership(params_, id, master_rng_, cluster_map);
-      nodes_.push_back(arena->emplace(id, params_.gossip, std::move(view),
-                                      master_rng_.split()));
-    }
-    node_storage_ = std::move(arena);
   }
+}
 
+void ScenarioGroup::build(Rng& master_rng) {
+  nodes_.reserve(params_.n);
+  if (params_.adaptive) {
+    adaptive_nodes_.reserve(params_.n);
+    build_arenas<adaptive::AdaptiveLpbcastNode>(master_rng);
+  } else {
+    build_arenas<gossip::LpbcastNode>(master_rng);
+  }
   for (gossip::LpbcastNode* node : nodes_) {
     const NodeId id = node->id();
+    members_[shard_of(id)].push_back(node);
     node->set_deliver_handler([this, id](const gossip::Event& e, TimeMs now) {
       if (e.id.origin == id) return;  // origin accounted at broadcast time
-      tracker_.on_delivery(e.id, id, now);
+      engine_.record(shard_of(id),
+                     TrackerOp{now, TrackerOp::Kind::kDelivery, e.id, id});
     });
-    node->set_drop_handler(
-        [this](const gossip::Event& e, gossip::DropReason reason, TimeMs now) {
-          if (reason != gossip::DropReason::kBufferOverflow) return;
-          if (in_eval_window(now)) {
-            eval_drop_age_.add(static_cast<double>(e.age));
-          }
-        });
-
-    net_->attach(id, [this, node](const Datagram& d, TimeMs now) {
-      if (!node->on_wire(decoder_.decode(d.payload), now)) {
-        ++decode_failures_;
-        return;
-      }
-      drain_outbox(*node);
+    node->set_drop_handler([this, id](const gossip::Event& e,
+                                      gossip::DropReason reason, TimeMs now) {
+      if (reason != gossip::DropReason::kBufferOverflow) return;
+      engine_.record(shard_of(id),
+                     TrackerOp{now, TrackerOp::Kind::kDropAge, EventId{}, id,
+                               static_cast<double>(e.age)});
     });
   }
 }
 
-void Scenario::emit(gossip::LpbcastNode& node,
-                    gossip::LpbcastNode::Outgoing out) {
-  if (!out.targets.empty()) {
-    // One Multicast per gossip round: encode once, one network stats pass,
-    // every target aliasing the same SharedBytes buffer.
-    net_->send_batch(std::move(out).to_multicast(node.id()));
-  }
-  drain_outbox(node);
-}
-
-void Scenario::drain_outbox(gossip::LpbcastNode& node) {
-  for (auto& control : node.take_outbox()) {
-    net_->send(Datagram{node.id(), control.target,
-                        std::move(control.payload)});
-  }
-}
-
-void Scenario::apply_topology() {
-  for (const auto& link : params_.link_latencies) {
-    net_->set_link_latency(link.a, link.b, link.model);
-  }
-}
-
-void Scenario::start_round_timers() {
+void ScenarioGroup::start(Rng& master_rng) {
   // Unsynchronised rounds: each node starts at a random phase, like
   // independently started processes on the paper's 60 workstations. The
   // phase draw is one master-RNG call per node in id order — the same
   // consumption the per-node-PeriodicTimer implementation made, which is
-  // what keeps old seeds producing identical traces. Nodes sharing a phase
-  // are then swept by one repeating wheel event in id order (the order
-  // their individual timers fired in), so the queue holds one live event
-  // per distinct phase instead of one per node.
-  std::unordered_map<TimeMs, std::size_t> bucket_index;
+  // what keeps old seeds producing identical traces. Nodes sharing a
+  // (shard, phase) are then swept by one repeating wheel event in id order
+  // (the order their individual timers fired in), so a queue holds one live
+  // round event per distinct phase instead of one per node.
+  std::vector<std::unordered_map<TimeMs, std::size_t>> bucket_index(
+      buckets_.size());
   for (gossip::LpbcastNode* node : nodes_) {
-    const auto phase = static_cast<TimeMs>(
-        master_rng_.next_below(static_cast<std::uint64_t>(
-            params_.gossip.gossip_period)));
+    const auto phase = static_cast<TimeMs>(master_rng.next_below(
+        static_cast<std::uint64_t>(params_.gossip.gossip_period)));
+    const std::size_t s = shard_of(node->id());
     const auto [it, inserted] =
-        bucket_index.try_emplace(phase, round_buckets_.size());
-    if (inserted) round_buckets_.push_back(RoundBucket{phase, {}});
-    round_buckets_[it->second].nodes.push_back(node);
+        bucket_index[s].try_emplace(phase, buckets_[s].size());
+    if (inserted) buckets_[s].push_back(RoundBucket{phase, {}});
+    buckets_[s][it->second].nodes.push_back(node);
   }
-  for (std::size_t i = 0; i < round_buckets_.size(); ++i) {
-    sim_.at(round_buckets_[i].phase, [this, i] { tick_round_bucket(i); });
-  }
-}
-
-void Scenario::tick_round_bucket(std::size_t index) {
-  const TimeMs now = sim_.now();
-  // Re-arm before sweeping, mirroring PeriodicTimer::arm: the next round
-  // event is sequenced ahead of anything this sweep schedules.
-  sim_.at(now + params_.gossip.gossip_period,
-          [this, index] { tick_round_bucket(index); });
-  for (gossip::LpbcastNode* node : round_buckets_[index].nodes) {
-    emit(*node, node->on_round(now));
-  }
-}
-
-void Scenario::sender_arrival(SenderState& sender) {
-  auto payload = gossip::make_payload(
-      std::vector<std::uint8_t>(params_.payload_size, 0xab));
-  if (sender.pending.size() >= params_.pending_cap) {
-    ++refused_;
-  } else {
-    sender.pending.push_back(std::move(payload));
-    max_pending_depth_ = std::max(max_pending_depth_, sender.pending.size());
-  }
-  drain_sender(sender);
-
-  // Schedule the next application arrival.
-  const double mean_ms = 1000.0 / sender.rate;
-  const auto gap = static_cast<DurationMs>(std::max(
-      1.0, params_.poisson_arrivals ? sender.rng.exponential(mean_ms)
-                                    : mean_ms));
-  sim_.after(gap, [this, &sender] { sender_arrival(sender); });
-}
-
-void Scenario::drain_sender(SenderState& sender) {
-  const TimeMs now = sim_.now();
-  while (!sender.pending.empty()) {
-    EventId id;
-    const bool supersedes =
-        params_.supersede_probability > 0.0 &&
-        sender.rng.bernoulli(params_.supersede_probability);
-    if (sender.adaptive != nullptr) {
-      if (!sender.adaptive->try_broadcast_on_stream(
-              sender.pending.front(), now, /*stream=*/sender.id, supersedes,
-              &id)) {
-        break;  // no tokens; the retry timer will try again
-      }
-    } else {
-      id = sender.node->broadcast_on_stream(sender.pending.front(), now,
-                                            /*stream=*/sender.id, supersedes);
+  for (std::size_t s = 0; s < buckets_.size(); ++s) {
+    for (std::size_t i = 0; i < buckets_[s].size(); ++i) {
+      engine_.clock(s).at(buckets_[s][i].phase, [this, s, i] { tick(s, i); });
     }
-    sender.pending.pop_front();
-    tracker_.on_broadcast(id, sender.id, now);
-    tracker_.on_delivery(id, sender.id, now);  // origin's local delivery
   }
-}
 
-void Scenario::start_senders() {
   const auto sender_ids = scenario_sender_ids(params_.n, params_.senders);
   const double per_sender =
       params_.offered_rate / static_cast<double>(sender_ids.size());
   for (NodeId id : sender_ids) {
-    auto sender = std::make_unique<SenderState>();
-    sender->id = id;
-    sender->node = nodes_[id];
-    sender->adaptive = params_.adaptive ? adaptive_nodes_[id] : nullptr;
-    sender->rate = per_sender;
-    sender->rng = master_rng_.split();
-
-    // Token-refill retries: cheap fixed-cadence drain attempts; only does
-    // work while the pending queue is non-empty.
-    sender->retry_timer = std::make_unique<sim::PeriodicTimer>(
-        sim_, 100, 100, [this, raw = sender.get()](TimeMs) {
-          if (!raw->pending.empty()) drain_sender(*raw);
-        });
-
-    const auto first = static_cast<DurationMs>(
-        sender->rng.exponential(1000.0 / sender->rate));
-    sim_.after(std::max<DurationMs>(first, 1),
-               [this, raw = sender.get()] { sender_arrival(*raw); });
-    senders_.push_back(std::move(sender));
+    const std::size_t s = shard_of(id);
+    senders_.push_back(std::make_unique<SenderQueue>(
+        params_, *nodes_[id], per_sender, master_rng.split(),
+        [this, id](EventId event, TimeMs now) {
+          using Kind = TrackerOp::Kind;
+          engine_.record(shard_of(id), {now, Kind::kBroadcast, event, id});
+          // The origin's local delivery.
+          engine_.record(shard_of(id), {now, Kind::kDelivery, event, id});
+        }));
+    senders_.back()->start(engine_.clock(s));
   }
 }
 
-void Scenario::start_sampler() {
-  timers_.push_back(std::make_unique<sim::PeriodicTimer>(
-      sim_, params_.series_bucket, params_.series_bucket,
-      [this](TimeMs now) {
-        if (!adaptive_nodes_.empty()) {
-          double allowed = 0.0;
-          for (const auto& sender : senders_) {
-            if (sender->adaptive != nullptr) {
-              allowed += sender->adaptive->allowed_rate();
-            }
-          }
-          allowed_rate_ts_.add(now, allowed);
-
-          double min_buff_sum = 0.0;
-          for (const auto* node : adaptive_nodes_) {
-            min_buff_sum += static_cast<double>(node->min_buff());
-          }
-          min_buff_ts_.add(
-              now, min_buff_sum / static_cast<double>(adaptive_nodes_.size()));
-
-          // Control-plane actuator trajectories: group-mean p_local (over
-          // nodes that have a locality bias at all) and effective fanout.
-          // Pure reads — no RNG, no protocol state touched.
-          if (params_.adaptation.control.enabled) {
-            double p_local_sum = 0.0;
-            std::size_t locality_nodes = 0;
-            double fanout_sum = 0.0;
-            for (auto* node : adaptive_nodes_) {
-              const double p = node->p_local();
-              if (p >= 0.0) {
-                p_local_sum += p;
-                ++locality_nodes;
-              }
-              fanout_sum += static_cast<double>(node->effective_fanout());
-            }
-            if (locality_nodes > 0) {
-              p_local_ts_.add(
-                  now, p_local_sum / static_cast<double>(locality_nodes));
-            }
-            fanout_ts_.add(
-                now, fanout_sum / static_cast<double>(adaptive_nodes_.size()));
-          }
-        }
-      }));
-}
-
-void Scenario::apply_failure_schedule() {
-  for (const FailureEvent& event : params_.failure_schedule) {
-    sim_.at(event.at, [this, event] {
-      net_->set_node_up(event.node, event.up);
-      if (event.up && event.node < nodes_.size()) {
-        // The recovering process's own restart logic (not an oracle: it
-        // touches only the node itself): under gossip membership a rejoin
-        // bumps the revision — and rotates the advertised endpoint when
-        // the scenario models host migration — so the fresh incarnation's
-        // records beat every stale or down claim the group still holds.
-        if (auto* gm = nodes_[event.node]->gossip_membership()) {
-          if (params_.migrate_on_rejoin) {
-            membership::EndpointBinding binding = gm->self_record().binding;
-            ++binding.port;
-            gm->set_self_binding(binding);
-          } else {
-            gm->on_restart();
-          }
-        }
-      }
-      if (!params_.failure_detector) return;
-      // Perfect failure detection: the survivors' views learn the change
-      // at once, so locality bridge election reacts within one round.
-      for (auto& node : nodes_) {
-        if (node->id() == event.node) continue;
-        if (event.up) {
-          node->membership().add(event.node);
-        } else {
-          node->membership().remove(event.node);
-        }
-      }
-    });
+void ScenarioGroup::tick(std::size_t shard, std::size_t bucket) {
+  sim::Simulator& clock = engine_.clock(shard);
+  const TimeMs now = clock.now();  // the shard's clock, never a global one
+  // Re-arm before sweeping, mirroring PeriodicTimer::arm: the next round
+  // event is sequenced ahead of anything this sweep schedules.
+  clock.at(now + params_.gossip.gossip_period,
+           [this, shard, bucket] { tick(shard, bucket); });
+  for (gossip::LpbcastNode* node : buckets_[shard][bucket].nodes) {
+    gossip::LpbcastNode::Outgoing out = node->on_round(now);
+    if (!out.targets.empty()) {
+      // One Multicast per gossip round: encode once, every target aliasing
+      // the same SharedBytes buffer.
+      engine_.send(shard, std::move(out).to_multicast(node->id()));
+    }
+    drain_outbox(shard, *node);
   }
 }
 
-void Scenario::apply_capacity_schedule() {
+void ScenarioGroup::drain_outbox(std::size_t shard,
+                                 gossip::LpbcastNode& node) {
+  for (auto& control : node.take_outbox()) {
+    engine_.send(shard, Multicast{node.id(),
+                                  {control.target},
+                                  std::move(control.payload)});
+  }
+}
+
+void ScenarioGroup::sample(TimeMs now) {
+  if (adaptive_nodes_.empty()) return;
+  double allowed = 0.0;
+  for (const auto& sender : senders_) {
+    allowed += adaptive_nodes_[sender->id()]->allowed_rate();
+  }
+  results_.allowed_rate_ts.add(now, allowed);
+
+  double min_buff_sum = 0.0;
+  for (const auto* node : adaptive_nodes_) {
+    min_buff_sum += static_cast<double>(node->min_buff());
+  }
+  const auto count = static_cast<double>(adaptive_nodes_.size());
+  results_.min_buff_ts.add(now, min_buff_sum / count);
+
+  // Control-plane actuator trajectories: group-mean p_local (over nodes
+  // that have a locality bias at all) and effective fanout. Pure reads —
+  // no RNG, no protocol state touched.
+  if (!params_.adaptation.control.enabled) return;
+  double p_local_sum = 0.0;
+  std::size_t locality_nodes = 0;
+  double fanout_sum = 0.0;
+  for (auto* node : adaptive_nodes_) {
+    if (const double p = node->p_local(); p >= 0.0) {
+      p_local_sum += p;
+      ++locality_nodes;
+    }
+    fanout_sum += static_cast<double>(node->effective_fanout());
+  }
+  if (locality_nodes > 0) {
+    results_.p_local_ts.add(
+        now, p_local_sum / static_cast<double>(locality_nodes));
+  }
+  results_.fanout_ts.add(now, fanout_sum / count);
+}
+
+void ScenarioGroup::schedule() {
+  // Every shard sees every change on its own clock and applies it to its
+  // own members; the owner shard of a failing node flips its liveness.
   for (const CapacityChange& change : params_.capacity_schedule) {
-    sim_.at(change.at, [this, change] {
-      const auto affected = static_cast<std::size_t>(
-          change.node_fraction * static_cast<double>(params_.n));
-      for (std::size_t i = 0; i < std::min(affected, params_.n); ++i) {
-        if (params_.adaptive) {
-          adaptive_nodes_[i]->set_capacity(change.new_capacity, sim_.now());
-        } else {
-          nodes_[i]->set_max_events(change.new_capacity, sim_.now());
-        }
-      }
-    });
+    for (std::size_t s = 0; s < members_.size(); ++s) {
+      engine_.clock(s).at(change.at,
+                          [this, s, change] { apply_capacity(s, change); });
+    }
+  }
+  for (const FailureEvent& event : params_.failure_schedule) {
+    for (std::size_t s = 0; s < members_.size(); ++s) {
+      engine_.clock(s).at(event.at,
+                          [this, s, event] { apply_failure(s, event); });
+    }
   }
 }
+
+void ScenarioGroup::apply_capacity(std::size_t shard,
+                                   const CapacityChange& change) {
+  const std::size_t targets = capacity_targets(change, params_.n);
+  const TimeMs now = engine_.clock(shard).now();
+  for (gossip::LpbcastNode* node : members_[shard]) {
+    if (static_cast<std::size_t>(node->id()) >= targets) break;
+    node->set_max_events(change.new_capacity, now);
+  }
+}
+
+void ScenarioGroup::apply_failure(std::size_t shard,
+                                  const FailureEvent& event) {
+  if (shard_of(event.node) == shard) {
+    engine_.set_node_up(event.node, event.up);
+    // The recovering process's own restart logic (not an oracle: it
+    // touches only the node itself).
+    if (event.up && event.node < nodes_.size()) {
+      if (auto* gm = nodes_[event.node]->gossip_membership()) {
+        gm->rejoin(params_.migrate_on_rejoin);
+      }
+    }
+  }
+  if (!params_.failure_detector) return;
+  for (gossip::LpbcastNode* node : members_[shard]) {
+    apply_oracle_view(*node, event);
+  }
+}
+
+void ScenarioGroup::apply(const TrackerOp& op) {
+  switch (op.kind) {
+    case TrackerOp::Kind::kBroadcast:
+      tracker_.on_broadcast(op.event, op.node, op.at);
+      break;
+    case TrackerOp::Kind::kDelivery:
+      tracker_.on_delivery(op.event, op.node, op.at);
+      break;
+    case TrackerOp::Kind::kDropAge:
+      if (op.at >= params_.warmup &&
+          op.at < params_.warmup + params_.duration) {
+        drop_age_.add(op.value);
+      }
+      break;
+  }
+}
+
+ScenarioResults ScenarioGroup::finish() {
+  ScenarioResults results = std::move(results_);
+  summarize_run(params_, tracker_, nodes_, results);
+  results.avg_drop_age = drop_age_.mean();
+  for (const auto& sender : senders_) {
+    results.refused_broadcasts += sender->refused();
+    results.max_pending_depth =
+        std::max(results.max_pending_depth, sender->max_depth());
+  }
+  return results;
+}
+
+Scenario::Scenario(ScenarioParams params)
+    : params_(std::move(params)),
+      master_rng_(params_.seed),
+      net_(std::make_unique<sim::SimNetwork>(sim_, params_.network,
+                                             master_rng_.split())),
+      group_(params_, 1, *this) {
+  if (!params_.chaos.empty()) {
+    fault_plane_ = std::make_unique<fault::FaultPlane>(
+        params_.chaos, fault::chaos_seed(params_.seed));
+    net_->set_fault_plane(fault_plane_.get());
+  }
+}
+
+Scenario::~Scenario() = default;
 
 ScenarioResults Scenario::run() {
   if (ran_) return {};
   ran_ = true;
 
-  build_nodes();
-  apply_topology();
-  start_round_timers();
-  start_senders();
-  start_sampler();
-  apply_capacity_schedule();
-  apply_failure_schedule();
+  group_.build(master_rng_);
+  for (gossip::LpbcastNode* node : group_.nodes()) {
+    net_->attach(node->id(), [this, node](const Datagram& d, TimeMs now) {
+      if (!node->on_wire(decoder_.decode(d.payload), now)) {
+        ++decode_failures_;
+        return;
+      }
+      group_.drain_outbox(0, *node);
+    });
+  }
+  for (const auto& link : params_.link_latencies) {
+    net_->set_link_latency(link.a, link.b, link.model);
+  }
+  group_.start(master_rng_);
+  sampler_ = std::make_unique<sim::PeriodicTimer>(
+      sim_, params_.series_bucket, params_.series_bucket,
+      [this](TimeMs now) { group_.sample(now); });
+  group_.schedule();
 
   sim_.run_until(params_.warmup + params_.duration + params_.cooldown);
 
-  ScenarioResults results;
-  results.allowed_rate_ts = std::move(allowed_rate_ts_);
-  results.min_buff_ts = std::move(min_buff_ts_);
-  results.p_local_ts = std::move(p_local_ts_);
-  results.fanout_ts = std::move(fanout_ts_);
-  summarize_run(params_, tracker_, nodes_, results);
-  results.avg_drop_age = eval_drop_age_.mean();
-  results.refused_broadcasts = refused_;
+  ScenarioResults results = group_.finish();
   results.decode_failures = decode_failures_;
-  results.max_pending_depth = max_pending_depth_;
   results.net = net_->stats();
   results.peak_event_queue_len = sim_.peak_pending_events();
   if (fault_plane_ != nullptr) results.chaos = fault_plane_->stats();

@@ -2,15 +2,20 @@
 // simulator, with configurable workload, network model, dynamic resource
 // schedule and metrics collection.
 //
-// This is the engine behind every figure reproduction in bench/: it builds
-// `n` lpbcast (or adaptive) nodes, drives unsynchronised gossip rounds,
-// injects application traffic through per-sender queues (token-gated for the
-// adaptive variant, mirroring the paper's blocking BROADCAST), routes every
-// message through the byte codec and the simulated network, and reports the
-// paper's metrics over an evaluation window that excludes warm-up and the
-// not-yet-disseminated tail.
+// The experiment loop is written once, in ScenarioGroup: the group built
+// into per-shard arenas, unsynchronised gossip rounds, senders behind the
+// paper's blocking BROADCAST (token-gated for the adaptive variant), the
+// series sampler and the capacity and failure schedules with their rejoin,
+// oracle-view and capacity-target rules. Both simulator engines drive it:
+// core::Scenario below is the one-shard case over sim::SimNetwork, and
+// core::ShardedScenario runs it on sim::ShardedEngine. An engine keeps only
+// its clock, its network, its accounting sink and its sampler trigger.
+// summarize_run() fills the report every harness derives alike, the
+// wall-clock one included. The golden trace pins hold on both simulator
+// engines at one shard.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -20,11 +25,13 @@
 
 #include "adaptive/adaptive_node.h"
 #include "adaptive/params.h"
+#include "common/datagram.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "fault/fault_plane.h"
 #include "gossip/lpbcast_node.h"
+#include "gossip/message.h"
 #include "gossip/params.h"
 #include "membership/gossip_membership.h"
 #include "membership/locality_view.h"
@@ -139,12 +146,13 @@ struct ScenarioParams {
   std::size_t pending_cap = 64;
 
   /// Sharded-engine knobs (core::ShardedScenario; the classic Scenario
-  /// ignores them). sim_shards is rounded up to a power of two; the agb_sim
-  /// driver routes sim_shards <= 1 to the classic engine, so existing seeds
-  /// keep their golden traces. sim_workers = 0 means min(shards, hardware
-  /// concurrency); worker count never changes outcomes. lookahead_ms = 0
-  /// derives the conservative window from the latency models (>= 1 ms);
-  /// setting it higher coarsens the delay floor to that many ms.
+  /// ignores them). sim_shards is rounded up to a power of two and capped
+  /// at n (rounded up too); agb_sim routes sim_shards <= 1 to the
+  /// classic engine, so existing seeds keep their golden traces.
+  /// sim_workers = 0 means min(shards, hardware concurrency); worker count
+  /// never changes outcomes. lookahead_ms = 0 derives the conservative
+  /// window from the latency models (>= 1 ms); setting it higher coarsens
+  /// the delay floor to that many ms.
   std::size_t sim_shards = 1;
   std::size_t sim_workers = 0;
   DurationMs lookahead_ms = 0;
@@ -296,19 +304,97 @@ build_scenario_membership(
     const ScenarioParams& params, NodeId id, Rng& master_rng,
     const std::shared_ptr<const membership::ClusterMap>& cluster_map);
 
-class Scenario {
+/// How many nodes a CapacityChange reaches: ids [0, floor(node_fraction *
+/// n)), at most n. Every harness applies the dynamic-resources schedule
+/// through it.
+[[nodiscard]] std::size_t capacity_targets(const CapacityChange& change,
+                                           std::size_t n);
+
+/// The oracle failure detector (ScenarioParams::failure_detector): the
+/// survivor's view learns `event` at once, dropping a crashed peer and
+/// re-adding a recovered one, so locality bridges re-elect within one
+/// round. The event's own node is left alone.
+void apply_oracle_view(gossip::LpbcastNode& survivor,
+                       const FailureEvent& event);
+
+/// One shared-accumulator operation of a simulated run: an admitted
+/// broadcast, a delivery (the origin's local one included) or an overflow
+/// drop's age. ScenarioGroup::apply() folds it into the delivery tracker
+/// and the drop-age stats; an engine applies it at once, or logs it and
+/// replays it later.
+struct TrackerOp {
+  enum class Kind : std::uint8_t {
+    kBroadcast = 0,
+    kDelivery = 1,
+    kDropAge = 2,
+  };
+  TimeMs at = 0;
+  Kind kind = Kind::kBroadcast;
+  EventId event;
+  NodeId node = 0;
+  double value = 0.0;  // drop age for kDropAge
+};
+
+/// The experiment loop both simulator engines run:
+///   * build(): the n nodes, in id order, into one arena per shard (node
+///     `id` lives on shard `id & (shards - 1)`), drawing master_rng as
+///     build_scenario_node does; their handlers feed the accounting;
+///   * start(): one round-phase draw per node, bucketed by (shard, phase)
+///     onto one repeating wheel event each, then the senders, each a queue
+///     behind Fig. 5's blocking BROADCAST that counts its own refusals and
+///     peak depth;
+///   * sample(): the series sampler, on the engine's trigger;
+///   * schedule(): the capacity (Fig. 9) and failure schedules;
+///   * finish(): the report's group-side part.
+/// An engine supplies what is its own through Engine and calls build,
+/// its topology, start, its sampler and schedule in that order, so every
+/// master-RNG draw and every scheduled event keeps its position. The
+/// classic engine is the one-shard case.
+class ScenarioGroup {
  public:
-  explicit Scenario(ScenarioParams params);
-  ~Scenario();
+  class Engine {
+   public:
+    /// The simulator shard `shard` runs on.
+    virtual sim::Simulator& clock(std::size_t shard) = 0;
+    /// Sends a batch from a node on `shard`: a round's fan-out or one
+    /// control datagram.
+    virtual void send(std::size_t shard, Multicast batch) = 0;
+    /// Crashes or recovers `node` on the network, on its owner shard.
+    virtual void set_node_up(NodeId node, bool up) = 0;
+    /// The accounting sink, called on the shard that observed `op`.
+    virtual void record(std::size_t shard, const TrackerOp& op) = 0;
 
-  Scenario(const Scenario&) = delete;
-  Scenario& operator=(const Scenario&) = delete;
+   protected:
+    ~Engine() = default;
+  };
 
-  /// Runs the full experiment and returns the report. Call once.
-  ScenarioResults run();
+  /// `shards` is a power of two. `params` and `engine` outlive the group.
+  ScenarioGroup(const ScenarioParams& params, std::size_t shards,
+                Engine& engine);
+  ~ScenarioGroup();
 
-  /// Post-run introspection for tests: the protocol nodes (arena-owned;
-  /// pointers are stable for the Scenario's lifetime) and the network.
+  ScenarioGroup(const ScenarioGroup&) = delete;
+  ScenarioGroup& operator=(const ScenarioGroup&) = delete;
+
+  void build(Rng& master_rng);
+  void start(Rng& master_rng);
+  void sample(TimeMs now);
+  void schedule();
+
+  /// Sends the control datagrams `node` queued (repair traffic); engines
+  /// call it after every message a node takes in.
+  void drain_outbox(std::size_t shard, gossip::LpbcastNode& node);
+
+  /// Folds one operation into the tracker or the drop-age stats (overflow
+  /// drops count inside the evaluation window only).
+  void apply(const TrackerOp& op);
+
+  /// The report's group-side part: summarize_run, the drop age, the
+  /// senders' refusals and peak depth, and the sampled series. Call once,
+  /// after the run.
+  [[nodiscard]] ScenarioResults finish();
+
+  /// Arena-owned; pointers are stable for the group's lifetime.
   [[nodiscard]] const std::vector<gossip::LpbcastNode*>& nodes()
       const noexcept {
     return nodes_;
@@ -322,51 +408,84 @@ class Scenario {
   }
 
  private:
-  struct SenderState;
+  class SenderQueue;
 
-  void build_nodes();
-  void apply_topology();
-  void start_round_timers();
-  void tick_round_bucket(std::size_t index);
-  void start_senders();
-  void start_sampler();
-  void apply_capacity_schedule();
-  void apply_failure_schedule();
-  void emit(gossip::LpbcastNode& node, gossip::LpbcastNode::Outgoing out);
-  void drain_outbox(gossip::LpbcastNode& node);
-  void sender_arrival(SenderState& sender);
-  void drain_sender(SenderState& sender);
-  [[nodiscard]] bool in_eval_window(TimeMs t) const;
-
-  /// One wheel entry per distinct round phase: a single repeating event
-  /// sweeps every node sharing the phase (O(min(n, period)) live round
-  /// events instead of n PeriodicTimers).
   struct RoundBucket {
     TimeMs phase = 0;
-    std::vector<gossip::LpbcastNode*> nodes;
+    std::vector<gossip::LpbcastNode*> nodes;  // id order
   };
+
+  [[nodiscard]] std::size_t shard_of(NodeId id) const noexcept {
+    return static_cast<std::size_t>(id) & mask_;
+  }
+  template <class Node>
+  void build_arenas(Rng& master_rng);
+  void tick(std::size_t shard, std::size_t bucket);
+  void apply_capacity(std::size_t shard, const CapacityChange& change);
+  void apply_failure(std::size_t shard, const FailureEvent& event);
+
+  const ScenarioParams& params_;
+  Engine& engine_;
+  std::size_t mask_;
+  std::vector<std::unique_ptr<NodeArenaBase>> storage_;  // one per shard
+  std::vector<gossip::LpbcastNode*> nodes_;              // id order
+  std::vector<adaptive::AdaptiveLpbcastNode*> adaptive_nodes_;  // or empty
+  std::vector<std::vector<gossip::LpbcastNode*>> members_;  // per shard
+  std::vector<std::vector<RoundBucket>> buckets_;            // per shard
+  std::vector<std::unique_ptr<SenderQueue>> senders_;  // sender-id order
+  metrics::DeliveryTracker tracker_;
+  RunningStats drop_age_;
+  ScenarioResults results_;  // the sampled series until finish()
+};
+
+/// The classic engine: the group on one sim::Simulator and one
+/// sim::SimNetwork, sampled by a PeriodicTimer.
+class Scenario final : private ScenarioGroup::Engine {
+ public:
+  explicit Scenario(ScenarioParams params);
+  ~Scenario();
+
+  Scenario(const Scenario&) = delete;
+  Scenario& operator=(const Scenario&) = delete;
+
+  /// Runs the full experiment and returns the report. Call once.
+  ScenarioResults run();
+
+  /// Post-run introspection for tests: the protocol nodes (arena-owned;
+  /// pointers are stable for the Scenario's lifetime) and the tracker.
+  [[nodiscard]] const std::vector<gossip::LpbcastNode*>& nodes()
+      const noexcept {
+    return group_.nodes();
+  }
+  [[nodiscard]] const std::vector<adaptive::AdaptiveLpbcastNode*>&
+  adaptive_nodes() const noexcept {
+    return group_.adaptive_nodes();
+  }
+  [[nodiscard]] const metrics::DeliveryTracker& tracker() const noexcept {
+    return group_.tracker();
+  }
+
+ private:
+  sim::Simulator& clock(std::size_t /*shard*/) override { return sim_; }
+  void send(std::size_t /*shard*/, Multicast batch) override {
+    net_->send_batch(std::move(batch));
+  }
+  void set_node_up(NodeId node, bool up) override {
+    net_->set_node_up(node, up);
+  }
+  void record(std::size_t /*shard*/, const TrackerOp& op) override {
+    group_.apply(op);
+  }
 
   ScenarioParams params_;
   Rng master_rng_;
   sim::Simulator sim_;
   std::unique_ptr<sim::SimNetwork> net_;
   std::unique_ptr<fault::FaultPlane> fault_plane_;  // null on clean runs
-  std::unique_ptr<NodeArenaBase> node_storage_;  // owns the nodes
-  std::vector<gossip::LpbcastNode*> nodes_;      // arena pointers, id order
-  std::vector<adaptive::AdaptiveLpbcastNode*> adaptive_nodes_;  // or empty
-  std::vector<RoundBucket> round_buckets_;
-  metrics::DeliveryTracker tracker_;
-  std::vector<std::unique_ptr<sim::PeriodicTimer>> timers_;
-  std::vector<std::unique_ptr<SenderState>> senders_;
-  RunningStats eval_drop_age_;
-  std::uint64_t refused_ = 0;
-  std::uint64_t decode_failures_ = 0;
+  ScenarioGroup group_;
+  std::unique_ptr<sim::PeriodicTimer> sampler_;
   gossip::WireDecoder decoder_;  // a fan-out's receivers share one decode
-  std::size_t max_pending_depth_ = 0;
-  metrics::TimeSeries allowed_rate_ts_{"allowed_rate"};
-  metrics::TimeSeries min_buff_ts_{"min_buff"};
-  metrics::TimeSeries p_local_ts_{"p_local"};
-  metrics::TimeSeries fanout_ts_{"fanout"};
+  std::uint64_t decode_failures_ = 0;
   bool ran_ = false;
 };
 

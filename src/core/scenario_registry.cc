@@ -379,7 +379,8 @@ ScenarioParams build_adaptive_backpressure(const Config& cfg) {
   // bucket (the paper's blocking BROADCAST) and drain as it refills. The
   // receipt is a pending queue that is busy but bounded by pending_cap on
   // both harnesses — the wall-clock path exercises NodeRuntime's
-  // token-refill back-pressure loop, the simulator its SenderState twin.
+  // token-refill back-pressure loop, the simulators ScenarioGroup's
+  // sender queues.
   auto p = paper60_defaults(cfg);
   p.adaptive = true;
   p.adaptation.control.enabled = true;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <unordered_map>
 #include <utility>
 
 #include "gossip/message.h"
@@ -12,28 +10,12 @@ namespace agb::core {
 
 namespace {
 
-// One shared-accumulator operation, logged by the shard that observed it
-// during window execution and replayed into the shared DeliveryTracker /
-// drop-age stats in the serial barrier phase. The replay order — (time,
-// kind, event, node, value) — is total over distinct operations and
-// independent of shard layout, which is what makes order-sensitive
-// accumulations (atomicity timestamps, Welford drop-age) exactly
-// reproducible at any shard/worker count. Broadcasts sort ahead of
-// same-time deliveries so an origin's local delivery never races its own
-// record creation.
-struct TrackerOp {
-  enum class Kind : std::uint8_t {
-    kBroadcast = 0,
-    kDelivery = 1,
-    kDropAge = 2,
-  };
-  TimeMs at = 0;
-  Kind kind = Kind::kBroadcast;
-  EventId event;
-  NodeId node = 0;
-  double value = 0.0;  // drop age for kDropAge
-};
-
+// The replay order of the per-shard TrackerOp logs — (time, kind, event,
+// node, value) — is total over distinct operations and independent of
+// shard layout, which is what makes order-sensitive accumulations
+// (atomicity timestamps, Welford drop-age) exactly reproducible at any
+// shard/worker count. Broadcasts sort ahead of same-time deliveries so an
+// origin's local delivery never races its own record creation.
 bool tracker_op_before(const TrackerOp& a, const TrackerOp& b) {
   if (a.at != b.at) return a.at < b.at;
   if (a.kind != b.kind) return a.kind < b.kind;
@@ -96,37 +78,15 @@ DurationMs derive_lookahead(const ScenarioParams& params) {
 
 }  // namespace
 
-struct ShardedScenario::Impl {
-  struct SenderState {
-    NodeId id = kInvalidNode;
-    std::size_t shard = 0;
-    gossip::LpbcastNode* node = nullptr;                // non-owning
-    adaptive::AdaptiveLpbcastNode* adaptive = nullptr;  // null for baseline
-    double rate = 0.0;                                  // offered msg/s
-    Rng rng{0};
-    std::deque<gossip::Payload> pending;
-    std::unique_ptr<sim::PeriodicTimer> retry_timer;
-  };
-
-  struct RoundBucket {
-    TimeMs phase = 0;
-    std::vector<gossip::LpbcastNode*> nodes;
-  };
-
-  /// Everything a shard's worker thread touches during window execution:
-  /// its arena slice, round wheel, senders, stats and the operation log
-  /// drained in the serial phase. Nothing here is read or written by any
-  /// other worker mid-window.
+struct ShardedScenario::Impl final : ScenarioGroup::Engine {
+  /// What a shard's worker thread touches during window execution besides
+  /// its nodes and senders: its network stats and the operation log drained
+  /// in the serial phase. Nothing here is read or written by any other
+  /// worker mid-window.
   struct Shard {
-    std::unique_ptr<NodeArenaBase> storage;
-    std::vector<gossip::LpbcastNode*> members;  // owned ids, ascending
-    std::vector<RoundBucket> buckets;
-    std::vector<std::unique_ptr<SenderState>> senders;
     sim::NetworkStats stats;
     std::vector<TrackerOp> log;
-    std::uint64_t refused = 0;
     std::uint64_t decode_failures = 0;
-    std::size_t max_pending_depth = 0;
   };
 
   explicit Impl(ScenarioParams params)
@@ -135,9 +95,14 @@ struct ShardedScenario::Impl {
         sampler_(params_.network.latency, params_.network.clusters,
                  params_.network.wan_latency),
         lookahead_(derive_lookahead(params_)),
-        engine_(sim::ShardedEngineParams{params_.sim_shards,
-                                         params_.sim_workers, lookahead_}),
-        tracker_(params_.n),
+        // No more shards than nodes: node -> shard is `id & mask`, so the
+        // cap changes no outcome, only the empty shards' rings.
+        engine_(sim::ShardedEngineParams{
+            std::min(params_.sim_shards, std::max<std::size_t>(1, params_.n)),
+            params_.sim_workers, lookahead_}),
+        group_(params_, engine_.shards(), *this),
+        shards_(engine_.shards()),
+        per_shard_scratch_(engine_.shards()),
         next_sample_(params_.series_bucket) {
     // The classic ctor hands one master split to SimNetwork; burn the same
     // split so every subsequent draw — membership bootstraps, node seeds,
@@ -163,88 +128,20 @@ struct ShardedScenario::Impl {
     }
   }
 
-  [[nodiscard]] bool in_eval_window(TimeMs t) const {
-    return t >= params_.warmup && t < params_.warmup + params_.duration;
+  sim::Simulator& clock(std::size_t shard) override {
+    return engine_.shard(shard);
   }
 
-  void build_nodes() {
-    const std::size_t shard_count = engine_.shards();
-    shards_.resize(shard_count);
-    per_shard_scratch_.resize(shard_count);
-    std::vector<std::size_t> population(shard_count, 0);
-    for (std::size_t i = 0; i < params_.n; ++i) {
-      ++population[engine_.shard_of(static_cast<NodeId>(i))];
-    }
-
-    nodes_.reserve(params_.n);
-    const auto cluster_map = scenario_cluster_map(params_);
-    // Build in global id order — the master-RNG consumption contract shared
-    // with core::Scenario — emplacing each node into its owner shard's
-    // arena slice.
-    if (params_.adaptive) {
-      std::vector<NodeArena<adaptive::AdaptiveLpbcastNode>*> arenas(
-          shard_count);
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        auto arena = std::make_unique<NodeArena<adaptive::AdaptiveLpbcastNode>>(
-            std::max<std::size_t>(1, population[s]));
-        arenas[s] = arena.get();
-        shards_[s].storage = std::move(arena);
-      }
-      adaptive_nodes_.reserve(params_.n);
-      for (std::size_t i = 0; i < params_.n; ++i) {
-        const auto id = static_cast<NodeId>(i);
-        auto view =
-            build_scenario_membership(params_, id, master_rng_, cluster_map);
-        auto* node = arenas[engine_.shard_of(id)]->emplace(
-            id, params_.gossip, params_.adaptation, std::move(view),
-            master_rng_.split());
-        adaptive_nodes_.push_back(node);
-        nodes_.push_back(node);
-      }
-    } else {
-      std::vector<NodeArena<gossip::LpbcastNode>*> arenas(shard_count);
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        auto arena = std::make_unique<NodeArena<gossip::LpbcastNode>>(
-            std::max<std::size_t>(1, population[s]));
-        arenas[s] = arena.get();
-        shards_[s].storage = std::move(arena);
-      }
-      for (std::size_t i = 0; i < params_.n; ++i) {
-        const auto id = static_cast<NodeId>(i);
-        auto view =
-            build_scenario_membership(params_, id, master_rng_, cluster_map);
-        nodes_.push_back(arenas[engine_.shard_of(id)]->emplace(
-            id, params_.gossip, std::move(view), master_rng_.split()));
-      }
-    }
-
-    for (gossip::LpbcastNode* node : nodes_) {
-      const NodeId id = node->id();
-      const std::size_t s = engine_.shard_of(id);
-      shards_[s].members.push_back(node);
-      // Handlers log into the owner shard's operation stream; the shared
-      // tracker is only touched at barriers (merge_logs).
-      node->set_deliver_handler([this, id, s](const gossip::Event& e,
-                                              TimeMs now) {
-        if (e.id.origin == id) return;  // origin accounted at broadcast time
-        shards_[s].log.push_back(
-            TrackerOp{now, TrackerOp::Kind::kDelivery, e.id, id, 0.0});
-      });
-      node->set_drop_handler([this, id, s](const gossip::Event& e,
-                                           gossip::DropReason reason,
-                                           TimeMs now) {
-        if (reason != gossip::DropReason::kBufferOverflow) return;
-        shards_[s].log.push_back(TrackerOp{now, TrackerOp::Kind::kDropAge,
-                                           EventId{}, id,
-                                           static_cast<double>(e.age)});
-      });
+  void set_node_up(NodeId node, bool up) override {
+    if (static_cast<std::size_t>(node) < down_.size()) {
+      down_[node] = up ? 0 : 1;
     }
   }
 
-  void apply_topology() {
-    for (const auto& link : params_.link_latencies) {
-      sampler_.set_link_override(link.a, link.b, link.model);
-    }
+  /// Handlers log into the owner shard's operation stream; the shared
+  /// tracker is only touched at barriers (merge_logs).
+  void record(std::size_t shard, const TrackerOp& op) override {
+    shards_[shard].log.push_back(op);
   }
 
   /// The sharded twin of SimNetwork::send_batch: same stats, same drop
@@ -252,7 +149,7 @@ struct ShardedScenario::Impl {
   /// into the window-barrier channels instead of the local event queue, and
   /// the receiver-down check moves to delivery time on the owner shard (a
   /// sender cannot read remote liveness mid-window).
-  void send_multicast(std::size_t s, Multicast batch) {
+  void send(std::size_t s, Multicast batch) override {
     sim::NetworkStats& stats = shards_[s].stats;
     ++stats.batches;
     stats.sent += batch.targets.size();
@@ -305,197 +202,6 @@ struct ShardedScenario::Impl {
     }
   }
 
-  void emit(std::size_t s, gossip::LpbcastNode& node,
-            gossip::LpbcastNode::Outgoing out) {
-    if (!out.targets.empty()) {
-      send_multicast(s, std::move(out).to_multicast(node.id()));
-    }
-    drain_outbox(s, node);
-  }
-
-  void drain_outbox(std::size_t s, gossip::LpbcastNode& node) {
-    for (auto& control : node.take_outbox()) {
-      send_multicast(s, Multicast{node.id(),
-                                  {control.target},
-                                  std::move(control.payload)});
-    }
-  }
-
-  void start_round_timers() {
-    // Same phase draw as the classic engine: one master-RNG call per node
-    // in global id order. Nodes sharing (shard, phase) ride one wheel
-    // event on the shard's own clock.
-    std::vector<std::unordered_map<TimeMs, std::size_t>> bucket_index(
-        shards_.size());
-    for (gossip::LpbcastNode* node : nodes_) {
-      const auto phase = static_cast<TimeMs>(master_rng_.next_below(
-          static_cast<std::uint64_t>(params_.gossip.gossip_period)));
-      const std::size_t s = engine_.shard_of(node->id());
-      const auto [it, inserted] =
-          bucket_index[s].try_emplace(phase, shards_[s].buckets.size());
-      if (inserted) shards_[s].buckets.push_back(RoundBucket{phase, {}});
-      shards_[s].buckets[it->second].nodes.push_back(node);
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-      for (std::size_t i = 0; i < shards_[s].buckets.size(); ++i) {
-        engine_.shard(s).at(shards_[s].buckets[i].phase,
-                            [this, s, i] { tick_round_bucket(s, i); });
-      }
-    }
-  }
-
-  void tick_round_bucket(std::size_t s, std::size_t index) {
-    sim::Simulator& sim = engine_.shard(s);
-    const TimeMs now = sim.now();  // the shard clock, never a global one
-    sim.at(now + params_.gossip.gossip_period,
-           [this, s, index] { tick_round_bucket(s, index); });
-    for (gossip::LpbcastNode* node : shards_[s].buckets[index].nodes) {
-      emit(s, *node, node->on_round(now));
-    }
-  }
-
-  void sender_arrival(SenderState& sender) {
-    Shard& shard = shards_[sender.shard];
-    auto payload = gossip::make_payload(
-        std::vector<std::uint8_t>(params_.payload_size, 0xab));
-    if (sender.pending.size() >= params_.pending_cap) {
-      ++shard.refused;
-    } else {
-      sender.pending.push_back(std::move(payload));
-      shard.max_pending_depth =
-          std::max(shard.max_pending_depth, sender.pending.size());
-    }
-    drain_sender(sender);
-
-    const double mean_ms = 1000.0 / sender.rate;
-    const auto gap = static_cast<DurationMs>(std::max(
-        1.0, params_.poisson_arrivals ? sender.rng.exponential(mean_ms)
-                                      : mean_ms));
-    engine_.shard(sender.shard).after(
-        gap, [this, &sender] { sender_arrival(sender); });
-  }
-
-  void drain_sender(SenderState& sender) {
-    const TimeMs now = engine_.shard(sender.shard).now();
-    std::vector<TrackerOp>& log = shards_[sender.shard].log;
-    while (!sender.pending.empty()) {
-      EventId id;
-      const bool supersedes =
-          params_.supersede_probability > 0.0 &&
-          sender.rng.bernoulli(params_.supersede_probability);
-      if (sender.adaptive != nullptr) {
-        if (!sender.adaptive->try_broadcast_on_stream(
-                sender.pending.front(), now, /*stream=*/sender.id, supersedes,
-                &id)) {
-          break;  // no tokens; the retry timer will try again
-        }
-      } else {
-        id = sender.node->broadcast_on_stream(sender.pending.front(), now,
-                                              /*stream=*/sender.id,
-                                              supersedes);
-      }
-      sender.pending.pop_front();
-      log.push_back(
-          TrackerOp{now, TrackerOp::Kind::kBroadcast, id, sender.id, 0.0});
-      log.push_back(
-          TrackerOp{now, TrackerOp::Kind::kDelivery, id, sender.id, 0.0});
-    }
-  }
-
-  void start_senders() {
-    const auto sender_ids = scenario_sender_ids(params_.n, params_.senders);
-    const double per_sender =
-        params_.offered_rate / static_cast<double>(sender_ids.size());
-    for (NodeId id : sender_ids) {
-      const std::size_t s = engine_.shard_of(id);
-      auto sender = std::make_unique<SenderState>();
-      sender->id = id;
-      sender->shard = s;
-      sender->node = nodes_[id];
-      sender->adaptive = params_.adaptive ? adaptive_nodes_[id] : nullptr;
-      sender->rate = per_sender;
-      sender->rng = master_rng_.split();
-
-      sender->retry_timer = std::make_unique<sim::PeriodicTimer>(
-          engine_.shard(s), 100, 100, [this, raw = sender.get()](TimeMs) {
-            if (!raw->pending.empty()) drain_sender(*raw);
-          });
-
-      const auto first = static_cast<DurationMs>(
-          sender->rng.exponential(1000.0 / sender->rate));
-      engine_.shard(s).after(std::max<DurationMs>(first, 1),
-                             [this, raw = sender.get()] {
-                               sender_arrival(*raw);
-                             });
-      all_senders_.push_back(sender.get());
-      shards_[s].senders.push_back(std::move(sender));
-    }
-  }
-
-  void apply_capacity_schedule() {
-    for (const CapacityChange& change : params_.capacity_schedule) {
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        engine_.shard(s).at(change.at, [this, change, s] {
-          const auto affected = std::min(
-              static_cast<std::size_t>(change.node_fraction *
-                                       static_cast<double>(params_.n)),
-              params_.n);
-          for (gossip::LpbcastNode* node : shards_[s].members) {
-            const NodeId id = node->id();
-            if (static_cast<std::size_t>(id) >= affected) continue;
-            if (params_.adaptive) {
-              adaptive_nodes_[id]->set_capacity(change.new_capacity,
-                                                engine_.shard(s).now());
-            } else {
-              node->set_max_events(change.new_capacity,
-                                   engine_.shard(s).now());
-            }
-          }
-        });
-      }
-    }
-  }
-
-  void apply_failure_schedule() {
-    // Every shard sees every failure event on its own clock: the owner
-    // shard flips liveness and runs the restart logic, and (under the
-    // oracle detector) each shard updates its local members' views.
-    for (const FailureEvent& event : params_.failure_schedule) {
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        engine_.shard(s).at(event.at, [this, event, s] {
-          apply_failure_local(s, event);
-        });
-      }
-    }
-  }
-
-  void apply_failure_local(std::size_t s, const FailureEvent& event) {
-    if (engine_.shard_of(event.node) == s &&
-        static_cast<std::size_t>(event.node) < nodes_.size()) {
-      down_[event.node] = event.up ? 0 : 1;
-      if (event.up) {
-        if (auto* gm = nodes_[event.node]->gossip_membership()) {
-          if (params_.migrate_on_rejoin) {
-            membership::EndpointBinding binding = gm->self_record().binding;
-            ++binding.port;
-            gm->set_self_binding(binding);
-          } else {
-            gm->on_restart();
-          }
-        }
-      }
-    }
-    if (!params_.failure_detector) return;
-    for (gossip::LpbcastNode* node : shards_[s].members) {
-      if (node->id() == event.node) continue;
-      if (event.up) {
-        node->membership().add(event.node);
-      } else {
-        node->membership().remove(event.node);
-      }
-    }
-  }
-
   /// Serial barrier phase: replay per-shard logs canonically, turn the
   /// canonically sorted datagram batch into one application event per
   /// (destination shard, deliver-time) run, and fire the series sampler on
@@ -504,7 +210,11 @@ struct ShardedScenario::Impl {
                   std::vector<sim::CrossShardDatagram>& batch) {
     merge_logs();
     schedule_applies(batch);
-    run_sampler(window_end);
+    if (params_.series_bucket <= 0) return;
+    while (next_sample_ < window_end) {
+      group_.sample(next_sample_);
+      next_sample_ += params_.series_bucket;
+    }
   }
 
   void merge_logs() {
@@ -516,19 +226,7 @@ struct ShardedScenario::Impl {
     }
     std::sort(merge_scratch_.begin(), merge_scratch_.end(),
               tracker_op_before);
-    for (const TrackerOp& op : merge_scratch_) {
-      switch (op.kind) {
-        case TrackerOp::Kind::kBroadcast:
-          tracker_.on_broadcast(op.event, op.node, op.at);
-          break;
-        case TrackerOp::Kind::kDelivery:
-          tracker_.on_delivery(op.event, op.node, op.at);
-          break;
-        case TrackerOp::Kind::kDropAge:
-          if (in_eval_window(op.at)) eval_drop_age_.add(op.value);
-          break;
-      }
-    }
+    for (const TrackerOp& op : merge_scratch_) group_.apply(op);
   }
 
   void schedule_applies(std::vector<sim::CrossShardDatagram>& batch) {
@@ -565,6 +263,7 @@ struct ShardedScenario::Impl {
                    std::vector<sim::CrossShardDatagram>& entries) {
     Shard& shard = shards_[s];
     const TimeMs now = engine_.shard(s).now();
+    const auto& nodes = group_.nodes();
     // Entries sharing a payload buffer (one fan-out's targets) are adjacent
     // in canonical order, so the memo decodes each fan-out once.
     gossip::WireDecoder decoder;
@@ -574,7 +273,7 @@ struct ShardedScenario::Impl {
       // a chaos-corrupted message can decode into garbage member ids that
       // nodes then gossip to — and land in dropped_detached exactly as the
       // classic SimNetwork's handler lookup makes them.
-      if (static_cast<std::size_t>(d.to) >= nodes_.size()) {
+      if (static_cast<std::size_t>(d.to) >= nodes.size()) {
         ++shard.stats.dropped_detached;
         continue;
       }
@@ -584,58 +283,12 @@ struct ShardedScenario::Impl {
       }
       ++shard.stats.delivered;
       shard.stats.bytes_delivered += d.payload.size();
-      gossip::LpbcastNode* node = nodes_[d.to];
+      gossip::LpbcastNode* node = nodes[d.to];
       if (!node->on_wire(decoder.decode(d.payload), now)) {
         ++shard.decode_failures;
         continue;
       }
-      drain_outbox(s, *node);
-    }
-  }
-
-  void run_sampler(TimeMs window_end) {
-    if (params_.series_bucket <= 0) return;
-    while (next_sample_ < window_end) {
-      sample_at(next_sample_);
-      next_sample_ += params_.series_bucket;
-    }
-  }
-
-  void sample_at(TimeMs now) {
-    if (adaptive_nodes_.empty()) return;
-    double allowed = 0.0;
-    for (const SenderState* sender : all_senders_) {
-      if (sender->adaptive != nullptr) {
-        allowed += sender->adaptive->allowed_rate();
-      }
-    }
-    allowed_rate_ts_.add(now, allowed);
-
-    double min_buff_sum = 0.0;
-    for (const auto* node : adaptive_nodes_) {
-      min_buff_sum += static_cast<double>(node->min_buff());
-    }
-    min_buff_ts_.add(
-        now, min_buff_sum / static_cast<double>(adaptive_nodes_.size()));
-
-    if (params_.adaptation.control.enabled) {
-      double p_local_sum = 0.0;
-      std::size_t locality_nodes = 0;
-      double fanout_sum = 0.0;
-      for (auto* node : adaptive_nodes_) {
-        const double p = node->p_local();
-        if (p >= 0.0) {
-          p_local_sum += p;
-          ++locality_nodes;
-        }
-        fanout_sum += static_cast<double>(node->effective_fanout());
-      }
-      if (locality_nodes > 0) {
-        p_local_ts_.add(now,
-                        p_local_sum / static_cast<double>(locality_nodes));
-      }
-      fanout_ts_.add(
-          now, fanout_sum / static_cast<double>(adaptive_nodes_.size()));
+      group_.drain_outbox(s, *node);
     }
   }
 
@@ -643,12 +296,12 @@ struct ShardedScenario::Impl {
     if (ran_) return {};
     ran_ = true;
 
-    build_nodes();
-    apply_topology();
-    start_round_timers();
-    start_senders();
-    apply_capacity_schedule();
-    apply_failure_schedule();
+    group_.build(master_rng_);
+    for (const auto& link : params_.link_latencies) {
+      sampler_.set_link_override(link.a, link.b, link.model);
+    }
+    group_.start(master_rng_);
+    group_.schedule();
 
     engine_.set_boundary([this](TimeMs) { return next_sample_; });
     engine_.set_barrier_hook(
@@ -658,20 +311,11 @@ struct ShardedScenario::Impl {
 
     engine_.run_until(params_.warmup + params_.duration + params_.cooldown);
 
-    ScenarioResults results;
-    results.allowed_rate_ts = std::move(allowed_rate_ts_);
-    results.min_buff_ts = std::move(min_buff_ts_);
-    results.p_local_ts = std::move(p_local_ts_);
-    results.fanout_ts = std::move(fanout_ts_);
-    summarize_run(params_, tracker_, nodes_, results);
-    results.avg_drop_age = eval_drop_age_.mean();
+    ScenarioResults results = group_.finish();
     results.peak_event_queue_len = engine_.peak_pending_events();
     sim::NetworkStats& net = results.net;
     for (const Shard& shard : shards_) {
-      results.refused_broadcasts += shard.refused;
       results.decode_failures += shard.decode_failures;
-      results.max_pending_depth =
-          std::max(results.max_pending_depth, shard.max_pending_depth);
       const sim::NetworkStats& st = shard.stats;
       net.sent += st.sent;
       net.sent_intra_cluster += st.sent_intra_cluster;
@@ -704,13 +348,8 @@ struct ShardedScenario::Impl {
   sim::DelaySampler sampler_;
   DurationMs lookahead_ = 1;
   sim::ShardedEngine engine_;
-  metrics::DeliveryTracker tracker_;
-  TimeMs next_sample_ = 0;
-
+  ScenarioGroup group_;
   std::vector<Shard> shards_;
-  std::vector<gossip::LpbcastNode*> nodes_;  // id order, arena-owned
-  std::vector<adaptive::AdaptiveLpbcastNode*> adaptive_nodes_;  // or empty
-  std::vector<SenderState*> all_senders_;  // sender-id order, shard-owned
 
   // Per-node network state, confined to the owner (sender) shard.
   std::vector<Rng> net_rng_;
@@ -720,13 +359,9 @@ struct ShardedScenario::Impl {
   std::vector<std::unique_ptr<fault::FaultPlane>> fault_planes_;
 
   // Serial-phase state (barrier hook and result assembly only).
-  RunningStats eval_drop_age_;
   std::vector<TrackerOp> merge_scratch_;
   std::vector<std::vector<sim::CrossShardDatagram>> per_shard_scratch_;
-  metrics::TimeSeries allowed_rate_ts_{"allowed_rate"};
-  metrics::TimeSeries min_buff_ts_{"min_buff"};
-  metrics::TimeSeries p_local_ts_{"p_local"};
-  metrics::TimeSeries fanout_ts_{"fanout"};
+  TimeMs next_sample_ = 0;
   bool ran_ = false;
 };
 
@@ -737,8 +372,18 @@ ShardedScenario::~ShardedScenario() = default;
 
 ScenarioResults ShardedScenario::run() { return impl_->run(); }
 
+const std::vector<gossip::LpbcastNode*>& ShardedScenario::nodes()
+    const noexcept {
+  return impl_->group_.nodes();
+}
+
+const std::vector<adaptive::AdaptiveLpbcastNode*>&
+ShardedScenario::adaptive_nodes() const noexcept {
+  return impl_->group_.adaptive_nodes();
+}
+
 const metrics::DeliveryTracker& ShardedScenario::tracker() const noexcept {
-  return impl_->tracker_;
+  return impl_->group_.tracker();
 }
 
 std::size_t ShardedScenario::shards() const noexcept {

@@ -1,11 +1,17 @@
 // The scenario harness on the multi-core sharded engine.
 //
-// Same ScenarioParams, same metrics, same master-RNG build order as the
-// classic core::Scenario — but the run executes on sim::ShardedEngine:
-// every node lives on shard `id & (sim_shards - 1)` with its round wheel,
-// sender state and network randomness confined to that shard, and shards
-// advance in conservative lookahead windows, exchanging every datagram
-// through the window-barrier channels.
+// Same ScenarioParams, same metrics and the same experiment loop as the
+// classic core::Scenario: both drive one core::ScenarioGroup (the group
+// build into per-shard arenas, the round-phase wheel, the sender queues,
+// the series sampler, and the rejoin, oracle-view and capacity-target
+// rules). What is this engine's own: sim::ShardedEngine's per-shard clocks
+// and queues, a network that sends through the window-barrier channels,
+// per-shard operation logs replayed at barriers as the accounting sink,
+// and a sampler fired at the barriers that land on bucket boundaries. Node
+// `id` lives on shard `id & (shards - 1)`, with its round wheel, sender
+// state and network randomness confined to that shard. The shard count is
+// sim_shards rounded up to a power of two, but never more than the group
+// has nodes (rounded up too), so no shard is built empty.
 //
 // Determinism contract (pinned by tests/sharded_sim_test.cc): for a fixed
 // seed, every scenario-visible outcome — per-node delivered-event
@@ -23,19 +29,22 @@
 //     per-shard logs in canonical order — float accumulation order is
 //     fixed, so even doubles compare exactly.
 //
-// Relationship to the classic engine: ShardedScenario at sim_shards=1 runs
-// the same sharded code path (so the determinism suite can compare 1 vs N
-// shards exactly); byte-identity with the classic Scenario's golden traces
-// is the *driver's* contract — tools/agb_sim routes sim_shards <= 1 to
-// core::Scenario untouched. Classic and sharded engines agree on every
-// paper-level invariant (the scenario-parity suite runs both), but not on
-// exact RNG draws: the classic network samples loss/latency from one shared
-// Rng, the sharded one per sender.
+// Relationship to the classic engine: at sim_shards=1 this engine
+// reproduces the classic golden traces (tests/event_queue_test.cc pins all
+// five on both engines). They differ where the network draws randomness —
+// the classic network samples loss and latency from one shared Rng, this
+// one per sender — in net.events_scheduled, since one event here delivers
+// every same-time datagram of a shard, and in avg_drop_age's last bits,
+// since same-time drop ages fold in canonical order here, in event order
+// there. tools/agb_sim routes sim_shards <= 1 to core::Scenario. Both
+// engines agree on every paper-level invariant (the scenario-parity suite
+// runs both).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/scenario.h"
 #include "sim/sharded_engine.h"
@@ -57,10 +66,14 @@ class ShardedScenario {
   /// cross-shard-count comparisons.
   ScenarioResults run();
 
-  /// Post-run introspection, like Scenario's: the delivery tracker (its
-  /// per_node_fingerprints() are the determinism suite's witness), the
-  /// actual (power-of-two) shard count, the worker threads used and the
-  /// conservative windows executed.
+  /// Post-run introspection, like Scenario's: the protocol nodes, the
+  /// delivery tracker (its per_node_fingerprints() are the determinism
+  /// suite's witness), the actual (power-of-two) shard count, the worker
+  /// threads used and the conservative windows executed.
+  [[nodiscard]] const std::vector<gossip::LpbcastNode*>& nodes()
+      const noexcept;
+  [[nodiscard]] const std::vector<adaptive::AdaptiveLpbcastNode*>&
+  adaptive_nodes() const noexcept;
   [[nodiscard]] const metrics::DeliveryTracker& tracker() const noexcept;
   [[nodiscard]] std::size_t shards() const noexcept;
   [[nodiscard]] std::size_t workers() const noexcept;

@@ -107,31 +107,21 @@ void WallclockScenario::Impl::apply(const ScheduledAction& action) {
   if (action.is_failure) {
     const FailureEvent& event = action.failure;
     fabric->set_node_up(event.node, event.up);
+    // The simulators' rules: a recovering node rejoins, and under the
+    // oracle detector every survivor's view learns the change at once.
     if (event.up && event.node < runtimes.size()) {
-      // Mirror of the simulator's rejoin semantics: a recovering node
-      // running gossip membership bumps its own revision (and rotates its
-      // advertised binding under host migration). No-op for oracle-driven
-      // membership stacks.
       runtimes[event.node]->on_recover(params.migrate_on_rejoin);
     }
     if (!params.failure_detector) return;
-    // Perfect failure detection, as under the simulator: every survivor's
-    // view learns the change at once, so locality bridge election reacts
-    // within one round.
     for (auto& runtime : runtimes) {
-      if (runtime->id() == event.node) continue;
-      if (event.up) {
-        runtime->add_member(event.node);
-      } else {
-        runtime->remove_member(event.node);
-      }
+      runtime->with_node([&event](gossip::LpbcastNode& node) {
+        apply_oracle_view(node, event);
+      });
     }
     return;
   }
   const CapacityChange& change = action.capacity;
-  const auto affected = static_cast<std::size_t>(
-      change.node_fraction * static_cast<double>(params.n));
-  for (std::size_t i = 0; i < std::min(affected, params.n); ++i) {
+  for (std::size_t i = 0; i < capacity_targets(change, params.n); ++i) {
     runtimes[i]->set_capacity(change.new_capacity);
   }
 }

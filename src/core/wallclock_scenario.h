@@ -9,10 +9,10 @@
 // runtime::InMemoryFabric carrying the preset's network model (latency
 // range, WAN cluster topology, i.i.d. or bursty loss). A scheduler thread
 // replays the failure and capacity schedules against the fabric clock:
-// crash/recover maps to InMemoryFabric::set_node_up, the perfect
-// failure-detector flag maps to NodeRuntime membership updates on every
-// survivor, and capacity changes map to NodeRuntime::set_capacity — the
-// exact moves Scenario makes in virtual time.
+// crash/recover maps to InMemoryFabric::set_node_up, and the simulators'
+// rejoin (GossipMembership::rejoin), oracle-view (apply_oracle_view) and
+// capacity-target (capacity_targets) rules reach the running nodes through
+// NodeRuntime — the exact moves ScenarioGroup makes in virtual time.
 //
 // warmup/duration/cooldown are *real* milliseconds here; metrics use the
 // same evaluation-window rules as the simulator (metrics::DeliveryTracker

@@ -30,6 +30,7 @@ LpbcastNode::LpbcastNode(NodeId self, GossipParams params,
 void LpbcastNode::set_max_events(std::size_t max_events, TimeMs now) {
   params_.max_events = max_events;
   enforce_buffer_bound(now);
+  on_capacity_change(now);
 }
 
 EventId LpbcastNode::broadcast(Payload payload, TimeMs now) {

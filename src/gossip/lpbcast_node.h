@@ -90,7 +90,8 @@ class LpbcastNode {
   void set_drop_handler(DropFn fn) { drop_ = std::move(fn); }
 
   /// Changes the event-buffer bound at runtime (the "dynamic resources"
-  /// scenario of paper §4). Excess events are evicted immediately.
+  /// scenario of paper §4). Excess events are evicted immediately, then
+  /// on_capacity_change runs. The one capacity setter for every variant.
   void set_max_events(std::size_t max_events, TimeMs now);
 
   /// Application-level broadcast: assigns an id, delivers locally, buffers
@@ -193,6 +194,10 @@ class LpbcastNode {
 
   /// Called after garbage collection; estimators prune dead state here.
   virtual void after_gc(TimeMs /*now*/) {}
+
+  /// Called by set_max_events once the new bound is enforced; the adaptive
+  /// node advertises the new capacity to its minBuff estimators here.
+  virtual void on_capacity_change(TimeMs /*now*/) {}
 
   /// Called once per *novel* event the node learns from a peer (gossip or
   /// repair — never its own broadcasts, never duplicates), right after the

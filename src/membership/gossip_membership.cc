@@ -269,6 +269,16 @@ void GossipMembership::set_self_binding(EndpointBinding binding) {
   on_restart();
 }
 
+void GossipMembership::rejoin(bool migrated) {
+  if (!migrated) {
+    on_restart();
+    return;
+  }
+  EndpointBinding binding = self_.binding;
+  ++binding.port;  // moved host: same node, next port
+  set_self_binding(binding);
+}
+
 void GossipMembership::set_binding_listener(BindingListener listener) {
   binding_listener_ = std::move(listener);
 }

@@ -169,6 +169,13 @@ class GossipMembership final : public Membership {
   /// it, so movers always win over their stale address.
   void set_self_binding(EndpointBinding binding);
 
+  /// A recovering process's own restart logic, shared by every harness: a
+  /// plain restart bumps the revision (on_restart); after a host move
+  /// (`migrated`) the node re-announces its binding one port up under a
+  /// bumped revision. Either way the fresh incarnation's records beat every
+  /// stale or down claim the group still holds.
+  void rejoin(bool migrated);
+
   void set_binding_listener(BindingListener listener);
 
   // Introspection (tests, directories, metrics).

@@ -229,9 +229,10 @@ double NodeRuntime::p_local() const {
   return adaptive_ ? adaptive_->p_local() : -1.0;
 }
 
-void NodeRuntime::add_member(NodeId node) {
+void NodeRuntime::with_node(
+    const std::function<void(gossip::LpbcastNode&)>& fn) {
   std::lock_guard lock(mutex_);
-  node_->membership().add(node);
+  fn(*node_);
 }
 
 void NodeRuntime::remove_member(NodeId node) {
@@ -241,15 +242,7 @@ void NodeRuntime::remove_member(NodeId node) {
 
 void NodeRuntime::on_recover(bool migrate_binding) {
   std::lock_guard lock(mutex_);
-  auto* gm = node_->gossip_membership();
-  if (gm == nullptr) return;
-  if (migrate_binding) {
-    membership::EndpointBinding binding = gm->self_record().binding;
-    ++binding.port;  // moved host: same node, next port
-    gm->set_self_binding(binding);  // bumps the revision itself
-  } else {
-    gm->on_restart();
-  }
+  if (auto* gm = node_->gossip_membership()) gm->rejoin(migrate_binding);
 }
 
 std::optional<membership::LivenessState> NodeRuntime::peer_state(
@@ -265,11 +258,7 @@ membership::GossipMembership* NodeRuntime::gossip_membership() {
 
 void NodeRuntime::set_capacity(std::size_t max_events) {
   std::lock_guard lock(mutex_);
-  if (adaptive_ != nullptr) {
-    adaptive_->set_capacity(max_events, clock_());
-  } else {
-    node_->set_max_events(max_events, clock_());
-  }
+  node_->set_max_events(max_events, clock_());
 }
 
 }  // namespace agb::runtime

@@ -106,23 +106,24 @@ class NodeRuntime {
   /// without locality / without an adaptive node).
   [[nodiscard]] double p_local() const;
 
-  /// Runtime equivalent of the dynamic-resources experiment.
+  /// Runtime equivalent of the dynamic-resources experiment
+  /// (LpbcastNode::set_max_events under the node lock).
   void set_capacity(std::size_t max_events);
 
-  /// Membership maintenance from outside the protocol: the wall-clock
-  /// failure-detector path (core::WallclockScenario's scheduler thread)
-  /// tells survivors about crashes/recoveries here, the same role
-  /// FailureEvent + failure_detector plays under the simulator. Serialised
-  /// with the round/receive paths by the node lock, so a LocalityView's
-  /// bridge re-election sees the update atomically.
-  void add_member(NodeId node);
+  /// Runs `fn` on the protocol node under the node lock, serialised with
+  /// the round and receive paths: how a harness applies a scenario rule to
+  /// a running node. core::WallclockScenario's oracle failure detector
+  /// updates survivors' views through it, so a LocalityView's bridge
+  /// re-election sees each update atomically.
+  void with_node(const std::function<void(gossip::LpbcastNode&)>& fn);
+
+  /// Drops `node` from this node's view, under the node lock.
   void remove_member(NodeId node);
 
-  /// Restart hook for nodes running membership::GossipMembership: bumps
-  /// the node's own revision (rejoin semantics — its records beat every
-  /// stale claim the group still holds), and with `migrate_binding` also
-  /// rotates its advertised endpoint port, modelling a host move. No-op
-  /// for oracle-driven membership. Serialised by the node lock.
+  /// Restart hook for nodes running membership::GossipMembership:
+  /// GossipMembership::rejoin under the node lock (a revision bump, and
+  /// with `migrate_binding` a rotated endpoint port). No-op for
+  /// oracle-driven membership.
   void on_recover(bool migrate_binding);
 
   /// Liveness verdict the node's gossip membership currently holds for

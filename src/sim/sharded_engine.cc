@@ -25,7 +25,7 @@ ShardedEngine::ShardedEngine(ShardedEngineParams params) {
   for (std::size_t s = 0; s < shard_count; ++s) {
     sims_.push_back(std::make_unique<Simulator>());
   }
-  channels_.resize(shard_count * shard_count);
+  channels_.resize(shard_count);
   const std::size_t hw =
       std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers_ = params.workers == 0 ? std::min(shard_count, hw)
@@ -65,8 +65,9 @@ void ShardedEngine::run_window(TimeMs window_end, std::size_t worker) {
 
 void ShardedEngine::close_window(TimeMs window_end) {
   batch_.clear();
-  // Fixed (producer, consumer) drain order; irrelevant to outcomes because
-  // of the canonical sort, but it keeps the FIFO witness per channel cheap.
+  // Fixed producer drain order; irrelevant to outcomes because of the
+  // canonical sort. A sender lives on one shard, so its producer channel
+  // witnesses its whole send sequence.
   for (ShardChannel& channel : channels_) {
     channel.drain(window_end, batch_);
   }

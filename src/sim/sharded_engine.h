@@ -20,8 +20,9 @@
 // fork-join pool with a static shard -> worker assignment) execute the
 // parallel phase; with workers == 1 the same loop runs inline, bit-identical
 // to the threaded run because no observable state depends on interleaving:
-// every datagram — same-shard or cross-shard — travels through the channels
-// and is canonically sorted before the barrier hook sees it.
+// every datagram — same-shard or cross-shard — travels through its producer
+// shard's channel, and the barrier drains every channel into one batch and
+// sorts it canonically before the hook sees it.
 #pragma once
 
 #include <cstdint>
@@ -82,10 +83,10 @@ class ShardedEngine {
   void set_boundary(BoundaryFn fn) { boundary_ = std::move(fn); }
 
   /// Producer side, called from shard `from_shard`'s window execution (the
-  /// worker that owns it): routes `d` to the channel feeding the owner of
-  /// `d.to`. `d.at` must be >= the running window's end (delay >= L).
+  /// worker that owns it): appends `d` to that shard's channel. `d.at` must
+  /// be >= the running window's end (delay >= L).
   void push(std::size_t from_shard, CrossShardDatagram d) {
-    channels_[from_shard * sims_.size() + shard_of(d.to)].push(std::move(d));
+    channels_[from_shard].push(std::move(d));
   }
 
   /// Runs conservative windows until no shard holds an event with
@@ -108,7 +109,7 @@ class ShardedEngine {
   void run_windows_threaded(TimeMs deadline);
 
   std::vector<std::unique_ptr<Simulator>> sims_;
-  std::vector<ShardChannel> channels_;  // [producer * shards + consumer]
+  std::vector<ShardChannel> channels_;  // one per producer shard
   std::vector<CrossShardDatagram> batch_;  // barrier scratch, reused
   std::size_t mask_ = 0;
   std::size_t workers_ = 1;

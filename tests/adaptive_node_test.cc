@@ -106,7 +106,10 @@ TEST(AdaptiveNodeTest, ProcessHeaderUpdatesMinBuff) {
 
 TEST(AdaptiveNodeTest, SetCapacityUpdatesAdvertisementAndBuffer) {
   auto node = make_node(0, 50);
-  node->set_capacity(8, 0);
+  // Through the base class: set_max_events is the one capacity setter, and
+  // the adaptive node's minBuff must follow it.
+  gossip::LpbcastNode& base = *node;
+  base.set_max_events(8, 0);
   EXPECT_EQ(node->params().max_events, 8u);
   EXPECT_EQ(node->min_buff(), 8u);
   auto out = node->on_round(100);

@@ -14,6 +14,8 @@
 #include "common/config.h"
 #include "core/scenario.h"
 #include "core/scenario_registry.h"
+#include "core/sharded_scenario.h"
+#include "metrics/timeseries.h"
 
 namespace agb::sim {
 namespace {
@@ -260,21 +262,33 @@ std::uint64_t fnv1a_mix(std::uint64_t h, double v) {
   return fnv1a_mix(h, static_cast<std::uint64_t>(std::llround(v * 1e6)));
 }
 
-/// `lowest_min_buff`, when given, receives the smallest minBuff any
-/// adaptive node ends the run with.
-std::uint64_t trace_fingerprint(const std::string& preset,
-                                const std::vector<std::string>& overrides,
-                                std::uint32_t* lowest_min_buff = nullptr) {
-  Config cfg;
-  std::string error;
-  for (const std::string& pair : overrides) {
-    EXPECT_TRUE(cfg.parse_pair(pair, &error)) << error;
-  }
-  const core::ScenarioParams params =
-      core::ScenarioRegistry::instance().build(preset, cfg);
-  core::Scenario scenario(params);
-  const core::ScenarioResults r = scenario.run();
+/// The engine a golden run uses: the classic core::Scenario, or
+/// core::ShardedScenario at `sim_shards` shards.
+struct Engine {
+  const char* name;
+  std::size_t sim_shards;  // 0: classic
+};
+constexpr Engine kClassic{"classic", 0};
+constexpr Engine kOneShard{"sharded x1", 1};
+constexpr Engine kTwoShards{"sharded x2", 2};
 
+/// The golden trace pins hold on the classic engine and on the sharded
+/// engine at one shard alike.
+constexpr std::array<Engine, 2> kGoldenEngines{kClassic, kOneShard};
+
+struct Fingerprints {
+  std::uint64_t trace = 0;
+  /// What the trace does not hash: the sender queues' refusals and peak
+  /// depth, the overflow-drop age, the four sampler series and the
+  /// membership transitions.
+  std::uint64_t results = 0;
+  /// The smallest minBuff any adaptive node ends the run with.
+  std::uint32_t lowest_min_buff = UINT32_MAX;
+};
+
+template <class Run>
+Fingerprints fingerprints_of(Run& scenario, const core::ScenarioResults& r) {
+  Fingerprints f;
   std::uint64_t h = 1469598103934665603ull;
   for (const auto& node : scenario.nodes()) {
     const auto& c = node->counters();
@@ -290,9 +304,7 @@ std::uint64_t trace_fingerprint(const std::string& preset,
     h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(node->avg_age()));
     h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(node->allowed_rate()));
     h = fnv1a_mix(h, static_cast<std::uint64_t>(node->min_buff()));
-    if (lowest_min_buff != nullptr) {
-      *lowest_min_buff = std::min(*lowest_min_buff, node->min_buff());
-    }
+    f.lowest_min_buff = std::min(f.lowest_min_buff, node->min_buff());
   }
   const auto& n = r.net;
   for (std::uint64_t v :
@@ -306,7 +318,59 @@ std::uint64_t trace_fingerprint(const std::string& preset,
   h = fnv1a_mix(h, r.delivery.atomicity_pct);
   h = fnv1a_mix(h, r.delivery.latency_p50_ms);
   h = fnv1a_mix(h, r.delivery.latency_p99_ms);
-  return h;
+  f.trace = h;
+
+  h = 1469598103934665603ull;
+  h = fnv1a_mix(h, r.refused_broadcasts);
+  h = fnv1a_mix(h, static_cast<std::uint64_t>(r.max_pending_depth));
+  h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(r.avg_drop_age));
+  for (const metrics::TimeSeries* series :
+       {&r.allowed_rate_ts, &r.min_buff_ts, &r.p_local_ts, &r.fanout_ts}) {
+    h = fnv1a_mix(h, static_cast<std::uint64_t>(series->size()));
+    for (const auto& [t, v] : series->points()) {
+      h = fnv1a_mix(h, static_cast<std::uint64_t>(t));
+      h = fnv1a_mix(h, std::bit_cast<std::uint64_t>(v));
+    }
+  }
+  h = fnv1a_mix(h, r.membership_transitions.suspicions);
+  h = fnv1a_mix(h, r.membership_transitions.downs);
+  h = fnv1a_mix(h, r.membership_transitions.revivals);
+  f.results = h;
+  return f;
+}
+
+Fingerprints golden_run(const std::string& preset,
+                        const std::vector<std::string>& overrides,
+                        Engine engine) {
+  Config cfg;
+  std::string error;
+  for (const std::string& pair : overrides) {
+    EXPECT_TRUE(cfg.parse_pair(pair, &error)) << error;
+  }
+  core::ScenarioParams params =
+      core::ScenarioRegistry::instance().build(preset, cfg);
+  if (engine.sim_shards == 0) {
+    core::Scenario scenario(params);
+    const core::ScenarioResults r = scenario.run();
+    return fingerprints_of(scenario, r);
+  }
+  params.sim_shards = engine.sim_shards;
+  core::ShardedScenario scenario(params);
+  const core::ScenarioResults r = scenario.run();
+  return fingerprints_of(scenario, r);
+}
+
+/// `lowest_min_buff`, when given, receives the smallest minBuff any
+/// adaptive node ends the run with.
+std::uint64_t trace_fingerprint(const std::string& preset,
+                                const std::vector<std::string>& overrides,
+                                std::uint32_t* lowest_min_buff = nullptr,
+                                Engine engine = kClassic) {
+  const Fingerprints f = golden_run(preset, overrides, engine);
+  if (lowest_min_buff != nullptr) {
+    *lowest_min_buff = std::min(*lowest_min_buff, f.lowest_min_buff);
+  }
+  return f.trace;
 }
 
 const std::vector<std::string>& golden_base_config() {
@@ -317,8 +381,12 @@ const std::vector<std::string>& golden_base_config() {
 }
 
 TEST(EventQueueGoldenTest, Paper60TraceMatchesSeedImplementation) {
-  EXPECT_EQ(trace_fingerprint("paper60", golden_base_config()),
-            0xb2313229612592e9ull);
+  for (const Engine& engine : kGoldenEngines) {
+    EXPECT_EQ(trace_fingerprint("paper60", golden_base_config(), nullptr,
+                                engine),
+              0xb2313229612592e9ull)
+        << engine.name;
+  }
 }
 
 TEST(EventQueueGoldenTest, ChurnTraceMatchesSeedImplementation) {
@@ -326,13 +394,21 @@ TEST(EventQueueGoldenTest, ChurnTraceMatchesSeedImplementation) {
   overrides.push_back("churn_every_s=4");
   overrides.push_back("churn_down_s=3");
   overrides.push_back("churn_count=2");
-  EXPECT_EQ(trace_fingerprint("churn", overrides), 0xfa1c9987305df365ull);
+  for (const Engine& engine : kGoldenEngines) {
+    EXPECT_EQ(trace_fingerprint("churn", overrides, nullptr, engine),
+              0xfa1c9987305df365ull)
+        << engine.name;
+  }
 }
 
 TEST(EventQueueGoldenTest, PartialViewTraceMatchesSeedImplementation) {
   auto overrides = golden_base_config();
   overrides.push_back("partial_view=1");
-  EXPECT_EQ(trace_fingerprint("paper60", overrides), 0x23c07594749bf542ull);
+  for (const Engine& engine : kGoldenEngines) {
+    EXPECT_EQ(trace_fingerprint("paper60", overrides, nullptr, engine),
+              0x23c07594749bf542ull)
+        << engine.name;
+  }
 }
 
 // The adaptive pins were captured before the congestion estimator's
@@ -343,7 +419,11 @@ TEST(EventQueueGoldenTest, AdaptivePaper60OverloadTraceIsPinned) {
   auto overrides = golden_base_config();
   overrides.push_back("adaptive=1");
   overrides.push_back("rate=45");
-  EXPECT_EQ(trace_fingerprint("paper60", overrides), 0x244d7b1f46201ab1ull);
+  for (const Engine& engine : kGoldenEngines) {
+    EXPECT_EQ(trace_fingerprint("paper60", overrides, nullptr, engine),
+              0x244d7b1f46201ab1ull)
+        << engine.name;
+  }
 }
 
 // fig9 squeezes 20% of the buffers 90 -> 45 -> 60 inside the window, so
@@ -354,10 +434,106 @@ TEST(EventQueueGoldenTest, AdaptiveFig9SqueezeTraceIsPinned) {
   overrides.push_back("adaptive=1");
   overrides.push_back("t1_s=4");
   overrides.push_back("t2_s=10");
-  std::uint32_t lowest_min_buff = UINT32_MAX;
-  EXPECT_EQ(trace_fingerprint("fig9", overrides, &lowest_min_buff),
-            0xb1a9663f3eddabccull);
-  EXPECT_LT(lowest_min_buff, 90u);  // fig9's real bound
+  for (const Engine& engine : kGoldenEngines) {
+    std::uint32_t lowest_min_buff = UINT32_MAX;
+    EXPECT_EQ(trace_fingerprint("fig9", overrides, &lowest_min_buff, engine),
+              0xb1a9663f3eddabccull)
+        << engine.name;
+    EXPECT_LT(lowest_min_buff, 90u) << engine.name;  // fig9's real bound
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Results pins: what the scenario harnesses fill beyond the golden trace
+// (the sender queues' refusals and peak depth, the overflow-drop age, the
+// four sampler series, the membership transitions), captured before the
+// two simulator engines moved onto one group model. The sharded engine folds
+// same-millisecond drop ages in canonical order, the classic one in event
+// order, so avg_drop_age differs in its last bits and each engine has its
+// own constant.
+
+struct ResultsPin {
+  const char* what;
+  std::string preset;
+  std::vector<std::string> extra;
+  std::uint64_t classic;
+  std::uint64_t one_shard;
+};
+
+TEST(ScenarioResultsPinTest, GoldenConfigsFillTheSameResults) {
+  const std::vector<ResultsPin> pins = {
+      {"paper60", "paper60", {}, 0x681bcd6536ad799dull, 0x4d208ea3c610ff99ull},
+      {"churn",
+       "churn",
+       {"churn_every_s=4", "churn_down_s=3", "churn_count=2"},
+       0x22ced4c8206783adull,
+       0x55691203a58a6d78ull},
+      {"partial view",
+       "paper60",
+       {"partial_view=1"},
+       0x1a2420cadadc90efull,
+       0x4b73050d12cf0efcull},
+      {"adaptive overload",
+       "paper60",
+       {"adaptive=1", "rate=45"},
+       0x0dbdc9d4386700a7ull,
+       0xc7dc27b4b9629151ull},
+      {"fig9 squeeze",
+       "fig9",
+       {"adaptive=1", "t1_s=4", "t2_s=10"},
+       0xa5a8a0570fc0f7a7ull,
+       0xe5dd6ac7074fb9a8ull},
+  };
+  for (const ResultsPin& pin : pins) {
+    auto overrides = golden_base_config();
+    overrides.insert(overrides.end(), pin.extra.begin(), pin.extra.end());
+    EXPECT_EQ(golden_run(pin.preset, overrides, kClassic).results,
+              pin.classic)
+        << pin.what << " classic";
+    EXPECT_EQ(golden_run(pin.preset, overrides, kOneShard).results,
+              pin.one_shard)
+        << pin.what << " sharded x1";
+  }
+}
+
+/// Presets the golden traces do not reach: the blocking-BROADCAST queues
+/// under back-pressure, semantic purging, host migration under gossiped
+/// liveness and the self-tuning control plane over WAN islands. Each is
+/// pinned on the classic engine and at two shards, trace and results.
+void expect_preset_pinned(const std::string& preset,
+                          const Fingerprints& classic,
+                          const Fingerprints& two_shards) {
+  const Fingerprints a = golden_run(preset, golden_base_config(), kClassic);
+  EXPECT_EQ(a.trace, classic.trace) << preset << " classic trace";
+  EXPECT_EQ(a.results, classic.results) << preset << " classic results";
+  const Fingerprints b = golden_run(preset, golden_base_config(), kTwoShards);
+  EXPECT_EQ(b.trace, two_shards.trace) << preset << " sharded x2 trace";
+  EXPECT_EQ(b.results, two_shards.results)
+      << preset << " sharded x2 results";
+}
+
+TEST(ScenarioResultsPinTest, AdaptiveBackpressureIsPinned) {
+  expect_preset_pinned("adaptive-backpressure",
+                       {0x7ccd10fd4d7fc7b2ull, 0x6d62b08a08da91f7ull},
+                       {0x00ccd9744f2e1c44ull, 0xe439b651b567fad1ull});
+}
+
+TEST(ScenarioResultsPinTest, SemanticStreamsIsPinned) {
+  expect_preset_pinned("semantic-streams",
+                       {0xc7ea7e8a976bd94full, 0x609bff566c558422ull},
+                       {0x8a8d4cfc11bb8be8ull, 0x609bff566c558422ull});
+}
+
+TEST(ScenarioResultsPinTest, HostMigrationIsPinned) {
+  expect_preset_pinned("host-migration",
+                       {0x9cbcebb9135cca04ull, 0xa399b41b08828d2bull},
+                       {0x364b6f6cc7aed8b4ull, 0x53451bc3e65e9cf9ull});
+}
+
+TEST(ScenarioResultsPinTest, AdaptiveWanIsPinned) {
+  expect_preset_pinned("adaptive-wan",
+                       {0xd2ecd88970cd23c0ull, 0x05e4fc85c8a643f8ull},
+                       {0x541cff9abbc9d16aull, 0x03f39ed78800e36full});
 }
 
 }  // namespace

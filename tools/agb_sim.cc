@@ -49,7 +49,7 @@
 //       sim_shards>1 runs the preset on the multi-core sharded simulator
 //       (core::ShardedScenario): per-shard event queues + clocks stepped in
 //       conservative lookahead windows, all deliveries window-batched.
-//       Scenario-visible results are shard- and worker-count invariant;
+//       Results are shard- and worker-count invariant (at most n shards);
 //       sim_shards<=1 keeps the classic single-queue engine (byte-identical
 //       golden traces). lookahead_ms overrides the window length derived
 //       from the minimum network delay — raising it coarsens the delay
