@@ -20,6 +20,7 @@
 #include "core/scenario.h"
 #include "core/sharded_scenario.h"
 #include "gossip/event_buffer.h"
+#include "gossip/lpbcast_node.h"
 #include "gossip/message.h"
 #include "membership/cluster_map.h"
 #include "membership/full_membership.h"
@@ -95,6 +96,14 @@ gossip::GossipMessage make_message(std::size_t events,
   return m;
 }
 
+/// Node 0's directory of a `group`-node full membership.
+std::unique_ptr<membership::FullMembership> bench_directory(
+    std::size_t group) {
+  auto members = std::make_unique<membership::FullMembership>(0, Rng(3));
+  for (NodeId id = 1; id < group; ++id) members->add(id);
+  return members;
+}
+
 void BM_MessageEncode(benchmark::State& state) {
   const auto m = make_message(static_cast<std::size_t>(state.range(0)), 16);
   std::size_t bytes = 0;
@@ -109,8 +118,9 @@ void BM_MessageEncode(benchmark::State& state) {
 BENCHMARK(BM_MessageEncode)->Arg(30)->Arg(120)->Arg(500);
 
 void BM_MessageDecode(benchmark::State& state) {
-  const auto bytes =
-      make_message(static_cast<std::size_t>(state.range(0)), 16).encode();
+  const SharedBytes bytes =
+      make_message(static_cast<std::size_t>(state.range(0)), 16)
+          .encode_shared();
   for (auto _ : state) {
     auto decoded = gossip::GossipMessage::decode(bytes);
     benchmark::DoNotOptimize(decoded);
@@ -149,6 +159,54 @@ void BM_FanoutDecode(benchmark::State& state) {
 BENCHMARK(BM_FanoutDecode)
     ->ArgNames({"receivers", "memo"})
     ->ArgsProduct({{1, 4, 8}, {0, 1}});
+
+// The wall-clock receive path on wallclock-inmemory's shape: decode plus
+// on_wire of a 55-event message of 1 KiB payloads into a node that already
+// holds 52 of its 55 ids, as lpbcast's whole-buffer gossip makes most
+// received events duplicates. Message i carries ids 3i .. 3i+54 (mod 480):
+// 52 seen in message i-1 and 3 the node's 400-id digest has forgotten. A
+// decoded payload aliases the datagram and the node copies only the novel
+// ones, so payload_bytes_copied_per_op is novel events x 1 KiB.
+void BM_ReceiveMostlyDuplicates(benchmark::State& state) {
+  constexpr std::size_t kEvents = 55;
+  constexpr std::size_t kNovel = 3;
+  constexpr std::size_t kPayload = 1024;
+  constexpr std::size_t kMessages = 160;  // 480 ids cycle past the digest
+  std::vector<SharedBytes> wire;
+  for (std::size_t i = 0; i < kMessages; ++i) {
+    gossip::GossipMessage m;
+    m.sender = 1;
+    for (std::size_t j = 0; j < kEvents; ++j) {
+      gossip::Event e;
+      e.id = EventId{2, (kNovel * i + j) % (kNovel * kMessages)};
+      e.payload = gossip::make_payload(
+          std::vector<std::uint8_t>(kPayload, static_cast<std::uint8_t>(j)));
+      m.events.push_back(std::move(e));
+    }
+    wire.push_back(m.encode_shared());
+  }
+  gossip::GossipParams params;
+  params.max_events = kEvents;
+  gossip::LpbcastNode node(0, params, bench_directory(8), Rng(5));
+  std::size_t next = 0;
+  auto receive = [&] {
+    const gossip::WireMessage message =
+        gossip::decode_any(wire[next++ % kMessages]);
+    return node.on_wire(message, 0);
+  };
+  for (std::size_t i = 0; i < 2 * kMessages; ++i) receive();  // warm
+  const std::uint64_t allocs_before = g_heap_allocs.load();
+  const std::uint64_t novel_before = node.counters().events_received;
+  for (auto _ : state) benchmark::DoNotOptimize(receive());
+  const auto ops = static_cast<double>(state.iterations());
+  state.counters["allocs_per_op"] =
+      static_cast<double>(g_heap_allocs.load() - allocs_before) / ops;
+  state.counters["payload_bytes_copied_per_op"] =
+      static_cast<double>((node.counters().events_received - novel_before) *
+                          kPayload) /
+      ops;
+}
+BENCHMARK(BM_ReceiveMostlyDuplicates);
 
 // The encode-once refactor's receipts: fanning one encoded gossip message
 // out to F targets with per-target payload copies (the old Datagram) vs
@@ -539,13 +597,6 @@ BENCHMARK(BM_RngSampleIndices);
 // directory vs the locality-biased decorator (snapshot + cluster
 // partition + bridge election every call, the price of staying correct
 // under churn). Arg is the group size.
-
-std::unique_ptr<membership::FullMembership> bench_directory(
-    std::size_t group) {
-  auto members = std::make_unique<membership::FullMembership>(0, Rng(3));
-  for (NodeId id = 1; id < group; ++id) members->add(id);
-  return members;
-}
 
 void BM_UniformTargets(benchmark::State& state) {
   auto members = bench_directory(static_cast<std::size_t>(state.range(0)));

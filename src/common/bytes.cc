@@ -57,12 +57,11 @@ std::optional<std::uint64_t> ByteReader::varint() {
   return std::nullopt;  // truncated
 }
 
-std::optional<std::vector<std::uint8_t>> ByteReader::bytes() {
+std::optional<std::span<const std::uint8_t>> ByteReader::bytes() {
   auto len = varint();
   if (!len || *len > remaining()) return std::nullopt;
-  std::vector<std::uint8_t> out(data_.begin() + static_cast<long>(pos_),
-                                data_.begin() + static_cast<long>(pos_ + *len));
-  pos_ += static_cast<std::size_t>(*len);
+  const auto out = data_.subspan(pos_, static_cast<std::size_t>(*len));
+  pos_ += out.size();
   return out;
 }
 

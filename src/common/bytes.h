@@ -2,7 +2,9 @@
 //
 // The runtime layer exchanges real datagrams, so every protocol message has
 // a binary encoding. ByteWriter appends little-endian fixed-width integers
-// and LEB128 varints to a growable buffer; ByteReader consumes them with
+// and LEB128 varints to a growable buffer; ByteCounter has the same
+// interface and only counts, so an encoder written once against either can
+// size its buffer exactly before it writes. ByteReader consumes them with
 // explicit bounds checking (a malformed datagram must never crash a node —
 // decode failures surface as std::nullopt / false, never UB).
 #pragma once
@@ -17,9 +19,22 @@
 
 namespace agb {
 
+/// Encoded length of `v` as an unsigned LEB128 varint (1..10 bytes).
+constexpr std::size_t varint_size(std::uint64_t v) noexcept {
+  std::size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
 class ByteWriter {
  public:
   ByteWriter() = default;
+
+  /// Makes room for `capacity` bytes in one allocation.
+  void reserve(std::size_t capacity) { buf_.reserve(capacity); }
 
   void u8(std::uint8_t v) { buf_.push_back(v); }
 
@@ -59,6 +74,27 @@ class ByteWriter {
   std::vector<std::uint8_t> buf_;
 };
 
+/// ByteWriter's write interface, counting the bytes instead of storing them.
+class ByteCounter {
+ public:
+  void u8(std::uint8_t) { size_ += 1; }
+  void u16(std::uint16_t) { size_ += 2; }
+  void u32(std::uint32_t) { size_ += 4; }
+  void u64(std::uint64_t) { size_ += 8; }
+  void i64(std::int64_t) { size_ += 8; }
+  void f64(double) { size_ += 8; }
+  void varint(std::uint64_t v) { size_ += varint_size(v); }
+  void bytes(std::span<const std::uint8_t> data) {
+    size_ += varint_size(data.size()) + data.size();
+  }
+  void str(std::string_view s) { size_ += varint_size(s.size()) + s.size(); }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  std::size_t size_ = 0;
+};
+
 class ByteReader {
  public:
   explicit ByteReader(std::span<const std::uint8_t> data) : data_(data) {}
@@ -70,7 +106,9 @@ class ByteReader {
   [[nodiscard]] std::optional<std::int64_t> i64();
   [[nodiscard]] std::optional<double> f64();
   [[nodiscard]] std::optional<std::uint64_t> varint();
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> bytes();
+  /// A length-prefixed byte string, as a view into the input: valid while
+  /// the input is.
+  [[nodiscard]] std::optional<std::span<const std::uint8_t>> bytes();
   [[nodiscard]] std::optional<std::string> str();
 
   [[nodiscard]] std::size_t remaining() const {

@@ -9,18 +9,24 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/shared_bytes.h"
 #include "common/types.h"
 
 namespace agb::gossip {
 
-using Payload = std::shared_ptr<const std::vector<std::uint8_t>>;
+/// An event's application bytes; empty for an event without a payload.
+/// A decoded event's payload is a slice of the datagram it arrived in
+/// (common/shared_bytes.h); LpbcastNode copies it into a block of its own
+/// when it ingests the event as novel, so no buffered or delivered event
+/// keeps a datagram alive.
+using Payload = SharedBytes;
 
-/// Creates a shared payload from raw bytes.
+/// Creates a payload from raw bytes, taking ownership without a copy.
 inline Payload make_payload(std::vector<std::uint8_t> bytes) {
-  return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+  return Payload(std::move(bytes));
 }
 
 struct Event {
@@ -39,11 +45,7 @@ struct Event {
   std::uint32_t stream = 0;
   bool supersedes = false;
 
-  Payload payload;  // may be null (empty payload)
-
-  [[nodiscard]] std::size_t payload_size() const noexcept {
-    return payload ? payload->size() : 0;
-  }
+  Payload payload;
 };
 
 /// Why an event left a buffer; reported to drop observers for metrics.

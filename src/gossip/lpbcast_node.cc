@@ -142,13 +142,17 @@ void LpbcastNode::ingest_event(const Event& incoming, TimeMs now,
     ++counters_.events_received;
     ++counters_.deliveries;
     if (via_repair) ++counters_.events_recovered;
-    if (deliver_) deliver_(incoming, now);
-    on_event_ingested(incoming, now);
-    events_.insert(incoming);
+    // A decoded payload is a slice of its datagram: the one copy of the
+    // receive path, so that no stored or delivered event pins a datagram.
+    Event event = incoming;
+    event.payload = SharedBytes::copy_of(incoming.payload);
+    if (deliver_) deliver_(event, now);
+    on_event_ingested(event, now);
     if (params_.recovery.enabled) {
-      missing_.erase(incoming.id);
-      note_seen_id(incoming.id);
+      missing_.erase(event.id);
+      note_seen_id(event.id);
     }
+    events_.insert(std::move(event));
   } else {
     ++counters_.duplicates;
     // Known event: adopt the higher age so the dissemination estimate

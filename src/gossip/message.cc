@@ -11,7 +11,12 @@ bool plausible_count(std::uint64_t count, std::size_t remaining,
   return count <= remaining / min_element_size + 1;
 }
 
-void write_preamble(ByteWriter& w, MessageType type, NodeId sender) {
+// Every write_* below is written once against the writer interface and run
+// twice per encode: through a ByteCounter to size the buffer, then through
+// a ByteWriter into it.
+
+template <class Writer>
+void write_preamble(Writer& w, MessageType type, NodeId sender) {
   w.u16(kWireMagic);
   w.u8(kWireVersion);
   w.u8(static_cast<std::uint8_t>(type));
@@ -32,21 +37,19 @@ std::optional<NodeId> read_preamble(ByteReader& r, MessageType expected) {
   return sender;
 }
 
-void write_event(ByteWriter& w, const Event& e) {
+template <class Writer>
+void write_event(Writer& w, const Event& e) {
   w.u32(e.id.origin);
   w.varint(e.id.sequence);
   w.varint(e.age);
   w.i64(e.created_at);
   w.varint(e.stream);
   w.u8(e.supersedes ? 1 : 0);
-  if (e.payload) {
-    w.bytes(*e.payload);
-  } else {
-    w.varint(0);
-  }
+  w.bytes(e.payload);
 }
 
-std::optional<Event> read_event(ByteReader& r) {
+/// `source` is the buffer `r` reads: the payload becomes a slice of it.
+std::optional<Event> read_event(ByteReader& r, const SharedBytes& source) {
   Event e;
   auto origin = r.u32();
   auto sequence = r.varint();
@@ -66,29 +69,33 @@ std::optional<Event> read_event(ByteReader& r) {
   e.created_at = *created_at;
   e.stream = static_cast<std::uint32_t>(*stream);
   e.supersedes = (*flags & 1u) != 0;
-  if (!payload->empty()) e.payload = make_payload(std::move(*payload));
+  e.payload = source.slice(
+      static_cast<std::size_t>(payload->data() - source.data()),
+      payload->size());
   return e;
 }
 
-bool write_events(ByteWriter& w, const std::vector<Event>& events) {
+template <class Writer>
+void write_events(Writer& w, const std::vector<Event>& events) {
   w.varint(events.size());
   for (const Event& e : events) write_event(w, e);
-  return true;
 }
 
-bool read_events(ByteReader& r, std::vector<Event>* out) {
+bool read_events(ByteReader& r, const SharedBytes& source,
+                 std::vector<Event>* out) {
   auto count = r.varint();
   if (!count || !plausible_count(*count, r.remaining(), 8)) return false;
   out->reserve(static_cast<std::size_t>(*count));
   for (std::uint64_t i = 0; i < *count; ++i) {
-    auto e = read_event(r);
+    auto e = read_event(r, source);
     if (!e) return false;
     out->push_back(std::move(*e));
   }
   return true;
 }
 
-void write_event_ids(ByteWriter& w, const std::vector<EventId>& ids) {
+template <class Writer>
+void write_event_ids(Writer& w, const std::vector<EventId>& ids) {
   w.varint(ids.size());
   for (const EventId& id : ids) {
     w.u32(id.origin);
@@ -109,8 +116,9 @@ bool read_event_ids(ByteReader& r, std::vector<EventId>* out) {
   return true;
 }
 
+template <class Writer>
 void write_member_records(
-    ByteWriter& w, const std::vector<membership::MemberRecord>& records) {
+    Writer& w, const std::vector<membership::MemberRecord>& records) {
   // Tail-optional section: a message with no membership digest encodes
   // byte-identically to the pre-membership wire format, so turning the
   // feature off costs nothing and old traffic decodes as "no records".
@@ -157,34 +165,66 @@ bool read_member_records(ByteReader& r,
   return true;
 }
 
-}  // namespace
+template <class Writer>
+void write_message(Writer& w, const GossipMessage& m) {
+  write_preamble(w, MessageType::kGossip, m.sender);
+  w.varint(m.round);
+  w.varint(m.period);
+  w.varint(m.min_buff);
 
-std::vector<std::uint8_t> GossipMessage::encode() const {
-  ByteWriter w;
-  write_preamble(w, MessageType::kGossip, sender);
-  w.varint(round);
-  w.varint(period);
-  w.varint(min_buff);
-
-  w.varint(min_set.size());
-  for (const MinSetEntry& entry : min_set) {
+  w.varint(m.min_set.size());
+  for (const MinSetEntry& entry : m.min_set) {
     w.u32(entry.node);
     w.varint(entry.capacity);
   }
 
-  w.varint(membership.subs.size());
-  for (NodeId node : membership.subs) w.u32(node);
-  w.varint(membership.unsubs.size());
-  for (NodeId node : membership.unsubs) w.u32(node);
+  w.varint(m.membership.subs.size());
+  for (NodeId node : m.membership.subs) w.u32(node);
+  w.varint(m.membership.unsubs.size());
+  for (NodeId node : m.membership.unsubs) w.u32(node);
 
-  write_events(w, events);
-  write_event_ids(w, seen_ids);
-  write_member_records(w, member_records);
+  write_events(w, m.events);
+  write_event_ids(w, m.seen_ids);
+  write_member_records(w, m.member_records);
+}
+
+template <class Writer>
+void write_message(Writer& w, const RepairRequest& m) {
+  write_preamble(w, MessageType::kRepairRequest, m.sender);
+  write_event_ids(w, m.ids);
+}
+
+template <class Writer>
+void write_message(Writer& w, const RepairReply& m) {
+  write_preamble(w, MessageType::kRepairReply, m.sender);
+  write_events(w, m.events);
+}
+
+/// Counts the message, then writes it into a buffer of exactly that size:
+/// one allocation, no growth.
+template <class Message>
+std::vector<std::uint8_t> encode_exact(const Message& m) {
+  ByteCounter counter;
+  write_message(counter, m);
+  ByteWriter w;
+  w.reserve(counter.size());
+  write_message(w, m);
   return std::move(w).take();
 }
 
-std::optional<GossipMessage> GossipMessage::decode(
-    std::span<const std::uint8_t> bytes) {
+}  // namespace
+
+std::vector<std::uint8_t> GossipMessage::encode() const {
+  return encode_exact(*this);
+}
+
+std::size_t GossipMessage::encoded_size() const {
+  ByteCounter counter;
+  write_message(counter, *this);
+  return counter.size();
+}
+
+std::optional<GossipMessage> GossipMessage::decode(const SharedBytes& bytes) {
   ByteReader r(bytes);
   auto sender = read_preamble(r, MessageType::kGossip);
   if (!sender) return std::nullopt;
@@ -237,7 +277,7 @@ std::optional<GossipMessage> GossipMessage::decode(
     m.membership.unsubs.push_back(*node);
   }
 
-  if (!read_events(r, &m.events)) return std::nullopt;
+  if (!read_events(r, bytes, &m.events)) return std::nullopt;
   if (!read_event_ids(r, &m.seen_ids)) return std::nullopt;
   if (!read_member_records(r, &m.member_records)) return std::nullopt;
   if (!r.exhausted()) return std::nullopt;  // trailing garbage
@@ -245,14 +285,10 @@ std::optional<GossipMessage> GossipMessage::decode(
 }
 
 std::vector<std::uint8_t> RepairRequest::encode() const {
-  ByteWriter w;
-  write_preamble(w, MessageType::kRepairRequest, sender);
-  write_event_ids(w, ids);
-  return std::move(w).take();
+  return encode_exact(*this);
 }
 
-std::optional<RepairRequest> RepairRequest::decode(
-    std::span<const std::uint8_t> bytes) {
+std::optional<RepairRequest> RepairRequest::decode(const SharedBytes& bytes) {
   ByteReader r(bytes);
   auto sender = read_preamble(r, MessageType::kRepairRequest);
   if (!sender) return std::nullopt;
@@ -264,27 +300,23 @@ std::optional<RepairRequest> RepairRequest::decode(
 }
 
 std::vector<std::uint8_t> RepairReply::encode() const {
-  ByteWriter w;
-  write_preamble(w, MessageType::kRepairReply, sender);
-  write_events(w, events);
-  return std::move(w).take();
+  return encode_exact(*this);
 }
 
-std::optional<RepairReply> RepairReply::decode(
-    std::span<const std::uint8_t> bytes) {
+std::optional<RepairReply> RepairReply::decode(const SharedBytes& bytes) {
   ByteReader r(bytes);
   auto sender = read_preamble(r, MessageType::kRepairReply);
   if (!sender) return std::nullopt;
   RepairReply m;
   m.sender = *sender;
-  if (!read_events(r, &m.events)) return std::nullopt;
+  if (!read_events(r, bytes, &m.events)) return std::nullopt;
   if (!r.exhausted()) return std::nullopt;
   return m;
 }
 
-WireMessage decode_any(std::span<const std::uint8_t> bytes) {
+WireMessage decode_any(const SharedBytes& bytes) {
   if (bytes.size() < 4) return std::monostate{};
-  switch (static_cast<MessageType>(bytes[3])) {
+  switch (static_cast<MessageType>(bytes.data()[3])) {
     case MessageType::kGossip:
       if (auto m = GossipMessage::decode(bytes)) return std::move(*m);
       break;

@@ -4,11 +4,17 @@
 // buffered events, the lpbcast membership digest, and the two adaptation
 // header fields (sample period `s` and the sender's running minBuff
 // estimate) — adaptation adds *no* extra messages, only a few header bytes.
+//
+// Decoding copies no payload byte: each decoded event's payload is a slice
+// of the received datagram (SharedBytes::slice), so a decoded message keeps
+// its datagram alive. Most received events are duplicates the receiver
+// drops; LpbcastNode copies a payload out only when it ingests the event as
+// novel, so nothing it buffers or delivers pins a datagram.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <variant>
 #include <vector>
 
@@ -66,14 +72,18 @@ struct GossipMessage {
   /// byte budget. Empty unless the node runs membership::GossipMembership.
   std::vector<membership::MemberRecord> member_records;
 
+  /// The wire bytes, written into a buffer sized up front (encoded_size()),
+  /// so encoding allocates once.
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   /// encode() wrapped in a SharedBytes — the entry point for drivers that
   /// fan one encoded message out to several Datagrams without re-copying.
   [[nodiscard]] SharedBytes encode_shared() const { return encode(); }
+  /// Exactly encode().size(), counted without writing.
+  [[nodiscard]] std::size_t encoded_size() const;
   /// Returns std::nullopt on any malformed input (wrong magic/version/type,
-  /// truncation, overlong counts). Never throws.
-  static std::optional<GossipMessage> decode(
-      std::span<const std::uint8_t> bytes);
+  /// truncation, overlong counts). Never throws. Event payloads are slices
+  /// of `bytes`.
+  static std::optional<GossipMessage> decode(const SharedBytes& bytes);
 };
 
 /// Directed request for events the sender believes it missed (it saw their
@@ -84,8 +94,7 @@ struct RepairRequest {
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] SharedBytes encode_shared() const { return encode(); }
-  static std::optional<RepairRequest> decode(
-      std::span<const std::uint8_t> bytes);
+  static std::optional<RepairRequest> decode(const SharedBytes& bytes);
 };
 
 /// Directed answer carrying the still-buffered events a repair asked for.
@@ -95,8 +104,8 @@ struct RepairReply {
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   [[nodiscard]] SharedBytes encode_shared() const { return encode(); }
-  static std::optional<RepairReply> decode(
-      std::span<const std::uint8_t> bytes);
+  /// Event payloads are slices of `bytes`.
+  static std::optional<RepairReply> decode(const SharedBytes& bytes);
 };
 
 /// Any message the protocol can receive. std::monostate = malformed.
@@ -104,7 +113,7 @@ using WireMessage =
     std::variant<std::monostate, GossipMessage, RepairRequest, RepairReply>;
 
 /// Decodes any protocol message by its type byte.
-[[nodiscard]] WireMessage decode_any(std::span<const std::uint8_t> bytes);
+[[nodiscard]] WireMessage decode_any(const SharedBytes& bytes);
 
 /// A one-entry decode memo. A gossip round's fan-out targets all receive one
 /// SharedBytes buffer, so a simulator that delivers them back to back
@@ -112,7 +121,8 @@ using WireMessage =
 /// decoded, so that buffer's address cannot be reused for other bytes while
 /// memoised; since decoding is a pure function of immutable bytes, the memo
 /// never changes a result. A byte-equal copy in another buffer decodes
-/// afresh.
+/// afresh. The memoised message's payloads are slices of that buffer, so a
+/// memo pins at most the one datagram it last decoded.
 class WireDecoder {
  public:
   /// decode_any(bytes), reused while `bytes` is the previous call's buffer.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/bytes.h"
+
 namespace agb::membership {
 
 namespace {
@@ -10,15 +12,6 @@ namespace {
 /// are broken towards the terminal state so claims never flap backwards.
 int state_rank(LivenessState state) noexcept {
   return static_cast<int>(state);
-}
-
-std::size_t varint_size(std::uint64_t v) noexcept {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
 }
 
 }  // namespace

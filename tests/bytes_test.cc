@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 
 namespace agb {
@@ -108,7 +109,33 @@ TEST(BytesTest, LengthPrefixedRoundTrip) {
   std::vector<std::uint8_t> payload{1, 2, 3, 4, 5};
   w.bytes(payload);
   ByteReader r(w.data());
-  EXPECT_EQ(r.bytes(), payload);
+  const auto out = r.bytes();
+  ASSERT_TRUE(out.has_value());
+  EXPECT_TRUE(std::ranges::equal(*out, payload));
+}
+
+TEST(BytesTest, ByteCounterCountsWhatByteWriterWrites) {
+  ByteWriter w;
+  ByteCounter c;
+  auto both = [&](auto write) {
+    write(w);
+    write(c);
+    EXPECT_EQ(c.size(), w.size());
+  };
+  both([](auto& out) { out.u8(7); });
+  both([](auto& out) { out.u16(0xbeef); });
+  both([](auto& out) { out.u32(0xdeadbeef); });
+  both([](auto& out) { out.u64(~0ull); });
+  both([](auto& out) { out.i64(-1); });
+  both([](auto& out) { out.f64(0.5); });
+  for (std::uint64_t v : {0ull, 0x7full, 0x80ull, 0x3fffull, 0x4000ull,
+                          1ull << 35, ~0ull}) {
+    both([v](auto& out) { out.varint(v); });
+  }
+  const std::vector<std::uint8_t> blob(200, 1);
+  both([&](auto& out) { out.bytes(blob); });
+  both([](auto& out) { out.bytes({}); });
+  both([](auto& out) { out.str("gossip"); });
 }
 
 TEST(BytesTest, EmptyPayload) {

@@ -49,8 +49,8 @@ TEST(MessageCodecTest, RoundTripPreservesAllFields) {
   EXPECT_EQ(decoded->events[0].id, (EventId{12, 0}));
   EXPECT_EQ(decoded->events[0].age, 3u);
   EXPECT_EQ(decoded->events[0].created_at, 1234);
-  ASSERT_TRUE(decoded->events[0].payload);
-  EXPECT_EQ(*decoded->events[0].payload,
+  ASSERT_FALSE(decoded->events[0].payload.empty());
+  EXPECT_EQ(decoded->events[0].payload,
             (std::vector<std::uint8_t>{0xde, 0xad}));
   EXPECT_EQ(decoded->events[1].id, (EventId{9, 77}));
   EXPECT_EQ(decoded->events[1].created_at, -5);
@@ -82,8 +82,20 @@ TEST(MessageCodecTest, EmptyPayloadDecodesAsNull) {
   m.events = {e};
   auto decoded = GossipMessage::decode(m.encode());
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_FALSE(decoded->events[0].payload);
-  EXPECT_EQ(decoded->events[0].payload_size(), 0u);
+  EXPECT_EQ(decoded->events[0].payload.data(), nullptr);
+  EXPECT_EQ(decoded->events[0].payload.size(), 0u);
+}
+
+TEST(MessageCodecTest, DecodedPayloadsAliasTheDatagram) {
+  const auto original = sample_message();
+  const SharedBytes datagram = original.encode_shared();
+  auto decoded = GossipMessage::decode(datagram);
+  ASSERT_TRUE(decoded.has_value());
+  const SharedBytes& payload = decoded->events[0].payload;
+  ASSERT_EQ(payload.size(), 2u);
+  EXPECT_GE(payload.data(), datagram.data());
+  EXPECT_LE(payload.data() + payload.size(), datagram.data() + datagram.size());
+  EXPECT_EQ(payload, original.events[0].payload);
 }
 
 TEST(MessageCodecTest, WrongMagicRejected) {
@@ -117,7 +129,7 @@ TEST(MessageCodecTest, EveryTruncationFailsCleanly) {
   ASSERT_LT(tail_boundary, bytes.size());
   for (std::size_t len = 0; len < bytes.size(); ++len) {
     std::span<const std::uint8_t> prefix(bytes.data(), len);
-    auto decoded = GossipMessage::decode(prefix);
+    auto decoded = GossipMessage::decode(SharedBytes::copy_of(prefix));
     if (len == tail_boundary) {
       ASSERT_TRUE(decoded.has_value());
       EXPECT_TRUE(decoded->member_records.empty());
@@ -185,63 +197,84 @@ TEST(MessageCodecTest, MutatedValidMessageNeverCrashes) {
   }
 }
 
+/// A random well-formed message: min_set, subs, events with and without
+/// payloads, seen_ids and member records, each possibly empty.
+GossipMessage random_message(Rng& rng) {
+  GossipMessage m;
+  m.sender = static_cast<NodeId>(rng.next_below(1000));
+  m.round = rng.next_below(1 << 20);
+  m.period = rng.next_below(1 << 16);
+  m.min_buff = static_cast<std::uint32_t>(rng.next_below(1 << 16));
+  const auto min_set = rng.next_below(4);
+  for (std::uint64_t i = 0; i < min_set; ++i) {
+    m.min_set.push_back({static_cast<NodeId>(rng.next_below(100)),
+                         static_cast<std::uint32_t>(rng.next_below(500))});
+  }
+  const auto subs = rng.next_below(5);
+  for (std::uint64_t i = 0; i < subs; ++i) {
+    m.membership.subs.push_back(static_cast<NodeId>(rng.next_below(100)));
+  }
+  const auto events = rng.next_below(20);
+  for (std::uint64_t i = 0; i < events; ++i) {
+    Event e;
+    e.id = EventId{static_cast<NodeId>(rng.next_below(100)), rng.next()};
+    e.age = static_cast<std::uint32_t>(rng.next_below(30));
+    e.created_at = static_cast<TimeMs>(rng.next()) / 2;
+    e.stream = static_cast<std::uint32_t>(rng.next_below(8));
+    e.supersedes = rng.bernoulli(0.3);
+    if (rng.bernoulli(0.7)) {
+      std::vector<std::uint8_t> payload(1 + rng.next_below(40));
+      for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
+      e.payload = make_payload(std::move(payload));
+    }
+    m.events.push_back(std::move(e));
+  }
+  const auto seen = rng.next_below(10);
+  for (std::uint64_t i = 0; i < seen; ++i) {
+    m.seen_ids.push_back(
+        EventId{static_cast<NodeId>(rng.next_below(100)), rng.next()});
+  }
+  const auto members = rng.next_below(8);
+  for (std::uint64_t i = 0; i < members; ++i) {
+    membership::MemberRecord r;
+    r.node = static_cast<NodeId>(rng.next_below(100));
+    r.revision = rng.next();  // full-width varints must survive
+    r.heartbeat = rng.next_below(1ull << 40);
+    r.state = static_cast<membership::LivenessState>(rng.next_below(3));
+    if (rng.bernoulli(0.5)) {
+      r.binding = {static_cast<std::uint32_t>(rng.next()),
+                   static_cast<std::uint16_t>(1 + rng.next_below(65535))};
+    }
+    m.member_records.push_back(r);
+  }
+  return m;
+}
+
 TEST(MessageCodecTest, RandomizedMessagesRoundTripExactly) {
   // Property: any well-formed message survives encode+decode bit-exactly.
   Rng rng(20260612);
   for (int trial = 0; trial < 300; ++trial) {
-    GossipMessage m;
-    m.sender = static_cast<NodeId>(rng.next_below(1000));
-    m.round = rng.next_below(1 << 20);
-    m.period = rng.next_below(1 << 16);
-    m.min_buff = static_cast<std::uint32_t>(rng.next_below(1 << 16));
-    const auto min_set = rng.next_below(4);
-    for (std::uint64_t i = 0; i < min_set; ++i) {
-      m.min_set.push_back({static_cast<NodeId>(rng.next_below(100)),
-                           static_cast<std::uint32_t>(rng.next_below(500))});
-    }
-    const auto subs = rng.next_below(5);
-    for (std::uint64_t i = 0; i < subs; ++i) {
-      m.membership.subs.push_back(static_cast<NodeId>(rng.next_below(100)));
-    }
-    const auto events = rng.next_below(20);
-    for (std::uint64_t i = 0; i < events; ++i) {
-      Event e;
-      e.id = EventId{static_cast<NodeId>(rng.next_below(100)), rng.next()};
-      e.age = static_cast<std::uint32_t>(rng.next_below(30));
-      e.created_at = static_cast<TimeMs>(rng.next()) / 2;
-      e.stream = static_cast<std::uint32_t>(rng.next_below(8));
-      e.supersedes = rng.bernoulli(0.3);
-      if (rng.bernoulli(0.7)) {
-        std::vector<std::uint8_t> payload(1 + rng.next_below(40));
-        for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next());
-        e.payload = make_payload(std::move(payload));
-      }
-      m.events.push_back(std::move(e));
-    }
-    const auto seen = rng.next_below(10);
-    for (std::uint64_t i = 0; i < seen; ++i) {
-      m.seen_ids.push_back(
-          EventId{static_cast<NodeId>(rng.next_below(100)), rng.next()});
-    }
-    const auto members = rng.next_below(8);
-    for (std::uint64_t i = 0; i < members; ++i) {
-      membership::MemberRecord r;
-      r.node = static_cast<NodeId>(rng.next_below(100));
-      r.revision = rng.next();  // full-width varints must survive
-      r.heartbeat = rng.next_below(1ull << 40);
-      r.state = static_cast<membership::LivenessState>(rng.next_below(3));
-      if (rng.bernoulli(0.5)) {
-        r.binding = {static_cast<std::uint32_t>(rng.next()),
-                     static_cast<std::uint16_t>(1 + rng.next_below(65535))};
-      }
-      m.member_records.push_back(r);
-    }
+    const GossipMessage m = random_message(rng);
 
     auto decoded = GossipMessage::decode(m.encode());
     ASSERT_TRUE(decoded.has_value()) << "trial " << trial;
     // Re-encoding the decoded message must reproduce identical bytes
     // (canonical encoding), which subsumes field-by-field equality.
     EXPECT_EQ(decoded->encode(), m.encode()) << "trial " << trial;
+  }
+}
+
+// encode() sizes its buffer with encoded_size(), which runs the same write
+// pass through a counting writer: the two must agree to the byte.
+TEST(MessageCodecTest, EncodedSizeCountsEncodeExactly) {
+  Rng rng(20261018);
+  for (int trial = 0; trial < 300; ++trial) {
+    GossipMessage m = random_message(rng);
+    const auto unsubs = rng.next_below(5);
+    for (std::uint64_t i = 0; i < unsubs; ++i) {
+      m.membership.unsubs.push_back(static_cast<NodeId>(rng.next_below(100)));
+    }
+    EXPECT_EQ(m.encoded_size(), m.encode().size()) << "trial " << trial;
   }
 }
 
@@ -273,7 +306,8 @@ TEST(MessageCodecTest, RepairMessagesSurviveMutationFuzz) {
     }
     // Truncations too.
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-      (void)decode_any(std::span<const std::uint8_t>(bytes.data(), len));
+      (void)decode_any(SharedBytes::copy_of(
+          std::span<const std::uint8_t>(bytes.data(), len)));
     }
   }
 }
@@ -284,8 +318,9 @@ TEST(MessageCodecTest, MinSetTruncationFailsCleanly) {
   m.min_set = {{2, 30}, {3, 60}};
   auto bytes = m.encode();
   for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(GossipMessage::decode(
-                     std::span<const std::uint8_t>(bytes.data(), len))
+    EXPECT_FALSE(GossipMessage::decode(SharedBytes::copy_of(
+                                           std::span<const std::uint8_t>(
+                                               bytes.data(), len)))
                      .has_value());
   }
 }

@@ -1,50 +1,36 @@
-// Exact heap-allocation gates for the gossip receive path: the id digest,
-// the event buffer's index, the congestion estimator's lost set and the
-// simulator's per-fan-out decode. A counting global operator new (this test
-// binary only) makes every allocation visible, so the counts are exact and
-// machine-independent.
+// Exact heap-allocation gates for the gossip path: the id digest, the event
+// buffer's index, the congestion estimator's lost set, the codec (encode
+// into a buffer sized up front; decode with payloads aliasing the
+// datagram), the node's copy-on-ingest of novel payloads and whole
+// simulated runs of the five golden configurations. A counting global
+// operator new (alloc_counter.h) makes every allocation visible, so the
+// counts are exact and machine-independent.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
+#include <memory>
+#include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
 #include "adaptive/congestion_estimator.h"
+#include "alloc_counter.h"
+#include "common/config.h"
 #include "common/rng.h"
 #include "common/shared_bytes.h"
+#include "core/scenario.h"
+#include "core/scenario_registry.h"
 #include "gossip/event_buffer.h"
 #include "gossip/event_id_table.h"
+#include "gossip/lpbcast_node.h"
 #include "gossip/message.h"
-
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-}  // namespace
-
-// noinline keeps GCC from inlining the malloc/free bodies into call sites,
-// where it would flag the new-via-malloc / delete-via-free pairing.
-__attribute__((noinline)) void* operator new(std::size_t size) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc{};
-}
-
-__attribute__((noinline)) void operator delete(void* p) noexcept {
-  std::free(p);
-}
-__attribute__((noinline)) void operator delete(void* p,
-                                               std::size_t) noexcept {
-  std::free(p);
-}
+#include "membership/full_membership.h"
 
 namespace agb::gossip {
 namespace {
 
-std::uint64_t allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
+std::uint64_t allocs() { return test::heap_allocs(); }
 
 TEST(ReceivePathAllocTest, EmptyContainersAllocateNothing) {
   const std::uint64_t before = allocs();
@@ -137,19 +123,27 @@ TEST(ReceivePathAllocTest, BufferAndEstimatorAreAllocationFreeAfterWarmUp) {
   EXPECT_FALSE(estimator.lost().empty());
 }
 
-SharedBytes encoded_gossip() {
+/// A gossip message of `events` events with `payload_size`-byte payloads,
+/// each payload's bytes distinct from its neighbours'.
+GossipMessage gossip_of(std::size_t events, std::size_t payload_size) {
   GossipMessage m;
   m.sender = 3;
   m.round = 17;
-  for (std::uint64_t i = 0; i < 120; ++i) {
+  for (std::uint64_t i = 0; i < events; ++i) {
     Event e;
     e.id = EventId{static_cast<NodeId>(i % 60), i};
     e.age = static_cast<std::uint32_t>(i % 12);
-    e.payload = make_payload(std::vector<std::uint8_t>(16, 0x5a));
+    std::vector<std::uint8_t> payload(payload_size);
+    for (std::size_t b = 0; b < payload_size; ++b) {
+      payload[b] = static_cast<std::uint8_t>(i + b);
+    }
+    e.payload = make_payload(std::move(payload));
     m.events.push_back(std::move(e));
   }
-  return m.encode_shared();
+  return m;
 }
+
+SharedBytes encoded_gossip() { return gossip_of(120, 16).encode_shared(); }
 
 std::size_t events_in(const WireMessage& message) {
   const auto* gossip = std::get_if<GossipMessage>(&message);
@@ -180,6 +174,160 @@ TEST(ReceivePathAllocTest, FanoutDecodesOnce) {
   before = allocs();
   EXPECT_EQ(events_in(decoder.decode(copy)), 120u);
   EXPECT_EQ(allocs() - before, one_decode);
+}
+
+// Decoding allocates the events vector and nothing else: every payload is
+// a slice of the datagram, whatever its size.
+TEST(ReceivePathAllocTest, DecodeAllocatesOnlyTheEventVector) {
+  for (const auto& [events, payload_size] :
+       {std::pair<std::size_t, std::size_t>{120, 16}, {55, 1024}}) {
+    const SharedBytes bytes = gossip_of(events, payload_size).encode_shared();
+    const std::uint64_t before = allocs();
+    const WireMessage message = decode_any(bytes);
+    EXPECT_EQ(allocs() - before, 1u) << events << " x " << payload_size;
+    EXPECT_EQ(events_in(message), events);
+  }
+}
+
+// Encoding counts the message first and writes it into a buffer of exactly
+// that size: the buffer and its SharedBytes owner are the two allocations.
+TEST(ReceivePathAllocTest, EncodeSharedAllocatesBufferAndOwner) {
+  for (const auto& [events, payload_size] :
+       {std::pair<std::size_t, std::size_t>{120, 16}, {55, 1024}}) {
+    const GossipMessage m = gossip_of(events, payload_size);
+    const std::uint64_t before = allocs();
+    const SharedBytes bytes = m.encode_shared();
+    EXPECT_EQ(allocs() - before, 2u) << events << " x " << payload_size;
+    EXPECT_EQ(bytes.size(), m.encoded_size());
+  }
+}
+
+/// Node 0 of eight, with room for all 120 events of encoded_gossip().
+std::unique_ptr<LpbcastNode> receiver() {
+  auto members = std::make_unique<membership::FullMembership>(0, Rng(3));
+  for (NodeId id = 1; id < 8; ++id) members->add(id);
+  GossipParams params;
+  params.max_events = 120;
+  params.max_event_ids = 4000;
+  return std::make_unique<LpbcastNode>(0, params, std::move(members), Rng(5));
+}
+
+bool inside(const SharedBytes& part, const SharedBytes& whole) {
+  return part.data() >= whole.data() &&
+         part.data() < whole.data() + whole.size();
+}
+
+// A decoded message's payloads alias its datagram; a node that ingests them
+// keeps and delivers copies of its own, so once the message is gone the
+// datagram has no other owner.
+TEST(PayloadLifetimeTest, IngestedPayloadsDoNotPinTheDatagram) {
+  const GossipMessage original = gossip_of(120, 16);
+  const SharedBytes datagram = original.encode_shared();
+  auto node = receiver();
+  std::vector<Event> delivered;
+  node->set_deliver_handler(
+      [&](const Event& e, TimeMs) { delivered.push_back(e); });
+  {
+    const WireMessage message = decode_any(datagram);
+    const auto& events = std::get<GossipMessage>(message).events;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_TRUE(inside(events[i].payload, datagram)) << i;
+      EXPECT_EQ(events[i].payload, original.events[i].payload) << i;
+    }
+    EXPECT_EQ(datagram.use_count(), 1 + 120);  // one slice per payload
+    ASSERT_TRUE(node->on_wire(message, 0));
+  }
+  EXPECT_EQ(datagram.use_count(), 1);
+
+  ASSERT_EQ(delivered.size(), 120u);
+  for (std::size_t i = 0; i < delivered.size(); ++i) {
+    EXPECT_FALSE(inside(delivered[i].payload, datagram)) << i;
+    EXPECT_EQ(delivered[i].payload, original.events[i].payload) << i;
+  }
+  ASSERT_EQ(node->events().size(), 120u);
+  for (const Event& sent : original.events) {
+    const Event* stored = node->events().find(sent.id);
+    ASSERT_NE(stored, nullptr);
+    EXPECT_FALSE(inside(stored->payload, datagram));
+    EXPECT_EQ(stored->payload, sent.payload);
+  }
+}
+
+// A message made only of events the node already holds costs nothing:
+// duplicates are dropped before anything is copied.
+TEST(PayloadLifetimeTest, AllDuplicateMessageAllocatesNothing) {
+  const SharedBytes datagram = encoded_gossip();
+  const WireMessage message = decode_any(datagram);
+  auto node = receiver();
+  ASSERT_TRUE(node->on_wire(message, 0));
+  ASSERT_EQ(node->events().size(), 120u);
+
+  const std::uint64_t before = allocs();
+  ASSERT_TRUE(node->on_wire(message, 0));
+  EXPECT_EQ(allocs() - before, 0u);
+  EXPECT_EQ(node->counters().duplicates, 120u);
+}
+
+// Heap allocations of one whole core::Scenario::run(), gossip rounds
+// included, on the five EventQueueGoldenTest configurations. The params are
+// built first (the registry's statics stay out of the count) and the run
+// has a thread of its own (so does the buffer's thread-local scratch): the
+// count is the same whatever ran before. A change that lowers one updates
+// its constant; one that raises one says why.
+struct RunCost {
+  std::uint64_t allocs = 0;
+  std::uint64_t rounds = 0;
+};
+
+RunCost run_cost(const std::string& preset,
+                 const std::vector<std::string>& extra) {
+  Config cfg;
+  std::string error;
+  for (const char* pair :
+       {"n=24", "senders=4", "rate=40", "quick=1", "warmup_s=4",
+        "duration_s=16", "cooldown_s=4", "seed=2003"}) {
+    EXPECT_TRUE(cfg.parse_pair(pair, &error)) << error;
+  }
+  for (const std::string& pair : extra) {
+    EXPECT_TRUE(cfg.parse_pair(pair, &error)) << error;
+  }
+  const core::ScenarioParams params =
+      core::ScenarioRegistry::instance().build(preset, cfg);
+  RunCost cost;
+  std::thread([&] {
+    core::Scenario scenario(params);
+    const std::uint64_t before = allocs();
+    (void)scenario.run();
+    cost.allocs = allocs() - before;
+    for (const LpbcastNode* node : scenario.nodes()) {
+      cost.rounds += node->counters().rounds;
+    }
+  }).join();
+  return cost;
+}
+
+TEST(ScenarioRunAllocTest, GoldenConfigurationsAllocateExactly) {
+  struct Pin {
+    const char* preset;
+    std::vector<std::string> extra;
+    std::uint64_t allocs;
+  };
+  const std::vector<Pin> pins = {
+      {"paper60", {}, 29264},
+      {"churn", {"churn_every_s=4", "churn_down_s=3", "churn_count=2"}, 29227},
+      {"paper60", {"partial_view=1"}, 31224},
+      {"paper60", {"adaptive=1", "rate=45"}, 28997},
+      {"fig9", {"adaptive=1", "t1_s=4", "t2_s=10"}, 23914},
+  };
+  for (const Pin& pin : pins) {
+    const RunCost cost = run_cost(pin.preset, pin.extra);
+    EXPECT_EQ(cost.allocs, pin.allocs)
+        << pin.preset << " " << testing::PrintToString(pin.extra) << ": "
+        << cost.rounds << " rounds, "
+        << static_cast<double>(cost.allocs) /
+               static_cast<double>(cost.rounds)
+        << " allocations per round";
+  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.h"
 #include "gossip/lpbcast_node.h"
 #include "gossip/message.h"
 #include "membership/full_membership.h"
@@ -59,6 +60,47 @@ TEST(SharedBytesTest, ByteEqualityIgnoresIdentity) {
   EXPECT_EQ(a, b);
   EXPECT_EQ(a, (std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_FALSE(a == SharedBytes({1, 2}));
+}
+
+TEST(SharedBytesTest, SliceSharesTheBuffer) {
+  SharedBytes whole{1, 2, 3, 4, 5};
+  const SharedBytes part = whole.slice(1, 3);
+  EXPECT_EQ(part.data(), whole.data() + 1);  // a view, not a copy
+  EXPECT_EQ(part, (std::vector<std::uint8_t>{2, 3, 4}));
+  EXPECT_EQ(whole.use_count(), 2);
+  EXPECT_EQ(part.use_count(), 2);
+  whole = SharedBytes{};
+  EXPECT_EQ(part.use_count(), 1);  // the slice alone keeps the buffer alive
+  EXPECT_EQ(part, (std::vector<std::uint8_t>{2, 3, 4}));
+}
+
+TEST(SharedBytesTest, SliceOfASliceAndEmptySlice) {
+  const SharedBytes whole{1, 2, 3, 4, 5, 6};
+  const SharedBytes inner = whole.slice(1, 4).slice(1, 2);
+  EXPECT_EQ(inner.data(), whole.data() + 2);
+  EXPECT_EQ(inner, (std::vector<std::uint8_t>{3, 4}));
+  EXPECT_EQ(whole.use_count(), 2);
+
+  const SharedBytes none = whole.slice(6, 0);
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.data(), nullptr);
+  EXPECT_EQ(none.use_count(), 0);  // an empty slice pins nothing
+  EXPECT_EQ(whole.use_count(), 2);
+}
+
+TEST(SharedBytesTest, CopyOfMakesOneAllocation) {
+  const std::vector<std::uint8_t> source(1024, 0x5a);
+  const std::uint64_t before = test::heap_allocs();
+  const SharedBytes copy = SharedBytes::copy_of(source);
+  EXPECT_EQ(test::heap_allocs() - before, 1u);
+  EXPECT_NE(copy.data(), source.data());
+  EXPECT_EQ(copy, source);
+  EXPECT_EQ(copy.use_count(), 1);
+
+  const std::uint64_t empty_before = test::heap_allocs();
+  const SharedBytes empty = SharedBytes::copy_of({});
+  EXPECT_EQ(test::heap_allocs() - empty_before, 0u);
+  EXPECT_TRUE(empty.empty());
 }
 
 TEST(SharedBytesTest, SpanConversionFeedsTheCodec) {
