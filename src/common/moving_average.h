@@ -1,4 +1,4 @@
-// Exponential and windowed moving averages.
+// Exponentially weighted moving average.
 //
 // The adaptation mechanism (paper §3.2, §3.3) smooths two signals with an
 // exponentially weighted moving average: the age of virtually-dropped
@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
 
 namespace agb {
 
@@ -39,35 +38,6 @@ class Ewma {
   double alpha_;
   double value_;
   std::size_t count_ = 0;
-};
-
-/// Fixed-size sliding-window mean; used by metrics and ablation benches to
-/// compare against the EWMA the paper prescribes.
-class WindowedAverage {
- public:
-  explicit WindowedAverage(std::size_t capacity) : capacity_(capacity) {}
-
-  void add(double sample) {
-    window_.push_back(sample);
-    sum_ += sample;
-    if (window_.size() > capacity_) {
-      sum_ -= window_.front();
-      window_.pop_front();
-    }
-  }
-
-  [[nodiscard]] double value() const noexcept {
-    return window_.empty() ? 0.0 : sum_ / static_cast<double>(window_.size());
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return window_.size(); }
-  [[nodiscard]] bool full() const noexcept {
-    return window_.size() == capacity_;
-  }
-
- private:
-  std::size_t capacity_;
-  std::deque<double> window_;
-  double sum_ = 0.0;
 };
 
 }  // namespace agb

@@ -26,9 +26,6 @@ class RunningStats {
   }
   [[nodiscard]] double sum() const noexcept { return mean_ * count_; }
 
-  /// Merges another accumulator into this one (parallel aggregation).
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -56,28 +53,6 @@ class SampleSet {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Fixed-bin histogram over [lo, hi); out-of-range samples clamp into the
-/// first/last bin. Used by benches to show age distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const {
-    return counts_[i];
-  }
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace agb

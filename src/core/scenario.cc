@@ -1,8 +1,6 @@
 #include "core/scenario.h"
 
 #include <algorithm>
-#include <deque>
-#include <functional>
 #include <type_traits>
 #include <unordered_map>
 
@@ -112,94 +110,56 @@ void apply_oracle_view(gossip::LpbcastNode& survivor,
   }
 }
 
-/// One application sender behind the paper's blocking BROADCAST: arrivals
-/// (Poisson or periodic) queue up to pending_cap and are refused beyond
-/// it; a token-gated drain admits the queue front at every arrival and on
-/// a 100 ms retry timer, and hands each admitted id to the caller's sink.
-/// Baseline nodes admit at once.
-class ScenarioGroup::SenderQueue {
- public:
-  using AdmitFn = std::function<void(EventId id, TimeMs now)>;
+SenderQueue::SenderQueue(const ScenarioParams& params, NodeId id, double rate,
+                         Rng rng, AdmitFn admit)
+    : params_(params), id_(id), rate_(rate), rng_(rng),
+      admit_(std::move(admit)) {}
 
-  SenderQueue(const ScenarioParams& params, gossip::LpbcastNode& node,
-              double rate, Rng rng, AdmitFn admitted)
-      : params_(params),
-        node_(node),
-        adaptive_(dynamic_cast<adaptive::AdaptiveLpbcastNode*>(&node)),
-        rate_(rate),
-        rng_(rng),
-        admitted_(std::move(admitted)) {}
+void SenderQueue::start(sim::Simulator& clock) {
+  clock_ = &clock;
+  // One sample per tick over the whole run, reserved once.
+  depth_samples_.reserve(static_cast<std::size_t>(
+      (params_.warmup + params_.duration + params_.cooldown) / 100 + 1));
+  // The retry tick re-offers a blocked queue front as the token bucket
+  // refills, then samples the depth.
+  retry_ = std::make_unique<sim::PeriodicTimer>(
+      clock, 100, 100, [this](TimeMs) {
+        if (!pending_.empty()) drain();
+        depth_samples_.push_back(pending_.size());
+      });
+  if (rate_ <= 0.0) return;  // no offered load, no arrival process
+  const auto first =
+      static_cast<DurationMs>(rng_.exponential(1000.0 / rate_));
+  clock.after(std::max<DurationMs>(first, 1), [this] { arrive(); });
+}
 
-  /// Arms the retry timer, then the first arrival, on `clock`.
-  void start(sim::Simulator& clock) {
-    clock_ = &clock;
-    // Token-refill retries: cheap fixed-cadence drain attempts; only does
-    // work while the pending queue is non-empty.
-    retry_ = std::make_unique<sim::PeriodicTimer>(
-        clock, 100, 100, [this](TimeMs) {
-          if (!pending_.empty()) drain();
-        });
-    const auto first =
-        static_cast<DurationMs>(rng_.exponential(1000.0 / rate_));
-    clock.after(std::max<DurationMs>(first, 1), [this] { arrive(); });
+void SenderQueue::arrive() {
+  if (pending_.size() >= params_.pending_cap) {
+    ++refused_;
+  } else {
+    pending_.push_back(gossip::make_payload(
+        std::vector<std::uint8_t>(params_.payload_size, 0xab)));
+    max_depth_ = std::max(max_depth_, pending_.size());
   }
+  drain();
 
-  [[nodiscard]] NodeId id() const noexcept { return node_.id(); }
-  [[nodiscard]] std::uint64_t refused() const noexcept { return refused_; }
-  [[nodiscard]] std::size_t max_depth() const noexcept { return max_depth_; }
+  // Schedule the next application arrival.
+  const double mean_ms = 1000.0 / rate_;
+  const auto gap = static_cast<DurationMs>(std::max(
+      1.0, params_.poisson_arrivals ? rng_.exponential(mean_ms) : mean_ms));
+  clock_->after(gap, [this] { arrive(); });
+}
 
- private:
-  void arrive() {
-    if (pending_.size() >= params_.pending_cap) {
-      ++refused_;
-    } else {
-      pending_.push_back(gossip::make_payload(
-          std::vector<std::uint8_t>(params_.payload_size, 0xab)));
-      max_depth_ = std::max(max_depth_, pending_.size());
+void SenderQueue::drain() {
+  while (!pending_.empty()) {
+    const bool supersedes = params_.supersede_probability > 0.0 &&
+                            rng_.bernoulli(params_.supersede_probability);
+    if (!admit_(pending_.front(), /*stream=*/id_, supersedes)) {
+      break;  // no tokens; the retry tick will try again
     }
-    drain();
-
-    // Schedule the next application arrival.
-    const double mean_ms = 1000.0 / rate_;
-    const auto gap = static_cast<DurationMs>(std::max(
-        1.0, params_.poisson_arrivals ? rng_.exponential(mean_ms) : mean_ms));
-    clock_->after(gap, [this] { arrive(); });
+    pending_.pop_front();
   }
-
-  void drain() {
-    const TimeMs now = clock_->now();
-    while (!pending_.empty()) {
-      EventId id;
-      const bool supersedes =
-          params_.supersede_probability > 0.0 &&
-          rng_.bernoulli(params_.supersede_probability);
-      if (adaptive_ != nullptr) {
-        if (!adaptive_->try_broadcast_on_stream(pending_.front(), now,
-                                                /*stream=*/node_.id(),
-                                                supersedes, &id)) {
-          break;  // no tokens; the retry timer will try again
-        }
-      } else {
-        id = node_.broadcast_on_stream(pending_.front(), now,
-                                       /*stream=*/node_.id(), supersedes);
-      }
-      pending_.pop_front();
-      admitted_(id, now);
-    }
-  }
-
-  const ScenarioParams& params_;
-  gossip::LpbcastNode& node_;
-  adaptive::AdaptiveLpbcastNode* adaptive_;  // null for baseline
-  double rate_;                              // offered msg/s
-  Rng rng_;
-  AdmitFn admitted_;
-  sim::Simulator* clock_ = nullptr;
-  std::deque<gossip::Payload> pending_;
-  std::unique_ptr<sim::PeriodicTimer> retry_;
-  std::uint64_t refused_ = 0;
-  std::size_t max_depth_ = 0;
-};
+}
 
 ScenarioGroup::ScenarioGroup(const ScenarioParams& params, std::size_t shards,
                              Engine& engine)
@@ -302,17 +262,33 @@ void ScenarioGroup::start(Rng& master_rng) {
   const double per_sender =
       params_.offered_rate / static_cast<double>(sender_ids.size());
   for (NodeId id : sender_ids) {
-    const std::size_t s = shard_of(id);
     senders_.push_back(std::make_unique<SenderQueue>(
-        params_, *nodes_[id], per_sender, master_rng.split(),
-        [this, id](EventId event, TimeMs now) {
-          using Kind = TrackerOp::Kind;
-          engine_.record(shard_of(id), {now, Kind::kBroadcast, event, id});
-          // The origin's local delivery.
-          engine_.record(shard_of(id), {now, Kind::kDelivery, event, id});
+        params_, id, per_sender, master_rng.split(),
+        [this, id](gossip::Payload payload, std::uint32_t stream,
+                   bool supersedes) {
+          return admit(id, std::move(payload), stream, supersedes);
         }));
-    senders_.back()->start(engine_.clock(s));
+    senders_.back()->start(engine_.clock(shard_of(id)));
   }
+}
+
+std::optional<EventId> ScenarioGroup::admit(NodeId id, gossip::Payload payload,
+                                            std::uint32_t stream,
+                                            bool supersedes) {
+  const std::size_t shard = shard_of(id);
+  const TimeMs now = engine_.clock(shard).now();
+  EventId event;
+  if (adaptive_nodes_.empty()) {
+    event = nodes_[id]->broadcast_on_stream(std::move(payload), now, stream,
+                                            supersedes);
+  } else if (!adaptive_nodes_[id]->try_broadcast_on_stream(
+                 std::move(payload), now, stream, supersedes, &event)) {
+    return std::nullopt;
+  }
+  engine_.record(shard, {now, TrackerOp::Kind::kBroadcast, event, id});
+  // The origin's local delivery.
+  engine_.record(shard, {now, TrackerOp::Kind::kDelivery, event, id});
+  return event;
 }
 
 void ScenarioGroup::tick(std::size_t shard, std::size_t bucket) {
@@ -442,13 +418,8 @@ void ScenarioGroup::apply(const TrackerOp& op) {
 
 ScenarioResults ScenarioGroup::finish() {
   ScenarioResults results = std::move(results_);
-  summarize_run(params_, tracker_, nodes_, results);
+  summarize_run(params_, tracker_, nodes_, senders_, results);
   results.avg_drop_age = drop_age_.mean();
-  for (const auto& sender : senders_) {
-    results.refused_broadcasts += sender->refused();
-    results.max_pending_depth =
-        std::max(results.max_pending_depth, sender->max_depth());
-  }
   return results;
 }
 
@@ -503,6 +474,7 @@ ScenarioResults Scenario::run() {
 void summarize_run(const ScenarioParams& params,
                    const metrics::DeliveryTracker& tracker,
                    std::span<gossip::LpbcastNode* const> nodes,
+                   std::span<const std::unique_ptr<SenderQueue>> senders,
                    ScenarioResults& results) {
   const TimeMs eval_start = params.warmup;
   const TimeMs eval_end = params.warmup + params.duration;
@@ -537,6 +509,7 @@ void summarize_run(const ScenarioParams& params,
     const gossip::NodeCounters& counters = node->counters();
     results.overflow_drops += counters.drops_overflow;
     results.age_limit_drops += counters.drops_age_limit;
+    results.obsolete_drops += counters.drops_obsolete;
     results.repair_requests += counters.repair_requests;
     results.repair_replies += counters.repair_replies;
     results.events_recovered += counters.events_recovered;
@@ -566,6 +539,25 @@ void summarize_run(const ScenarioParams& params,
   }
   if (locality_nodes > 0) {
     results.avg_p_local = p_local_sum / static_cast<double>(locality_nodes);
+  }
+
+  std::vector<std::size_t> depths;
+  for (const auto& sender : senders) {
+    results.refused_broadcasts += sender->refused();
+    results.max_pending_depth =
+        std::max(results.max_pending_depth, sender->max_depth());
+    depths.insert(depths.end(), sender->depth_samples().begin(),
+                  sender->depth_samples().end());
+  }
+  if (!depths.empty()) {
+    std::sort(depths.begin(), depths.end());
+    const auto pct = [&depths](double q) {
+      return depths[static_cast<std::size_t>(
+          q * static_cast<double>(depths.size() - 1))];
+    };
+    results.pending_depth_p50 = pct(0.50);
+    results.pending_depth_p90 = pct(0.90);
+    results.pending_depth_p99 = pct(0.99);
   }
 }
 

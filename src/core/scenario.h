@@ -3,20 +3,25 @@
 // schedule and metrics collection.
 //
 // The experiment loop is written once, in ScenarioGroup: the group built
-// into per-shard arenas, unsynchronised gossip rounds, senders behind the
-// paper's blocking BROADCAST (token-gated for the adaptive variant), the
+// into per-shard arenas, unsynchronised gossip rounds, the senders, the
 // series sampler and the capacity and failure schedules with their rejoin,
 // oracle-view and capacity-target rules. Both simulator engines drive it:
 // core::Scenario below is the one-shard case over sim::SimNetwork, and
 // core::ShardedScenario runs it on sim::ShardedEngine. An engine keeps only
 // its clock, its network, its accounting sink and its sampler trigger.
-// summarize_run() fills the report every harness derives alike, the
-// wall-clock one included. The golden trace pins hold on both simulator
-// engines at one shard.
+//
+// A sender is a SenderQueue on every engine, the wall-clock one included:
+// the paper's blocking BROADCAST (token-gated for the adaptive variant),
+// with its arrival process, pending queue, refusals and depth samples,
+// reaching its node through one admission call. summarize_run() fills the
+// report every harness derives alike. The golden trace pins hold on both
+// simulator engines at one shard.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -150,12 +155,10 @@ struct ScenarioParams {
   /// at n (rounded up too); agb_sim routes sim_shards <= 1 to the
   /// classic engine, so existing seeds keep their golden traces.
   /// sim_workers = 0 means min(shards, hardware concurrency); worker count
-  /// never changes outcomes. lookahead_ms = 0 derives the conservative
-  /// window from the latency models (>= 1 ms); setting it higher coarsens
-  /// the delay floor to that many ms.
+  /// never changes outcomes. The conservative window is derived from the
+  /// latency models (>= 1 ms).
   std::size_t sim_shards = 1;
   std::size_t sim_workers = 0;
-  DurationMs lookahead_ms = 0;
 
   /// Granularity of the recorded time series (Fig. 9).
   DurationMs series_bucket = 5'000;
@@ -176,6 +179,9 @@ struct ScenarioResults {
   double avg_drop_age = 0.0;
   std::uint64_t overflow_drops = 0;
   std::uint64_t age_limit_drops = 0;
+  /// Events semantic purging evicted because a buffered event of the same
+  /// stream superseded them (zero unless gossip.semantic_purge).
+  std::uint64_t obsolete_drops = 0;
   std::uint64_t refused_broadcasts = 0;  // back-pressure at the app layer
   std::uint64_t decode_failures = 0;     // datagrams that did not decode
 
@@ -199,8 +205,8 @@ struct ScenarioResults {
   /// back-pressure); bounded by ScenarioParams::pending_cap by
   /// construction — the bound the adaptive parity assertions pin.
   std::size_t max_pending_depth = 0;
-  /// Pending-queue depth percentiles over every retry-tick sample of every
-  /// node. Wall-clock only (zero on the simulators).
+  /// Pending-queue depth percentiles over every sender's retry-tick
+  /// samples, on every engine.
   std::size_t pending_depth_p50 = 0;
   std::size_t pending_depth_p90 = 0;
   std::size_t pending_depth_p99 = 0;
@@ -245,20 +251,74 @@ struct ScenarioResults {
   metrics::TimeSeries fanout_ts{"fanout"};
 };
 
+/// One application sender behind the paper's blocking BROADCAST (Fig. 5),
+/// the same on every engine. Arrivals at `rate` msg/s (Poisson or periodic;
+/// none at all when rate <= 0) queue up to ScenarioParams::pending_cap and
+/// are refused beyond it. The queue front is offered to the node at every
+/// arrival and on a fixed 100 ms retry tick, which also samples the queue
+/// depth. Each offer draws its supersede bit first, and the stream is the
+/// sender's id. The node is reached through `admit` alone.
+class SenderQueue {
+ public:
+  /// Offers one broadcast to the node: the admitted event's id, or nullopt
+  /// when the node refuses it (an adaptive node out of tokens).
+  using AdmitFn = std::function<std::optional<EventId>(
+      gossip::Payload payload, std::uint32_t stream, bool supersedes)>;
+
+  /// `params` outlives the queue.
+  SenderQueue(const ScenarioParams& params, NodeId id, double rate, Rng rng,
+              AdmitFn admit);
+
+  SenderQueue(const SenderQueue&) = delete;
+  SenderQueue& operator=(const SenderQueue&) = delete;
+
+  /// Arms the retry tick, then the first arrival, on `clock`, which must
+  /// outlive the queue.
+  void start(sim::Simulator& clock);
+
+  [[nodiscard]] NodeId id() const noexcept { return id_; }
+  [[nodiscard]] std::uint64_t refused() const noexcept { return refused_; }
+  [[nodiscard]] std::size_t max_depth() const noexcept { return max_depth_; }
+  /// The queue depth after every retry tick so far.
+  [[nodiscard]] const std::vector<std::size_t>& depth_samples()
+      const noexcept {
+    return depth_samples_;
+  }
+
+ private:
+  void arrive();
+  void drain();
+
+  const ScenarioParams& params_;
+  NodeId id_;
+  double rate_;  // offered msg/s
+  Rng rng_;
+  AdmitFn admit_;
+  sim::Simulator* clock_ = nullptr;
+  std::deque<gossip::Payload> pending_;
+  std::unique_ptr<sim::PeriodicTimer> retry_;
+  std::vector<std::size_t> depth_samples_;
+  std::uint64_t refused_ = 0;
+  std::size_t max_depth_ = 0;
+};
+
 /// Fills the part of the report every harness derives alike, once the run
-/// is over and nothing else touches `tracker` or `nodes`:
+/// is over and nothing else touches `tracker`, `nodes` or `senders`:
 ///   * from the tracker, over ScenarioParams' evaluation window: delivery,
 ///     the rates, the atomicity and input-rate series and, after a chaos
 ///     schedule, post_chaos_delivery;
-///   * from `nodes` (the whole group, id order): overflow and age-limit
-///     drops, repair counters, membership transitions and view sizes, and
-///     over the adaptive nodes the means of min_buff, avg_age, effective
-///     fanout and p_local (over nodes with a locality view);
+///   * from `nodes` (the whole group, id order): overflow, age-limit and
+///     obsolete drops, repair counters, membership transitions and view
+///     sizes, and over the adaptive nodes the means of min_buff, avg_age,
+///     effective fanout and p_local (over nodes with a locality view);
+///   * from `senders`: the refusals, the deepest queue and the depth
+///     percentiles over every retry-tick sample;
 ///   * avg_allowed_rate and final_allowed_rate from
 ///     results.allowed_rate_ts, which the caller fills first.
 void summarize_run(const ScenarioParams& params,
                    const metrics::DeliveryTracker& tracker,
                    std::span<gossip::LpbcastNode* const> nodes,
+                   std::span<const std::unique_ptr<SenderQueue>> senders,
                    ScenarioResults& results);
 
 /// Rounds a group is granted to re-converge after the last fault window
@@ -340,9 +400,9 @@ struct TrackerOp {
 ///     `id` lives on shard `id & (shards - 1)`), drawing master_rng as
 ///     build_scenario_node does; their handlers feed the accounting;
 ///   * start(): one round-phase draw per node, bucketed by (shard, phase)
-///     onto one repeating wheel event each, then the senders, each a queue
-///     behind Fig. 5's blocking BROADCAST that counts its own refusals and
-///     peak depth;
+///     onto one repeating wheel event each, then one SenderQueue per
+///     sender on its shard's clock, admitting to the arena node at virtual
+///     time;
 ///   * sample(): the series sampler, on the engine's trigger;
 ///   * schedule(): the capacity (Fig. 9) and failure schedules;
 ///   * finish(): the report's group-side part.
@@ -389,9 +449,8 @@ class ScenarioGroup {
   /// drops count inside the evaluation window only).
   void apply(const TrackerOp& op);
 
-  /// The report's group-side part: summarize_run, the drop age, the
-  /// senders' refusals and peak depth, and the sampled series. Call once,
-  /// after the run.
+  /// The report's group-side part: summarize_run, the drop age and the
+  /// sampled series. Call once, after the run.
   [[nodiscard]] ScenarioResults finish();
 
   /// Arena-owned; pointers are stable for the group's lifetime.
@@ -408,8 +467,6 @@ class ScenarioGroup {
   }
 
  private:
-  class SenderQueue;
-
   struct RoundBucket {
     TimeMs phase = 0;
     std::vector<gossip::LpbcastNode*> nodes;  // id order
@@ -421,6 +478,10 @@ class ScenarioGroup {
   template <class Node>
   void build_arenas(Rng& master_rng);
   void tick(std::size_t shard, std::size_t bucket);
+  /// The senders' admission call: node `id` broadcasts at its shard's
+  /// time, token-gated when adaptive, and the accounting sink records it.
+  std::optional<EventId> admit(NodeId id, gossip::Payload payload,
+                               std::uint32_t stream, bool supersedes);
   void apply_capacity(std::size_t shard, const CapacityChange& change);
   void apply_failure(std::size_t shard, const FailureEvent& event);
 

@@ -681,6 +681,10 @@ ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
   p.n = get_size(cfg, "n", p.n);
   p.senders = get_size(cfg, "senders", p.senders);
   p.offered_rate = cfg.get_double("rate", p.offered_rate);
+  if (const auto raw = cfg.raw("rate"); raw && !(p.offered_rate >= 0.0)) {
+    throw std::invalid_argument("bad rate value '" + *raw +
+                                "' (must be >= 0)");
+  }
   p.poisson_arrivals = cfg.get_bool("poisson", p.poisson_arrivals);
   p.payload_size = get_size(cfg, "payload", p.payload_size);
   p.supersede_probability =
@@ -691,7 +695,6 @@ ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
       cfg.get_int("seed", static_cast<std::int64_t>(p.seed)));
   p.sim_shards = get_size(cfg, "sim_shards", p.sim_shards);
   p.sim_workers = get_size(cfg, "sim_workers", p.sim_workers);
-  p.lookahead_ms = cfg.get_int("lookahead_ms", p.lookahead_ms);
 
   p.gossip.fanout = get_size(cfg, "fanout", p.gossip.fanout);
   p.gossip.gossip_period = cfg.get_int("period_ms", p.gossip.gossip_period);

@@ -61,11 +61,9 @@ double model_min_ms(const sim::LatencyModel& m) {
 
 // The conservative window length L: a lower bound on network delay, so no
 // datagram emitted inside a window can be due before the window closes.
-// Every sampled delay is additionally clamped to >= L, so the engine stays
-// safe even when the user raises lookahead_ms above the model minimum (the
-// knob then coarsens the delay floor — documented in ScenarioParams).
+// Every sampled delay is additionally clamped to >= L, which only matters
+// when the models' minimum is below the 1 ms floor.
 DurationMs derive_lookahead(const ScenarioParams& params) {
-  if (params.lookahead_ms > 0) return params.lookahead_ms;
   double min_ms = model_min_ms(params.network.latency);
   if (params.network.clusters > 1) {
     min_ms = std::min(min_ms, model_min_ms(params.network.wan_latency));

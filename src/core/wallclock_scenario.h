@@ -7,12 +7,18 @@
 // views, locality decorations and bridge elections on both paths), driven
 // by runtime::NodeRuntime round threads over a sharded
 // runtime::InMemoryFabric carrying the preset's network model (latency
-// range, WAN cluster topology, i.i.d. or bursty loss). A scheduler thread
-// replays the failure and capacity schedules against the fabric clock:
-// crash/recover maps to InMemoryFabric::set_node_up, and the simulators'
-// rejoin (GossipMembership::rejoin), oracle-view (apply_oracle_view) and
-// capacity-target (capacity_targets) rules reach the running nodes through
-// NodeRuntime — the exact moves ScenarioGroup makes in virtual time.
+// range, WAN cluster topology, i.i.d. or bursty loss).
+//
+// Everything else runs on one paced clock: a sim::Simulator in run-relative
+// milliseconds, stepped on the calling thread whenever the fabric clock
+// reaches its next event. It carries the simulators' own SenderQueues
+// (admitting through NodeRuntime::admit, under the node lock and at the
+// runtime's clock), the capacity and failure schedules and the 200 ms
+// p_local sampler. Crash/recover maps to InMemoryFabric::set_node_up, and
+// the simulators' rejoin (GossipMembership::rejoin), oracle-view
+// (apply_oracle_view) and capacity-target (capacity_targets) rules reach
+// the running nodes through NodeRuntime — the exact moves ScenarioGroup
+// makes in virtual time. The runner starts no thread of its own.
 //
 // warmup/duration/cooldown are *real* milliseconds here; metrics use the
 // same evaluation-window rules as the simulator (metrics::DeliveryTracker
@@ -31,7 +37,6 @@ namespace agb::core {
 struct WallclockOptions {
   /// Receiver shards of the InMemoryFabric (see its Params::shards).
   std::size_t shards = 4;
-  std::size_t max_burst = 64;
 };
 
 class WallclockScenario {

@@ -96,11 +96,14 @@ void EventBuffer::erase_slot(std::size_t idx) {
   slots_.pop_back();
 }
 
-std::vector<Event> EventBuffer::shrink_to(std::size_t capacity) {
-  const auto victims = oldest_beyond(capacity);
-  std::vector<Event> removed;
-  removed.reserve(victims.size());
-  for (const Slot* victim : victims) removed.push_back(victim->event);
+std::span<const Event> EventBuffer::shrink_to(std::size_t capacity) {
+  // Reused across calls, like oldest_beyond's candidates: a warm buffer
+  // evicts without allocating.
+  thread_local std::vector<Event> removed;
+  removed.clear();
+  for (const Slot* victim : oldest_beyond(capacity)) {
+    removed.push_back(victim->event);
+  }
   // erase_slot() moves the last slot into the hole, so each victim is looked
   // up afresh. The order matters: for_each and purge_age_limit follow the
   // slot layout, which the golden traces pin.

@@ -67,8 +67,9 @@ class EventBuffer {
   std::vector<Event> purge_superseded();
 
   /// Removes oldest events until size() <= capacity; returns them in removal
-  /// order, which is oldest_beyond(capacity)'s.
-  std::vector<Event> shrink_to(std::size_t capacity);
+  /// order, which is oldest_beyond(capacity)'s. The span aliases per-thread
+  /// scratch, valid until this thread's next call.
+  std::span<const Event> shrink_to(std::size_t capacity);
 
   /// The events beyond the `keep` youngest among those whose id is not in
   /// `excluded` (if given), oldest first: age descending, ties by earliest

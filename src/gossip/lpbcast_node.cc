@@ -221,7 +221,7 @@ void LpbcastNode::emit_repair_requests() {
   }
 }
 
-void LpbcastNode::retain_for_retrieval(const std::vector<Event>& evicted) {
+void LpbcastNode::retain_for_retrieval(std::span<const Event> evicted) {
   if (params_.recovery.retrieve_rounds == 0) return;
   for (const Event& event : evicted) {
     retrieve_store_.push_back(RetrievableEvent{event, round_});
@@ -300,7 +300,7 @@ std::vector<LpbcastNode::ControlDatagram> LpbcastNode::take_outbox() {
   return std::exchange(outbox_, {});
 }
 
-void LpbcastNode::record_drops(const std::vector<Event>& dropped,
+void LpbcastNode::record_drops(std::span<const Event> dropped,
                                DropReason reason, TimeMs now) {
   if (params_.recovery.enabled) retain_for_retrieval(dropped);
   for (const Event& event : dropped) {
@@ -327,8 +327,8 @@ void LpbcastNode::enforce_buffer_bound(TimeMs now) {
     auto obsolete = events_.purge_superseded();
     record_drops(obsolete, DropReason::kObsolete, now);
   }
-  auto dropped = events_.shrink_to(params_.max_events);
-  record_drops(dropped, DropReason::kBufferOverflow, now);
+  record_drops(events_.shrink_to(params_.max_events),
+               DropReason::kBufferOverflow, now);
 }
 
 }  // namespace agb::gossip

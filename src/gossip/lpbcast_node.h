@@ -17,6 +17,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -215,7 +216,7 @@ class LpbcastNode {
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
  private:
-  void record_drops(const std::vector<Event>& dropped, DropReason reason,
+  void record_drops(std::span<const Event> dropped, DropReason reason,
                     TimeMs now);
   void enforce_buffer_bound(TimeMs now);
   void ingest_event(const Event& incoming, TimeMs now, bool via_repair);
@@ -223,7 +224,7 @@ class LpbcastNode {
   void process_seen_digest(const GossipMessage& message);
   void fill_seen_digest(GossipMessage& message);
   void emit_repair_requests();
-  void retain_for_retrieval(const std::vector<Event>& evicted);
+  void retain_for_retrieval(std::span<const Event> evicted);
   void expire_retrieve_store();
   [[nodiscard]] const Event* find_retrievable(const EventId& id) const;
 

@@ -363,11 +363,9 @@ void InMemoryFabric::shutdown() {
 }
 
 void InMemoryFabric::dispatch_loop(Shard& shard) {
-  const std::size_t max_burst =
-      params_.max_burst > 0 ? params_.max_burst : 1;
   // Caps the datagrams drained (and so the lock hold) per dispatch cycle;
   // a deeper backlog is simply drained over several cycles.
-  const std::size_t drain_cap = std::max<std::size_t>(1024, max_burst);
+  constexpr std::size_t kDrainCap = 1024;
   std::unique_lock lock(shard.mutex);
   shard.dispatcher_id = std::this_thread::get_id();
   // Down-node snapshot for the current drain cycle (sorted: std::set
@@ -427,7 +425,7 @@ void InMemoryFabric::dispatch_loop(Shard& shard) {
       shard.buckets.resize(shard.handlers.size());
     }
     std::size_t expanded = 0;
-    while (!shard.ready.empty() && expanded < drain_cap) {
+    while (!shard.ready.empty() && expanded < kDrainCap) {
       ReadyBatch batch = std::move(shard.ready.front());
       shard.ready.pop_front();
       expanded += batch.targets.size();
@@ -438,7 +436,7 @@ void InMemoryFabric::dispatch_loop(Shard& shard) {
     }
     while (!shard.delayed.empty() &&
            shard.delayed.begin()->first <= current &&
-           expanded < drain_cap) {
+           expanded < kDrainCap) {
       ++expanded;
       bucket_push(std::move(shard.delayed.begin()->second));
       shard.delayed.erase(shard.delayed.begin());
@@ -450,7 +448,7 @@ void InMemoryFabric::dispatch_loop(Shard& shard) {
     for (const std::size_t slot : shard.active) {
       std::vector<Datagram>& burst = shard.buckets[slot];
       for (std::size_t offset = 0; offset < burst.size();
-           offset += max_burst) {
+           offset += kMaxBurst) {
         if (shard.stopping || !shard.handlers[slot]) {
           dropped_detached_.fetch_add(burst.size() - offset,
                                       std::memory_order_relaxed);
@@ -458,7 +456,7 @@ void InMemoryFabric::dispatch_loop(Shard& shard) {
         }
         BatchHandler handler = shard.handlers[slot];  // copy: may detach
         const std::size_t count =
-            std::min(max_burst, burst.size() - offset);
+            std::min(kMaxBurst, burst.size() - offset);
         std::uint64_t bytes = 0;
         for (std::size_t i = offset; i < offset + count; ++i) {
           bytes += burst[i].payload.size();

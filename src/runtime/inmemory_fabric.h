@@ -66,11 +66,6 @@ class InMemoryFabric final : public DatagramNetwork {
     /// Rounded up to a power of two (shard addressing is a mask, not a
     /// division); 1 reproduces the classic single-dispatcher fabric.
     std::size_t shards = 4;
-    /// Most datagrams handed to one handler call: bounds how long one
-    /// receiver's burst can monopolise its shard's dispatcher when the
-    /// queue is saturated. 1 reproduces per-datagram dispatch (the
-    /// pre-sharding baseline, kept for A/B benchmarks); clamped to >= 1.
-    std::size_t max_burst = 64;
     /// Full latency topology, shared with sim::SimNetwork: any
     /// sim::LatencyModel (fixed / uniform / normal) as the default and WAN
     /// models, plus per-link overrides. When set it replaces the integer
@@ -160,6 +155,11 @@ class InMemoryFabric final : public DatagramNetwork {
   void shutdown();
 
  private:
+  /// Most datagrams handed to one handler call: bounds how long one
+  /// receiver's burst can monopolise its shard's dispatcher when the queue
+  /// is saturated.
+  static constexpr std::size_t kMaxBurst = 64;
+
   /// A zero-delay fan-out, stored unexpanded: one queue entry and ONE
   /// payload refcount bump per touched shard, however many targets.
   struct ReadyBatch {

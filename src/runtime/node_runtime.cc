@@ -3,6 +3,7 @@
 #include <chrono>
 #include <thread>
 #include <variant>
+#include <vector>
 
 namespace agb::runtime {
 
@@ -50,21 +51,11 @@ void NodeRuntime::stop() {
 void NodeRuntime::round_loop() {
   const auto period =
       std::chrono::milliseconds(node_->params().gossip_period);
-  // Pending-queue retry cadence: the wall-clock twin of the simulator's
-  // 100 ms blocked-sender retry timer. Between rounds the thread wakes this
-  // often to admit queued broadcasts as the token bucket refills.
-  const auto retry = std::min(period, std::chrono::milliseconds(100));
   std::unique_lock lock(mutex_);
   auto next_round = std::chrono::steady_clock::now() + period;
-  while (!stopping_.load()) {
-    const auto wake =
-        std::min(next_round, std::chrono::steady_clock::now() + retry);
-    cv_.wait_until(lock, wake, [this] { return stopping_.load(); });
-    if (stopping_.load()) return;
-    // Token-refill back-pressure: drain whatever the bucket now allows
-    // (and sample the depth) on every wakeup, round or retry alike.
-    drain_pending_locked();
-    if (std::chrono::steady_clock::now() < next_round) continue;
+  const auto stopping = [this] { return stopping_.load(); };
+  // Wakes for rounds only; stop() ends the wait early.
+  while (!cv_.wait_until(lock, next_round, stopping)) {
     next_round += period;
     auto out = node_->on_round(clock_());
     auto controls = node_->take_outbox();
@@ -84,21 +75,6 @@ void NodeRuntime::round_loop() {
     const auto after_send = std::chrono::steady_clock::now();
     if (next_round < after_send) next_round = after_send + period;
   }
-}
-
-void NodeRuntime::drain_pending_locked() {
-  if (adaptive_ != nullptr && !pending_.empty()) {
-    const TimeMs now = clock_();
-    // tokens_available is the non-consuming probe: a payload is only moved
-    // into the node once its token is certain, so a refusal never eats it.
-    while (!pending_.empty() && adaptive_->tokens_available(now)) {
-      PendingBroadcast front = std::move(pending_.front());
-      pending_.pop_front();
-      adaptive_->try_broadcast_on_stream(std::move(front.payload), now,
-                                         front.stream, front.supersedes);
-    }
-  }
-  depth_samples_.push_back(pending_.size());
 }
 
 void NodeRuntime::on_datagram_batch(const Datagram* batch, std::size_t count,
@@ -154,39 +130,21 @@ bool NodeRuntime::try_broadcast(gossip::Payload payload, EventId* out_id) {
   return adaptive_->try_broadcast(std::move(payload), clock_(), out_id);
 }
 
-bool NodeRuntime::enqueue_broadcast(gossip::Payload payload) {
-  return enqueue_broadcast_on_stream(std::move(payload), /*stream=*/0,
-                                     /*supersedes=*/false);
-}
-
-bool NodeRuntime::enqueue_broadcast_on_stream(gossip::Payload payload,
-                                              std::uint32_t stream,
-                                              bool supersedes) {
+std::optional<EventId> NodeRuntime::admit(gossip::Payload payload,
+                                          std::uint32_t stream,
+                                          bool supersedes) {
   std::lock_guard lock(mutex_);
-  if (adaptive_ == nullptr) {
-    // Baseline nodes have no rate gate: admitted immediately, exactly like
-    // the simulator's non-adaptive sender path.
-    node_->broadcast_on_stream(std::move(payload), clock_(), stream,
-                               supersedes);
-    return true;
-  }
   const TimeMs now = clock_();
-  if (pending_.empty() && adaptive_->tokens_available(now)) {
-    adaptive_->try_broadcast_on_stream(std::move(payload), now, stream,
-                                       supersedes);
-    return true;
+  if (adaptive_ == nullptr) {
+    return node_->broadcast_on_stream(std::move(payload), now, stream,
+                                      supersedes);
   }
-  if (pending_.size() >= pending_cap_) return false;  // refused (queue full)
-  pending_.push_back(PendingBroadcast{std::move(payload), stream, supersedes});
-  if (pending_.size() > max_pending_depth_) {
-    max_pending_depth_ = pending_.size();
+  EventId id;
+  if (!adaptive_->try_broadcast_on_stream(std::move(payload), now, stream,
+                                          supersedes, &id)) {
+    return std::nullopt;
   }
-  return true;
-}
-
-void NodeRuntime::set_pending_cap(std::size_t cap) {
-  std::lock_guard lock(mutex_);
-  pending_cap_ = cap;
+  return id;
 }
 
 gossip::NodeCounters NodeRuntime::counters() const {
@@ -207,21 +165,6 @@ std::uint32_t NodeRuntime::min_buff() const {
 double NodeRuntime::avg_age() const {
   std::lock_guard lock(mutex_);
   return adaptive_ ? adaptive_->avg_age() : 0.0;
-}
-
-std::size_t NodeRuntime::pending_depth() const {
-  std::lock_guard lock(mutex_);
-  return pending_.size();
-}
-
-std::size_t NodeRuntime::max_pending_depth() const {
-  std::lock_guard lock(mutex_);
-  return max_pending_depth_;
-}
-
-std::vector<std::size_t> NodeRuntime::pending_depth_samples() const {
-  std::lock_guard lock(mutex_);
-  return depth_samples_;
 }
 
 double NodeRuntime::p_local() const {

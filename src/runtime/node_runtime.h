@@ -2,21 +2,22 @@
 //
 // NodeRuntime owns a gossip::LpbcastNode (baseline or adaptive), runs its
 // gossip rounds on a dedicated thread, decodes incoming datagrams from the
-// transport, and exposes a thread-safe broadcast entry point. It is the
-// runtime counterpart of the simulation harness in src/core: same state
-// machines, same codec, real time and threads.
+// transport, and serialises every other touch of the node under one lock:
+// broadcasts, admission, scenario rules and snapshots. It is the runtime
+// counterpart of the simulation harness in src/core: same state machines,
+// same codec, real time and threads. Application senders (queues, retries,
+// refusals) live in the harness, not here: core::SenderQueue reaches a
+// running node through admit().
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <vector>
 
 #include "adaptive/adaptive_node.h"
 #include "common/datagram.h"
@@ -56,21 +57,12 @@ class NodeRuntime {
   /// adaptive-capable or out of tokens. Thread-safe.
   bool try_broadcast(gossip::Payload payload, EventId* out_id = nullptr);
 
-  /// Blocking-BROADCAST semantics, the wall-clock twin of the simulator's
-  /// sender path: an adaptive node out of tokens *queues* the payload (up
-  /// to the pending cap) instead of refusing it, and the round thread
-  /// retries the queue front as the token bucket refills (every
-  /// min(gossip_period, 100 ms), matching the sim's retry timer). Returns
-  /// false only when the pending queue is full — the same condition under
-  /// which the simulator refuses a broadcast. Non-adaptive nodes admit
-  /// immediately. Thread-safe.
-  bool enqueue_broadcast(gossip::Payload payload);
-  bool enqueue_broadcast_on_stream(gossip::Payload payload,
-                                   std::uint32_t stream, bool supersedes);
-
-  /// Pending-queue bound for enqueue_broadcast (the simulator's
-  /// ScenarioParams::pending_cap twin). Call before start().
-  void set_pending_cap(std::size_t cap);
+  /// The admission call core::SenderQueue makes, at the runtime's own
+  /// clock: a baseline node admits at once, an adaptive node only with a
+  /// token. Returns the admitted event's id, or nullopt on refusal (the
+  /// caller keeps the payload and offers it again). Thread-safe.
+  std::optional<EventId> admit(gossip::Payload payload, std::uint32_t stream,
+                               bool supersedes);
 
   /// Gray-failure injection (non-owning; may be null): stall rules sleep
   /// the receive path before each burst, making this node slow-but-up —
@@ -94,13 +86,6 @@ class NodeRuntime {
   [[nodiscard]] double allowed_rate() const;
   [[nodiscard]] std::uint32_t min_buff() const;
   [[nodiscard]] double avg_age() const;
-
-  /// Back-pressure introspection: current queue depth, its lifetime
-  /// high-water mark, and the per-retry-tick depth samples (for depth
-  /// percentiles in benches).
-  [[nodiscard]] std::size_t pending_depth() const;
-  [[nodiscard]] std::size_t max_pending_depth() const;
-  [[nodiscard]] std::vector<std::size_t> pending_depth_samples() const;
 
   /// Control-plane actuator snapshot: the LocalityView's live p_local (-1
   /// without locality / without an adaptive node).
@@ -145,9 +130,6 @@ class NodeRuntime {
   void round_loop();
   void on_datagram_batch(const Datagram* batch, std::size_t count,
                          TimeMs now);
-  /// Admits queued broadcasts while tokens last, then samples the depth.
-  /// Caller holds mutex_.
-  void drain_pending_locked();
 
   std::unique_ptr<gossip::LpbcastNode> node_;
   adaptive::AdaptiveLpbcastNode* adaptive_;  // non-owning downcast
@@ -161,17 +143,6 @@ class NodeRuntime {
   std::atomic<bool> stopping_{false};
   bool started_ = false;
   std::thread round_thread_;
-
-  /// Broadcasts waiting for tokens (blocking-BROADCAST back-pressure).
-  struct PendingBroadcast {
-    gossip::Payload payload;
-    std::uint32_t stream = 0;
-    bool supersedes = false;
-  };
-  std::deque<PendingBroadcast> pending_;
-  std::size_t pending_cap_ = 64;
-  std::size_t max_pending_depth_ = 0;
-  std::vector<std::size_t> depth_samples_;
 };
 
 }  // namespace agb::runtime

@@ -28,7 +28,7 @@ std::vector<EventId> ids_of(std::span<const EventBuffer::Slot* const> slots) {
   return ids;
 }
 
-std::vector<EventId> ids_of(const std::vector<Event>& events) {
+std::vector<EventId> ids_of(std::span<const Event> events) {
   std::vector<EventId> ids;
   for (const Event& e : events) ids.push_back(e.id);
   return ids;

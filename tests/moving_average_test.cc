@@ -49,30 +49,5 @@ TEST(EwmaTest, ResetReseedsAndClearsCount) {
   EXPECT_EQ(e.samples(), 0u);
 }
 
-TEST(WindowedAverageTest, PartialWindow) {
-  WindowedAverage w(4);
-  w.add(2.0);
-  w.add(4.0);
-  EXPECT_DOUBLE_EQ(w.value(), 3.0);
-  EXPECT_EQ(w.size(), 2u);
-  EXPECT_FALSE(w.full());
-}
-
-TEST(WindowedAverageTest, EvictsOldestWhenFull) {
-  WindowedAverage w(3);
-  w.add(1.0);
-  w.add(2.0);
-  w.add(3.0);
-  EXPECT_TRUE(w.full());
-  w.add(10.0);  // evicts 1.0
-  EXPECT_DOUBLE_EQ(w.value(), 5.0);
-  EXPECT_EQ(w.size(), 3u);
-}
-
-TEST(WindowedAverageTest, EmptyIsZero) {
-  WindowedAverage w(3);
-  EXPECT_DOUBLE_EQ(w.value(), 0.0);
-}
-
 }  // namespace
 }  // namespace agb

@@ -202,7 +202,7 @@ void assert_invariants(const ScenarioParams& params, const PairResults& r,
     }
 
     // A failure schedule must actually fire: down nodes suppress traffic
-    // on every path (the wall-clock scheduler thread really took them
+    // on every path (the wall-clock paced clock really took them
     // down).
     if (!params.failure_schedule.empty()) {
       EXPECT_GT(c.net.dropped_down, 0u);
@@ -377,8 +377,33 @@ TEST(ScenarioParityTest, BackpressureQueuesAreBusyButBoundedOnBothPaths) {
   ASSERT_EQ(params.pending_cap, 16u);
   const PairResults results = run_pair("adaptive-backpressure", cfg);
   assert_invariants(params, results, bounds);
-  EXPECT_GT(results.sim.max_pending_depth, 0u);
-  EXPECT_GT(results.wc.max_pending_depth, 0u);
+  for (const auto& [engine, column] : results.columns()) {
+    SCOPED_TRACE(engine);
+    EXPECT_GT(column->max_pending_depth, 0u);
+    // The depth percentiles come from the senders' retry ticks alone.
+    EXPECT_LE(column->pending_depth_p50, column->pending_depth_p90);
+    EXPECT_LE(column->pending_depth_p90, column->pending_depth_p99);
+    EXPECT_LE(column->pending_depth_p99, column->max_pending_depth);
+  }
+}
+
+TEST(ScenarioParityTest, SemanticStreamsSupersedeOnEveryPath) {
+  // Every sender is its own stream and draws the preset's supersede bits on
+  // every path, so with the buffer squeezed to 12 semantic purging must
+  // evict obsolete events on the wall clock as on both simulators.
+  ParityBounds bounds;
+  bounds.overrides = {"buffer=12"};
+  const Config cfg = make_config(bounds);
+  const ScenarioParams params =
+      ScenarioRegistry::instance().build("semantic-streams", cfg);
+  ASSERT_TRUE(params.gossip.semantic_purge);
+  ASSERT_GT(params.supersede_probability, 0.0);
+  const PairResults results = run_pair("semantic-streams", cfg);
+  for (const auto& [engine, column] : results.columns()) {
+    SCOPED_TRACE(engine);
+    EXPECT_GT(column->delivery.messages, 0u);
+    EXPECT_GT(column->obsolete_drops, 0u);
+  }
 }
 
 /// Peak value of a series, and the last sample (the run-end state).

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/capacity_search.h"
+#include "core/sharded_scenario.h"
+#include "core/wallclock_scenario.h"
 
 namespace agb::core {
 namespace {
@@ -187,6 +189,42 @@ TEST(ScenarioTest, PeriodicArrivalsSupported) {
   Scenario scenario(p);
   auto results = scenario.run();
   EXPECT_NEAR(results.input_rate, 5.0, 0.5);
+}
+
+// A zero offered rate starts no arrival process (its 1000/0 ms
+// inter-arrival gap is infinite): every engine runs the idle group to its
+// horizon and broadcasts nothing.
+TEST(ScenarioTest, ZeroOfferedRateBroadcastsNothingOnEveryEngine) {
+  ScenarioParams p = small_scenario();
+  p.offered_rate = 0.0;
+  p.gossip.gossip_period = 50;
+  p.warmup = 200;
+  p.duration = 500;
+  p.cooldown = 200;
+  const auto broadcasts = [](const auto& nodes) {
+    std::uint64_t total = 0;
+    for (const auto* node : nodes) total += node->counters().broadcasts;
+    return total;
+  };
+
+  Scenario classic(p);
+  const ScenarioResults a = classic.run();
+  EXPECT_EQ(broadcasts(classic.nodes()), 0u);
+  EXPECT_GT(a.net.sent, 0u);  // the rounds still ran
+
+  ScenarioParams sharded_params = p;
+  sharded_params.sim_shards = 2;
+  ShardedScenario sharded(sharded_params);
+  const ScenarioResults b = sharded.run();
+  EXPECT_EQ(broadcasts(sharded.nodes()), 0u);
+
+  const ScenarioResults c = WallclockScenario(p).run();
+  for (const ScenarioResults* r : {&a, &b, &c}) {
+    EXPECT_EQ(r->delivery.messages, 0u);
+    EXPECT_EQ(r->input_rate, 0.0);
+    EXPECT_EQ(r->refused_broadcasts, 0u);
+    EXPECT_EQ(r->max_pending_depth, 0u);
+  }
 }
 
 TEST(ScenarioTest, RunTwiceReturnsEmptySecondTime) {

@@ -38,34 +38,6 @@ TEST(RunningStatsTest, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesCombinedStream) {
-  RunningStats all, left, right;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10.0;
-    all.add(x);
-    (i % 2 == 0 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_EQ(left.min(), all.min());
-  EXPECT_EQ(left.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptySides) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  RunningStats a_copy = a;
-  a.merge(b);  // empty rhs: no change
-  EXPECT_EQ(a.count(), 2u);
-  EXPECT_EQ(a.mean(), a_copy.mean());
-  b.merge(a);  // empty lhs adopts rhs
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_EQ(b.mean(), 2.0);
-}
-
 TEST(SampleSetTest, MeanAndQuantiles) {
   SampleSet s;
   for (double x : {5.0, 1.0, 3.0, 2.0, 4.0}) s.add(x);
@@ -105,30 +77,6 @@ TEST(SampleSetTest, AddAfterQuantileStillCorrect) {
   EXPECT_DOUBLE_EQ(s.median(), 2.0);
   s.add(100.0);
   EXPECT_DOUBLE_EQ(s.median(), 3.0);
-}
-
-TEST(HistogramTest, BinningAndEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_EQ(h.bins(), 5u);
-  h.add(0.5);   // bin 0
-  h.add(2.5);   // bin 1
-  h.add(9.99);  // bin 4
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(HistogramTest, OutOfRangeClampsToEdgeBins) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-100.0);
-  h.add(100.0);
-  h.add(10.0);  // exactly hi clamps into the last bin
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_EQ(h.total(), 3u);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 
 #include <limits>
 
-#include "flowcontrol/rate_controller.h"
-
 namespace agb::flowcontrol {
 namespace {
 
@@ -117,39 +115,6 @@ TEST(TokenBucketTest, BoundsLongRunThroughput) {
   }
   EXPECT_LE(sent, 709);
   EXPECT_GE(sent, 700);
-}
-
-TEST(StaticRateTest, ReturnsConfiguredRate) {
-  StaticRate r(12.5);
-  EXPECT_DOUBLE_EQ(r.allowed_rate(), 12.5);
-  r.set_rate(1.0);
-  EXPECT_DOUBLE_EQ(r.allowed_rate(), 1.0);
-}
-
-TEST(AimdControllerTest, AdditiveIncreaseMultiplicativeDecrease) {
-  AimdController::Params params;
-  params.additive_increase = 1.0;
-  params.multiplicative_decrease = 0.5;
-  params.min_rate = 0.5;
-  params.max_rate = 100.0;
-  AimdController c(params, 10.0);
-  c.update(false);
-  EXPECT_DOUBLE_EQ(c.allowed_rate(), 11.0);
-  c.update(true);
-  EXPECT_DOUBLE_EQ(c.allowed_rate(), 5.5);
-}
-
-TEST(AimdControllerTest, ClampsToBounds) {
-  AimdController::Params params;
-  params.additive_increase = 50.0;
-  params.multiplicative_decrease = 0.01;
-  params.min_rate = 1.0;
-  params.max_rate = 20.0;
-  AimdController c(params, 10.0);
-  c.update(false);
-  EXPECT_DOUBLE_EQ(c.allowed_rate(), 20.0);
-  c.update(true);
-  EXPECT_DOUBLE_EQ(c.allowed_rate(), 1.0);
 }
 
 }  // namespace

@@ -45,15 +45,13 @@
 //       e.g. chaos=corrupt:0.05@5s-15s,oneway:3:*@5s-15s — malformed specs
 //       exit 2 with a "did you mean" hint; presets chaos-soak /
 //       asymmetric-partition / gray-failure carry calibrated schedules
-//   sim_shards(1) sim_workers(0=auto) lookahead_ms(0=derive)
+//   sim_shards(1) sim_workers(0=auto)
 //       sim_shards>1 runs the preset on the multi-core sharded simulator
 //       (core::ShardedScenario): per-shard event queues + clocks stepped in
-//       conservative lookahead windows, all deliveries window-batched.
-//       Results are shard- and worker-count invariant (at most n shards);
-//       sim_shards<=1 keeps the classic single-queue engine (byte-identical
-//       golden traces). lookahead_ms overrides the window length derived
-//       from the minimum network delay — raising it coarsens the delay
-//       floor.
+//       conservative lookahead windows (derived from the minimum network
+//       delay), all deliveries window-batched. Results are shard- and
+//       worker-count invariant (at most n shards); sim_shards<=1 keeps the
+//       classic single-queue engine (byte-identical golden traces).
 //   warmup_s(40) duration_s(150) cooldown_s(30) bucket_s(5) seed(42)
 //   csv=prefix   (writes <prefix>_series.csv)
 //   bench=path.json   (sim fabric: writes a BENCH_sim_scale record —
@@ -67,9 +65,9 @@
 //                      receiver %, injection + decode-drop counters; pair
 //                      with scenario=chaos-soak.
 //                      inmemory fabric: writes a BENCH_backpressure record —
-//                      pending-queue depth p50/p90/p99/max, avg p_local,
-//                      avg effective fanout; pair with
-//                      scenario=adaptive-backpressure)
+//                      the senders' pending-queue depth p50/p90/p99/max,
+//                      refusals, avg p_local, avg effective fanout; pair
+//                      with scenario=adaptive-backpressure)
 //
 // fabric=inmemory runs the preset on the wall-clock runtime instead of the
 // simulator: real NodeRuntime threads over the sharded InMemoryFabric
@@ -77,13 +75,16 @@
 // full preset runs for real — partial views, locality bias + bridges, WAN
 // cluster delays (all latency models, including normal and per-link
 // overrides, via the shared sim::DelaySampler), burst loss, failure and
-// capacity schedules, and the adaptive control plane with real blocking
-// back-pressure. duration_s is then real seconds — keep it small:
+// capacity schedules, and the adaptive control plane. The senders are the
+// simulators' own blocking-BROADCAST queues (arrivals through cooldown,
+// 100 ms retry tick), stepped on a clock paced against the fabric's.
+// duration_s is then real seconds — keep it small:
 //   agb_sim scenario=wan-directional fabric=inmemory n=30 period_ms=50 duration_s=5
 //
 // Every engine prints the same report (core::ScenarioResults); only the
 // engine line differs. "delivery throughput" is the network's delivered
-// datagrams over the wall time of construction + run().
+// datagrams over the wall time of construction + run(). rate=0 runs the
+// group with no offered load; a negative rate exits 2.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -235,9 +236,10 @@ void print_report(const agb::core::ScenarioParams& p,
   std::printf("latency to atomic: p50 %.0f ms   p99 %.0f ms\n",
               r.delivery.latency_p50_ms, r.delivery.latency_p99_ms);
   std::printf("drops            : overflow %llu (avg age %.2f hops)   "
-              "age-limit %llu\n",
+              "age-limit %llu   obsolete %llu\n",
               static_cast<ull>(r.overflow_drops), r.avg_drop_age,
-              static_cast<ull>(r.age_limit_drops));
+              static_cast<ull>(r.age_limit_drops),
+              static_cast<ull>(r.obsolete_drops));
   if (p.adaptive) {
     std::printf("adaptation       : allowed %.2f msg/s (final %.2f)   "
                 "minBuff %.1f   avgAge %.2f   refused %llu\n",
@@ -401,15 +403,10 @@ int main(int argc, char** argv) {
                  "the control plane drives p_local at runtime (set "
                  "control_plane=0 to pin it)\n");
   }
-  if (p.sim_shards <= 1) {
-    for (const char* key : {"sim_workers", "lookahead_ms"}) {
-      if (cfg.raw(key)) {
-        std::fprintf(stderr,
-                     "agb_sim: warning: %s= has no effect without "
-                     "sim_shards>1 (the classic single-queue engine runs)\n",
-                     key);
-      }
-    }
+  if (p.sim_shards <= 1 && cfg.raw("sim_workers")) {
+    std::fprintf(stderr,
+                 "agb_sim: warning: sim_workers= has no effect without "
+                 "sim_shards>1 (the classic single-queue engine runs)\n");
   }
 
   const std::string csv_prefix = cfg.get_string("csv", "");
@@ -449,9 +446,8 @@ int main(int argc, char** argv) {
     const core::WallclockOptions options{.shards = shards};
     wallclock.emplace(p, options);
     r = wallclock->run();
-    std::snprintf(engine, sizeof(engine),
-                  "inmemory wall-clock, shards=%zu, max_burst %zu",
-                  options.shards, options.max_burst);
+    std::snprintf(engine, sizeof(engine), "inmemory wall-clock, shards=%zu",
+                  options.shards);
   } else if (p.sim_shards > 1) {
     sharded.emplace(p);
     r = sharded->run();
