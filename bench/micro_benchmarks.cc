@@ -4,6 +4,7 @@
 // up as minutes of extra wall time in the sweeps.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <functional>
@@ -493,18 +494,39 @@ void BM_EventBufferInsertShrink(benchmark::State& state) {
 }
 BENCHMARK(BM_EventBufferInsertShrink)->Arg(60)->Arg(180);
 
+// A round's wire image of a live buffer: rounds of arrivals with assorted
+// ages, each round aged, purged at k and bounded oldest first, so
+// swap-erase has shuffled the slots against insertion order.
+// insertion_span_per_event is the live insertion numbers' span over the
+// buffer size (about 1.6 on sim-paper-adaptive).
 void BM_EventBufferSnapshot(benchmark::State& state) {
+  const auto capacity = static_cast<std::size_t>(state.range(0));
   gossip::EventBuffer buf;
-  for (std::uint64_t i = 0; i < static_cast<std::uint64_t>(state.range(0));
-       ++i) {
-    gossip::Event e;
-    e.id = EventId{1, i};
-    buf.insert(std::move(e));
+  Rng rng(1);
+  std::uint64_t seq = 0;
+  for (int round = 0; round < 50; ++round) {
+    buf.increment_ages();
+    buf.purge_age_limit(12);
+    for (std::size_t i = 0; i < capacity / 2; ++i, ++seq) {
+      gossip::Event e;
+      e.id = EventId{static_cast<NodeId>(seq % 60), seq};
+      e.age = static_cast<std::uint32_t>(rng.next_below(12));
+      buf.insert(std::move(e));
+    }
+    buf.shrink_to(capacity);
   }
+  std::uint64_t first = seq;
+  std::uint64_t last = 0;
+  buf.for_each([&](const gossip::Event& e) {
+    first = std::min(first, e.id.sequence);
+    last = std::max(last, e.id.sequence);
+  });
   for (auto _ : state) {
     auto snapshot = buf.snapshot();
     benchmark::DoNotOptimize(snapshot);
   }
+  state.counters["insertion_span_per_event"] =
+      static_cast<double>(last - first + 1) / static_cast<double>(buf.size());
 }
 BENCHMARK(BM_EventBufferSnapshot)->Arg(60)->Arg(180);
 

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
       std::chrono::steady_clock::now() + std::chrono::seconds(seconds);
   std::uint64_t published = 0, refused = 0;
   while (std::chrono::steady_clock::now() < deadline) {
-    if (nodes[0]->try_broadcast(gossip::make_payload({0xab, 0xcd}))) {
+    if (nodes[0]->admit(gossip::make_payload({0xab, 0xcd}), 0, false)) {
       ++published;
     } else {
       ++refused;

@@ -318,40 +318,38 @@ void ScenarioGroup::drain_outbox(std::size_t shard,
   }
 }
 
+void AdaptationSample::add(adaptive::AdaptiveLpbcastNode& node) {
+  if (!senders_.empty() && senders_.front()->id() == node.id()) {
+    allowed_ += node.allowed_rate();
+    senders_ = senders_.subspan(1);
+  }
+  ++nodes_;
+  min_buff_sum_ += static_cast<double>(node.min_buff());
+  if (!control_) return;
+  if (const double p = node.p_local(); p >= 0.0) {
+    p_local_sum_ += p;
+    ++locality_nodes_;
+  }
+  fanout_sum_ += static_cast<double>(node.effective_fanout());
+}
+
+void AdaptationSample::record(TimeMs now, ScenarioResults& results) const {
+  if (nodes_ == 0) return;
+  const auto count = static_cast<double>(nodes_);
+  results.allowed_rate_ts.add(now, allowed_);
+  results.min_buff_ts.add(now, min_buff_sum_ / count);
+  if (!control_) return;
+  if (locality_nodes_ > 0) {
+    results.p_local_ts.add(
+        now, p_local_sum_ / static_cast<double>(locality_nodes_));
+  }
+  results.fanout_ts.add(now, fanout_sum_ / count);
+}
+
 void ScenarioGroup::sample(TimeMs now) {
-  if (adaptive_nodes_.empty()) return;
-  double allowed = 0.0;
-  for (const auto& sender : senders_) {
-    allowed += adaptive_nodes_[sender->id()]->allowed_rate();
-  }
-  results_.allowed_rate_ts.add(now, allowed);
-
-  double min_buff_sum = 0.0;
-  for (const auto* node : adaptive_nodes_) {
-    min_buff_sum += static_cast<double>(node->min_buff());
-  }
-  const auto count = static_cast<double>(adaptive_nodes_.size());
-  results_.min_buff_ts.add(now, min_buff_sum / count);
-
-  // Control-plane actuator trajectories: group-mean p_local (over nodes
-  // that have a locality bias at all) and effective fanout. Pure reads —
-  // no RNG, no protocol state touched.
-  if (!params_.adaptation.control.enabled) return;
-  double p_local_sum = 0.0;
-  std::size_t locality_nodes = 0;
-  double fanout_sum = 0.0;
-  for (auto* node : adaptive_nodes_) {
-    if (const double p = node->p_local(); p >= 0.0) {
-      p_local_sum += p;
-      ++locality_nodes;
-    }
-    fanout_sum += static_cast<double>(node->effective_fanout());
-  }
-  if (locality_nodes > 0) {
-    results_.p_local_ts.add(
-        now, p_local_sum / static_cast<double>(locality_nodes));
-  }
-  results_.fanout_ts.add(now, fanout_sum / count);
+  AdaptationSample sample(senders_, params_.adaptation.control.enabled);
+  for (auto* node : adaptive_nodes_) sample.add(*node);
+  sample.record(now, results_);
 }
 
 void ScenarioGroup::schedule() {

@@ -237,9 +237,9 @@ struct ScenarioResults {
   /// deepest shard delay queue (InMemoryFabric::max_queue_depth()).
   std::size_t peak_event_queue_len = 0;
 
-  /// Per-series-bucket trajectories. allowed_rate_ts, min_buff_ts and
-  /// fanout_ts are empty on the wall-clock path; its p_local_ts is sampled
-  /// every ~200 ms of run time instead of every series bucket.
+  /// Per-series-bucket trajectories. The wall-clock path samples
+  /// allowed_rate_ts, min_buff_ts, p_local_ts and fanout_ts every 200 ms of
+  /// run time instead of every series bucket.
   metrics::TimeSeries allowed_rate_ts{"allowed_rate"};
   metrics::TimeSeries min_buff_ts{"min_buff"};
   metrics::TimeSeries atomicity_ts{"atomicity"};
@@ -320,6 +320,36 @@ void summarize_run(const ScenarioParams& params,
                    std::span<gossip::LpbcastNode* const> nodes,
                    std::span<const std::unique_ptr<SenderQueue>> senders,
                    ScenarioResults& results);
+
+/// One sample of the adaptation series, taken alike by every engine's
+/// sampler: add the group's adaptive nodes in id order, then record. It
+/// sums the senders' allowed rate and averages minBuff and, with the
+/// control plane on, p_local (over nodes with a locality view) and the
+/// effective fanout. Pure reads: no RNG, no protocol state touched.
+class AdaptationSample {
+ public:
+  /// `senders` in sender-id order; `control`: the control plane is on.
+  AdaptationSample(std::span<const std::unique_ptr<SenderQueue>> senders,
+                   bool control) noexcept
+      : senders_(senders), control_(control) {}
+
+  void add(adaptive::AdaptiveLpbcastNode& node);
+
+  /// Appends the sample at `now` to allowed_rate_ts and min_buff_ts and,
+  /// with the control plane on, to p_local_ts and fanout_ts. No-op when no
+  /// node was added.
+  void record(TimeMs now, ScenarioResults& results) const;
+
+ private:
+  std::span<const std::unique_ptr<SenderQueue>> senders_;  // not yet added
+  bool control_;
+  std::size_t nodes_ = 0;
+  std::size_t locality_nodes_ = 0;
+  double allowed_ = 0.0;
+  double min_buff_sum_ = 0.0;
+  double p_local_sum_ = 0.0;
+  double fanout_sum_ = 0.0;
+};
 
 /// Rounds a group is granted to re-converge after the last fault window
 /// closes before the self-healing invariants start judging delivery again.

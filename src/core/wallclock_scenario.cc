@@ -87,21 +87,6 @@ struct WallclockScenario::Impl {
       runtimes[i]->set_capacity(change.new_capacity);
     }
   }
-
-  /// The control-plane trajectory: the group-mean p_local of the nodes
-  /// that have a locality view.
-  void sample_p_local(TimeMs now, metrics::TimeSeries& series) const {
-    double sum = 0.0;
-    std::size_t count = 0;
-    for (const auto& runtime : runtimes) {
-      const double p = runtime->p_local();
-      if (p >= 0.0) {
-        sum += p;
-        ++count;
-      }
-    }
-    if (count > 0) series.add(now, sum / static_cast<double>(count));
-  }
 };
 
 WallclockScenario::WallclockScenario(ScenarioParams params,
@@ -191,7 +176,7 @@ ScenarioResults WallclockScenario::run() {
 
   // The paced clock, in run-relative milliseconds. Events go on it in the
   // simulators' order: the senders (retry tick, then first arrival, each
-  // on its own master-RNG split), the p_local sampler, then the capacity
+  // on its own master-RNG split), the series sampler, then the capacity
   // and failure schedules.
   sim::Simulator clock;
   std::vector<std::unique_ptr<SenderQueue>> senders;
@@ -210,9 +195,15 @@ ScenarioResults WallclockScenario::run() {
   }
   ScenarioResults results;
   std::optional<sim::PeriodicTimer> sampler;
-  if (im.params.adaptive && im.params.adaptation.control.enabled) {
-    sampler.emplace(clock, 200, 200, [&im, &results](TimeMs now) {
-      im.sample_p_local(now, results.p_local_ts);
+  if (im.params.adaptive) {
+    sampler.emplace(clock, 200, 200, [&im, &senders, &results](TimeMs now) {
+      AdaptationSample sample(senders, im.params.adaptation.control.enabled);
+      for (auto& runtime : im.runtimes) {
+        runtime->with_node([&sample](gossip::LpbcastNode& node) {
+          sample.add(dynamic_cast<adaptive::AdaptiveLpbcastNode&>(node));
+        });
+      }
+      sample.record(now, results);
     });
   }
   for (const CapacityChange& change : im.params.capacity_schedule) {

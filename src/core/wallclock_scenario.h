@@ -13,12 +13,14 @@
 // milliseconds, stepped on the calling thread whenever the fabric clock
 // reaches its next event. It carries the simulators' own SenderQueues
 // (admitting through NodeRuntime::admit, under the node lock and at the
-// runtime's clock), the capacity and failure schedules and the 200 ms
-// p_local sampler. Crash/recover maps to InMemoryFabric::set_node_up, and
-// the simulators' rejoin (GossipMembership::rejoin), oracle-view
-// (apply_oracle_view) and capacity-target (capacity_targets) rules reach
-// the running nodes through NodeRuntime — the exact moves ScenarioGroup
-// makes in virtual time. The runner starts no thread of its own.
+// runtime's clock), the capacity and failure schedules and, on adaptive
+// runs, a 200 ms sampler of the simulators' adaptation series
+// (core::AdaptationSample). Crash/recover maps to
+// InMemoryFabric::set_node_up, and the simulators' rejoin
+// (GossipMembership::rejoin), oracle-view (apply_oracle_view) and
+// capacity-target (capacity_targets) rules reach the running nodes through
+// NodeRuntime — the exact moves ScenarioGroup makes in virtual time. The
+// runner starts no thread of its own.
 //
 // warmup/duration/cooldown are *real* milliseconds here; metrics use the
 // same evaluation-window rules as the simulator (metrics::DeliveryTracker

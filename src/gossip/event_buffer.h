@@ -12,9 +12,9 @@
 // Buffer sizes are small (tens to hundreds), so events live in a flat vector
 // of slots, found by id through a flat EventIdTable index (id -> slot
 // position); erasing moves the last slot into the hole. Oldest-first
-// eviction, real or virtual, is one oldest_beyond() pass plus a partial sort
-// of the victims, and its selection contract (age descending, ties by
-// insertion) does not depend on the index.
+// eviction, real or virtual, is one oldest_beyond() pass that counts the
+// candidates' ages, so only the victims are sorted; its selection contract
+// (age descending, ties by insertion) does not depend on the index.
 #pragma once
 
 #include <cstddef>
@@ -52,35 +52,43 @@ class EventBuffer {
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
 
-  /// Adopts `age` for `id` if it is higher than the stored age.
-  void bump_age(const EventId& id, std::uint32_t age);
+  /// Adopts `age` for `id` if it is higher than the stored age. Returns
+  /// whether `id` is buffered.
+  bool bump_age(const EventId& id, std::uint32_t age);
 
   /// One gossip round passed: every stored event gets one hop older.
   void increment_ages() noexcept;
 
   /// Removes events with age > max_age; returns them (for drop accounting).
-  std::vector<Event> purge_age_limit(std::uint32_t max_age);
+  /// The span aliases per-thread scratch, valid until this thread's next
+  /// purge_age_limit call.
+  std::span<const Event> purge_age_limit(std::uint32_t max_age);
 
   /// Removes events made obsolete by a buffered superseding event: e is
   /// obsolete iff some e' with the same (origin, stream), e'.sequence >
-  /// e.sequence and e'.supersedes is also buffered. Returns the removals.
-  std::vector<Event> purge_superseded();
+  /// e.sequence and e'.supersedes is also buffered. Returns the removals,
+  /// in per-thread scratch valid until this thread's next
+  /// purge_superseded call.
+  std::span<const Event> purge_superseded();
 
   /// Removes oldest events until size() <= capacity; returns them in removal
   /// order, which is oldest_beyond(capacity)'s. The span aliases per-thread
-  /// scratch, valid until this thread's next call.
+  /// scratch, valid until this thread's next shrink_to call.
   std::span<const Event> shrink_to(std::size_t capacity);
 
   /// The events beyond the `keep` youngest among those whose id is not in
   /// `excluded` (if given), oldest first: age descending, ties by earliest
   /// insertion — what repeatedly taking the oldest would yield (paper Fig.
   /// 5(b): "select oldest element e from events - lost"), in one pass with
-  /// one exclusion probe per slot. The span aliases per-thread scratch, valid
-  /// until this thread's next call or a mutation of the buffer.
+  /// one exclusion probe per slot that also counts the candidates' ages:
+  /// the counts give the youngest victim age, and only the victims are
+  /// sorted. The span aliases per-thread scratch, valid until this thread's
+  /// next call or a mutation of the buffer.
   [[nodiscard]] std::span<const Slot* const> oldest_beyond(
       std::size_t keep, const EventIdTable* excluded = nullptr) const;
 
-  /// Copies of all stored events (what a gossip message carries).
+  /// Copies of all stored events in insertion order (what a gossip message
+  /// carries).
   [[nodiscard]] std::vector<Event> snapshot() const;
 
   /// Visits every stored event.

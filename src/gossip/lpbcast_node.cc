@@ -138,27 +138,30 @@ void LpbcastNode::on_gossip(const GossipMessage& message, TimeMs now) {
 
 void LpbcastNode::ingest_event(const Event& incoming, TimeMs now,
                                bool via_repair) {
-  if (event_ids_.insert(incoming.id)) {
-    ++counters_.events_received;
-    ++counters_.deliveries;
-    if (via_repair) ++counters_.events_recovered;
-    // A decoded payload is a slice of its datagram: the one copy of the
-    // receive path, so that no stored or delivered event pins a datagram.
-    Event event = incoming;
-    event.payload = SharedBytes::copy_of(incoming.payload);
-    if (deliver_) deliver_(event, now);
-    on_event_ingested(event, now);
-    if (params_.recovery.enabled) {
-      missing_.erase(event.id);
-      note_seen_id(event.id);
-    }
-    events_.insert(std::move(event));
-  } else {
+  // A buffered event is known whatever the digest still remembers: it
+  // adopts the higher age so the dissemination estimate keeps progressing
+  // (paper Fig. 1, "Update events and ages"). Asking the small buffer index
+  // first spares most duplicates the digest probe; only an id forgotten by
+  // both is novel again.
+  if (events_.bump_age(incoming.id, incoming.age) ||
+      !event_ids_.insert(incoming.id)) {
     ++counters_.duplicates;
-    // Known event: adopt the higher age so the dissemination estimate
-    // keeps progressing (paper Fig. 1, "Update events and ages").
-    events_.bump_age(incoming.id, incoming.age);
+    return;
   }
+  ++counters_.events_received;
+  ++counters_.deliveries;
+  if (via_repair) ++counters_.events_recovered;
+  // A decoded payload is a slice of its datagram: the one copy of the
+  // receive path, so that no stored or delivered event pins a datagram.
+  Event event = incoming;
+  event.payload = SharedBytes::copy_of(incoming.payload);
+  if (deliver_) deliver_(event, now);
+  on_event_ingested(event, now);
+  if (params_.recovery.enabled) {
+    missing_.erase(event.id);
+    note_seen_id(event.id);
+  }
+  events_.insert(std::move(event));
 }
 
 void LpbcastNode::note_seen_id(const EventId& id) {
@@ -169,8 +172,13 @@ void LpbcastNode::note_seen_id(const EventId& id) {
 }
 
 void LpbcastNode::process_seen_digest(const GossipMessage& message) {
+  // Known means what ingest_event treats as known: in the digest or still
+  // buffered, so a buffered id the digest forgot is never asked for.
   for (const EventId& id : message.seen_ids) {
-    if (event_ids_.contains(id) || missing_.contains(id)) continue;
+    if (event_ids_.contains(id) || events_.contains(id) ||
+        missing_.contains(id)) {
+      continue;
+    }
     ++counters_.missing_detected;
     missing_.emplace(id, MissingEntry{message.sender, round_, false});
   }

@@ -46,7 +46,7 @@ struct NodeCounters {
   std::uint64_t gossips_sent = 0;      // one per (message, target) pair
   std::uint64_t gossips_received = 0;
   std::uint64_t events_received = 0;   // novel events buffered + delivered
-  std::uint64_t duplicates = 0;        // suppressed by the eventIds digest
+  std::uint64_t duplicates = 0;        // buffered or in the eventIds digest
   std::uint64_t deliveries = 0;        // includes local deliveries
   std::uint64_t drops_overflow = 0;    // evicted by the |events| bound
   std::uint64_t drops_age_limit = 0;   // purged by the age limit k

@@ -219,7 +219,6 @@ void InMemoryFabric::send_batch(Multicast batch) {
                                          : std::vector<NodeId>(scratch[i]);
     if (sub.empty()) continue;
 
-    bool queued = false;
     bool notify = false;
     {
       std::lock_guard lock(shard.mutex);
@@ -243,8 +242,11 @@ void InMemoryFabric::send_batch(Multicast batch) {
           shard.ready_count += sub.size();
           shard.ready.push_back(
               ReadyBatch{batch.from, batch.payload, std::move(sub)});
+          // Wake a waiting dispatcher: nothing it waits for is due sooner.
+          notify = shard.wake_at != kAwake;
         } else {
           const TimeMs base = now();
+          TimeMs earliest = kNever;
           for (NodeId to : sub) {
             // Shared latency selection (per-link override > cluster rule >
             // default), sampled from this shard's Rng — the wall-clock twin
@@ -252,20 +254,20 @@ void InMemoryFabric::send_batch(Multicast batch) {
             // pinned per-link models.
             const DurationMs delay =
                 sampler_.sample(batch.from, to, shard.rng);
+            earliest = std::min(earliest, base + delay);
             // Each entry aliases the batch payload: a refcount bump per
             // target. Equal due times keep insertion order (multimap),
             // preserving per-receiver FIFO.
             shard.delayed.emplace(base + delay,
                                   Datagram{batch.from, to, batch.payload});
           }
+          // A dispatcher that wakes by the earliest due time finds these
+          // datagrams on its own, and the skipped futex syscall is most of
+          // a send's cost.
+          notify = earliest < shard.wake_at;
         }
-        queued = true;
         if (shard.depth() > shard.max_depth) shard.max_depth = shard.depth();
       }
-      // Wake the dispatcher only if it is actually asleep — when it is
-      // mid-drain it re-checks the queues before ever waiting, and the
-      // skipped futex syscall is most of a zero-delay send's cost.
-      notify = queued && shard.waiting;
     }
     if (notify) shard.cv.notify_one();  // one wakeup per touched shard
   }
@@ -291,11 +293,11 @@ void InMemoryFabric::send_batch(Multicast batch) {
       }
       const DurationMs delay =
           zero_delay_ ? 0 : sampler_.sample(batch.from, special.to, shard.rng);
+      const TimeMs due = now() + delay + special.extra_delay;
       shard.delayed.emplace(
-          now() + delay + special.extra_delay,
-          Datagram{batch.from, special.to, std::move(special.payload)});
+          due, Datagram{batch.from, special.to, std::move(special.payload)});
       if (shard.depth() > shard.max_depth) shard.max_depth = shard.depth();
-      notify = shard.waiting;
+      notify = due < shard.wake_at;
     }
     if (notify) shard.cv.notify_one();
   }
@@ -395,18 +397,20 @@ void InMemoryFabric::dispatch_loop(Shard& shard) {
   while (true) {
     if (shard.stopping) return;
     if (shard.depth() == 0) {
-      shard.waiting = true;
+      shard.wake_at = kNever;
       shard.cv.wait(lock, [&] { return shard.stopping || shard.depth() > 0; });
-      shard.waiting = false;
+      shard.wake_at = kAwake;
       continue;
     }
     const TimeMs current = now();
     if (shard.ready.empty()) {
       const TimeMs due = shard.delayed.begin()->first;
       if (due > current) {
-        shard.waiting = true;
-        shard.cv.wait_for(lock, std::chrono::milliseconds(due - current));
-        shard.waiting = false;
+        // Until the fabric clock reads `due`, not `due - current` from a
+        // clock reading that is up to a millisecond stale.
+        shard.wake_at = due;
+        shard.cv.wait_until(lock, epoch_ + std::chrono::milliseconds(due));
+        shard.wake_at = kAwake;
         continue;
       }
     }

@@ -28,6 +28,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -95,9 +96,10 @@ class InMemoryFabric final : public DatagramNetwork {
   /// shard is involved — a detach never stalls the other dispatchers.
   void detach(NodeId node) override;
 
-  /// Splits the fan-out across receiver shards: one lock acquisition and
-  /// at most one dispatcher wakeup per *touched shard*, never per target.
-  /// Loss and delay are still sampled per target.
+  /// Splits the fan-out across receiver shards: one lock acquisition per
+  /// *touched shard*, never per target, and a dispatcher wakeup only where
+  /// a datagram is due before the dispatcher would wake anyway. Loss and
+  /// delay are still sampled per target.
   void send_batch(Multicast batch) override;
 
   /// Crash/recover, the wall-clock twin of sim::SimNetwork::set_node_up: a
@@ -160,6 +162,10 @@ class InMemoryFabric final : public DatagramNetwork {
   /// is saturated.
   static constexpr std::size_t kMaxBurst = 64;
 
+  /// Shard::wake_at of a running dispatcher and of an untimed wait.
+  static constexpr TimeMs kAwake = std::numeric_limits<TimeMs>::min();
+  static constexpr TimeMs kNever = std::numeric_limits<TimeMs>::max();
+
   /// A zero-delay fan-out, stored unexpanded: one queue entry and ONE
   /// payload refcount bump per touched shard, however many targets.
   struct ReadyBatch {
@@ -190,10 +196,11 @@ class InMemoryFabric final : public DatagramNetwork {
     /// advanced per datagram under `mutex`.
     bool burst_bad = false;
     bool stopping = false;
-    /// True while the dispatcher sits in a cv wait: senders skip the
-    /// notify (a futex syscall) when the dispatcher is awake anyway —
-    /// it re-checks the queues before ever waiting.
-    bool waiting = false;
+    /// When the dispatcher's wait ends on its own: kAwake while it runs
+    /// (it re-checks the queues before it ever waits), kNever in an
+    /// untimed wait, else the due time it sleeps until. A sender notifies
+    /// (a futex syscall) only for a datagram due before it.
+    TimeMs wake_at = kAwake;
     NodeId in_flight = kInvalidNode;  // node whose handler is executing
     std::size_t max_depth = 0;
     /// Dispatch scratch, slot-indexed like `handlers` (persistent so a

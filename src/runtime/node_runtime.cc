@@ -124,12 +124,6 @@ EventId NodeRuntime::broadcast(gossip::Payload payload) {
   return node_->broadcast(std::move(payload), clock_());
 }
 
-bool NodeRuntime::try_broadcast(gossip::Payload payload, EventId* out_id) {
-  std::lock_guard lock(mutex_);
-  if (adaptive_ == nullptr) return false;
-  return adaptive_->try_broadcast(std::move(payload), clock_(), out_id);
-}
-
 std::optional<EventId> NodeRuntime::admit(gossip::Payload payload,
                                           std::uint32_t stream,
                                           bool supersedes) {
@@ -165,11 +159,6 @@ std::uint32_t NodeRuntime::min_buff() const {
 double NodeRuntime::avg_age() const {
   std::lock_guard lock(mutex_);
   return adaptive_ ? adaptive_->avg_age() : 0.0;
-}
-
-double NodeRuntime::p_local() const {
-  std::lock_guard lock(mutex_);
-  return adaptive_ ? adaptive_->p_local() : -1.0;
 }
 
 void NodeRuntime::with_node(

@@ -53,10 +53,6 @@ class NodeRuntime {
   /// Baseline broadcast (always admitted). Thread-safe.
   EventId broadcast(gossip::Payload payload);
 
-  /// Adaptive, token-gated broadcast. Returns false when the node is not
-  /// adaptive-capable or out of tokens. Thread-safe.
-  bool try_broadcast(gossip::Payload payload, EventId* out_id = nullptr);
-
   /// The admission call core::SenderQueue makes, at the runtime's own
   /// clock: a baseline node admits at once, an adaptive node only with a
   /// token. Returns the admitted event's id, or nullopt on refusal (the
@@ -86,10 +82,6 @@ class NodeRuntime {
   [[nodiscard]] double allowed_rate() const;
   [[nodiscard]] std::uint32_t min_buff() const;
   [[nodiscard]] double avg_age() const;
-
-  /// Control-plane actuator snapshot: the LocalityView's live p_local (-1
-  /// without locality / without an adaptive node).
-  [[nodiscard]] double p_local() const;
 
   /// Runtime equivalent of the dynamic-resources experiment
   /// (LpbcastNode::set_max_events under the node lock).

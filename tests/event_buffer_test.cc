@@ -49,6 +49,30 @@ std::vector<Event> slot_layout(const EventBuffer& buf) {
   return layout;
 }
 
+/// The test's own record of insertions: each id's insertion rank, counted
+/// here, so the reference models never ask the buffer for its order.
+struct InsertionLog {
+  std::unordered_map<EventId, std::uint64_t> rank;
+  std::uint64_t next = 0;
+
+  bool insert(EventBuffer& buf, Event e) {
+    const EventId id = e.id;
+    if (!buf.insert(std::move(e))) return false;
+    rank[id] = next++;  // a re-inserted id ranks anew
+    return true;
+  }
+
+  /// The buffered events, earliest insertion first.
+  [[nodiscard]] std::vector<Event> in_order(const EventBuffer& buf) const {
+    std::vector<Event> events = slot_layout(buf);
+    std::sort(events.begin(), events.end(),
+              [this](const Event& a, const Event& b) {
+                return rank.at(a.id) < rank.at(b.id);
+              });
+    return events;
+  }
+};
+
 /// Reference model of eviction: the paper's loop taken literally. It picks
 /// the oldest remaining candidate one at a time (age descending, earliest
 /// insertion on ties) and, when `erase` is set, removes it the way the
@@ -58,13 +82,10 @@ struct NaiveEviction {
   std::vector<Event> layout;  // storage order afterwards (when erasing)
 };
 
-NaiveEviction naive_oldest_beyond(const EventBuffer& buf, std::size_t keep,
+NaiveEviction naive_oldest_beyond(const EventBuffer& buf,
+                                  const InsertionLog& log, std::size_t keep,
                                   const std::unordered_set<EventId>* excluded,
                                   bool erase) {
-  std::unordered_map<EventId, std::size_t> inserted_rank;
-  for (const Event& e : buf.snapshot()) {
-    inserted_rank.emplace(e.id, inserted_rank.size());
-  }
   NaiveEviction out;
   out.layout = slot_layout(buf);
   std::vector<bool> gone(out.layout.size(), false);  // virtual drops
@@ -81,7 +102,7 @@ NaiveEviction naive_oldest_beyond(const EventBuffer& buf, std::size_t keep,
       const Event& e = out.layout[i];
       if (oldest == out.layout.size() || e.age > out.layout[oldest].age ||
           (e.age == out.layout[oldest].age &&
-           inserted_rank[e.id] < inserted_rank[out.layout[oldest].id])) {
+           log.rank.at(e.id) < log.rank.at(out.layout[oldest].id))) {
         oldest = i;
       }
     }
@@ -196,21 +217,22 @@ TEST(EventBufferTest, ShrinkToZeroEmptiesBuffer) {
 // same victims in the same order, and — through shrink_to — the same
 // removals, slot layout and snapshot.
 TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
-  auto check = [](const EventBuffer& buf, std::size_t keep,
+  auto check = [](const EventBuffer& buf, const InsertionLog& log,
+                  std::size_t keep,
                   const std::unordered_set<EventId>& excluded) {
     SCOPED_TRACE(::testing::Message() << "size " << buf.size() << " keep "
                                       << keep << " excluded "
                                       << excluded.size());
     const EventIdTable excluded_table = table_of(excluded);
     EXPECT_EQ(ids_of(buf.oldest_beyond(keep, &excluded_table)),
-              naive_oldest_beyond(buf, keep, &excluded, false).victims);
+              naive_oldest_beyond(buf, log, keep, &excluded, false).victims);
     EXPECT_EQ(ids_of(buf.oldest_beyond(keep)),
-              naive_oldest_beyond(buf, keep, nullptr, false).victims);
+              naive_oldest_beyond(buf, log, keep, nullptr, false).victims);
 
     const NaiveEviction expected =
-        naive_oldest_beyond(buf, keep, nullptr, true);
+        naive_oldest_beyond(buf, log, keep, nullptr, true);
     std::vector<Event> expected_snapshot;
-    for (const Event& e : buf.snapshot()) {
+    for (const Event& e : log.in_order(buf)) {
       if (std::find(expected.victims.begin(), expected.victims.end(), e.id) ==
           expected.victims.end()) {
         expected_snapshot.push_back(e);
@@ -225,53 +247,133 @@ TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
   // Hand-made cases: exclusion skips ids, excluding everything selects
   // nothing, and ids absent from the buffer exclude nothing.
   EventBuffer two;
-  two.insert(make_event(1, 1, 9));
-  two.insert(make_event(1, 2, 7));
+  InsertionLog two_log;
+  two_log.insert(two, make_event(1, 1, 9));
+  two_log.insert(two, make_event(1, 2, 7));
   const std::unordered_set<EventId> first{EventId{1, 1}};
   const EventIdTable first_table = table_of(first);
   EXPECT_EQ(ids_of(two.oldest_beyond(0, &first_table)),
             (std::vector<EventId>{EventId{1, 2}}));
-  check(two, 0, first);
-  check(two, 0, {EventId{1, 1}, EventId{1, 2}});
+  check(two, two_log, 0, first);
+  check(two, two_log, 0, {EventId{1, 1}, EventId{1, 2}});
   EventBuffer three;
-  for (std::uint64_t seq = 1; seq <= 3; ++seq) three.insert(make_event(1, seq));
+  InsertionLog three_log;
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    three_log.insert(three, make_event(1, seq));
+  }
   const std::unordered_set<EventId> partly_absent{EventId{1, 2},
                                                   EventId{9, 9}};
   const EventIdTable partly_absent_table = table_of(partly_absent);
   EXPECT_EQ(three.oldest_beyond(0, &partly_absent_table).size(), 2u);
   EXPECT_EQ(three.oldest_beyond(0).size(), 3u);
-  check(three, 1, partly_absent);
+  check(three, three_log, 1, partly_absent);
 
   // Seeded random buffers: up to 300 events, ages from a narrow range so
   // ties are common, a swap-erase-shuffled slot layout, exclusion sets
-  // that mix buffered and absent ids, and keep values from 0 to past size.
+  // that mix buffered and absent ids, and keep values from 0 to past size,
+  // with exactly one victim among them. One trial in three draws ages
+  // around 63, where the last age bucket starts to hold every older age,
+  // and one in three far past it, so all its candidates share that bucket.
   Rng rng(2003);
-  for (int trial = 0; trial < 400; ++trial) {
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::uint32_t age_base = std::array{0u, 60u, 1000u}[trial % 3];
     EventBuffer buf;
+    InsertionLog log;
     const auto target = rng.next_below(301);
     std::uint64_t seq = 0;
     while (buf.size() < target) {
-      buf.insert(make_event(static_cast<NodeId>(rng.next_below(4)), seq++,
-                            static_cast<std::uint32_t>(rng.next_below(6))));
+      log.insert(buf, make_event(static_cast<NodeId>(rng.next_below(4)), seq++,
+                                 age_base + static_cast<std::uint32_t>(
+                                                rng.next_below(6))));
       if (rng.bernoulli(0.05)) {
         buf.shrink_to(buf.size() - std::min<std::size_t>(
                                        buf.size(), rng.next_below(4)));
       }
-      if (rng.bernoulli(0.02)) buf.purge_age_limit(4);
+      if (rng.bernoulli(0.02)) buf.purge_age_limit(age_base + 4);
     }
     const double excluded_share = std::array{0.0, 0.3, 0.9, 1.0}[trial % 4];
     std::unordered_set<EventId> excluded;
+    std::size_t candidates = 0;
     buf.for_each([&](const Event& e) {
-      if (rng.bernoulli(excluded_share)) excluded.insert(e.id);
+      if (rng.bernoulli(excluded_share)) {
+        excluded.insert(e.id);
+      } else {
+        ++candidates;
+      }
     });
     for (int i = 0; i < 5; ++i) excluded.insert(EventId{99, rng.next()});
     const std::size_t size = buf.size();
     for (std::size_t keep :
          {std::size_t{0}, static_cast<std::size_t>(rng.next_below(size + 1)),
           size, size + 1 + rng.next_below(5)}) {
-      check(buf, keep, excluded);
+      check(buf, log, keep, excluded);
+    }
+    // Exactly one victim, without and with the exclusion set.
+    if (size > 0) check(buf, log, size - 1, excluded);
+    if (candidates > 0) check(buf, log, candidates - 1, excluded);
+  }
+}
+
+// snapshot() emits the live events in insertion order whatever happened to
+// the buffer: inserts (some rejected as duplicates), age bumps, rounds,
+// shrinks, both purges and capacity changes. Half the sequences keep a few
+// young events alive while thousands of older ones pass through, so the
+// live insertion numbers span far more than size() and the sort runs;
+// the others stay dense and are placed.
+TEST(EventBufferTest, SnapshotEqualsLiveEventsInInsertionOrder) {
+  Rng rng(2020);
+  std::size_t dense = 0;
+  std::size_t sparse = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const bool anchored = trial % 2 == 1;
+    EventBuffer buf;
+    InsertionLog log;
+    std::size_t capacity = 1 + rng.next_below(150);
+    std::uint64_t seq = 0;
+    if (anchored) {
+      for (int i = 0; i < 3; ++i) {
+        log.insert(buf, make_event(7, seq++, 0));  // never aged, never bumped
+      }
+    }
+    for (int step = 0; step < 2000; ++step) {
+      const auto op = rng.next_below(100);
+      if (op < 60) {
+        Event e = make_event(static_cast<NodeId>(rng.next_below(3)), seq++,
+                             1 + static_cast<std::uint32_t>(rng.next_below(8)));
+        e.stream = static_cast<std::uint32_t>(rng.next_below(3));
+        e.supersedes = rng.bernoulli(0.1);
+        log.insert(buf, e);
+        if (rng.bernoulli(0.1)) {  // a duplicate copy is rejected
+          EXPECT_FALSE(log.insert(buf, make_event(e.id.origin, e.id.sequence)));
+        }
+      } else if (op < 75) {
+        const std::uint64_t back = 1 + rng.next_below(seq);
+        const auto origin = static_cast<NodeId>(rng.next_below(3));
+        buf.bump_age(EventId{origin, seq - back},
+                     1 + static_cast<std::uint32_t>(rng.next_below(20)));
+      } else if (op < 85) {
+        buf.shrink_to(capacity);
+      } else if (op < 88 && !anchored) {
+        buf.increment_ages();
+      } else if (op < 91) {
+        buf.purge_age_limit(anchored ? 12 : 10);
+      } else if (op < 94) {
+        buf.purge_superseded();
+      } else if (op < 96) {
+        capacity = 1 + rng.next_below(150);
+      }
+      if (step % 50 != 49) continue;
+      const std::vector<Event> expected = log.in_order(buf);
+      expect_same_events(buf.snapshot(), expected);
+      if (!expected.empty()) {
+        const std::uint64_t span = log.rank.at(expected.back().id) -
+                                   log.rank.at(expected.front().id) + 1;
+        (span > 4 * expected.size() ? sparse : dense) += 1;
+      }
     }
   }
+  EXPECT_GT(dense, 100u);
+  EXPECT_GT(sparse, 100u);
 }
 
 TEST(EventBufferTest, SnapshotPreservesInsertionOrder) {

@@ -191,10 +191,11 @@ TEST(LpbcastNodeTest, EventIdDigestBoundsDuplicateMemory) {
 }
 
 TEST(LpbcastNodeTest, RebroadcastOfForgottenIdRedelivers) {
-  // Documents the known lpbcast behaviour: once an id ages out of the
-  // digest, a stray copy is treated as novel again. Experiments size the
-  // digest to make this negligible.
+  // Documents the known lpbcast behaviour: once an id ages out of both the
+  // digest and the buffer, a stray copy is treated as novel again.
+  // Experiments size the digest to make this negligible.
   GossipParams params = small_params();
+  params.max_events = 1;
   params.max_event_ids = 1;
   LpbcastNode node(1, params, directory(1, 10, 1), Rng(3));
   int deliveries = 0;
@@ -206,11 +207,59 @@ TEST(LpbcastNodeTest, RebroadcastOfForgottenIdRedelivers) {
   b.id = EventId{0, 1};
   m.events = {a};
   node.on_gossip(m, 0);
-  m.events = {b};  // evicts a's id
+  m.events = {b};  // evicts a's id from the digest and a from the buffer
   node.on_gossip(m, 1);
+  ASSERT_FALSE(node.events().contains(a.id));
   m.events = {a};  // a is "novel" again
   node.on_gossip(m, 2);
   EXPECT_EQ(deliveries, 3);
+}
+
+TEST(LpbcastNodeTest, BufferedDuplicateForgottenByDigestIsNotRedelivered) {
+  // The buffer answers for the ids it holds: a copy of a buffered event
+  // whose id the digest has already evicted is a duplicate. It adopts the
+  // higher age and is neither delivered nor counted as received again.
+  // With recovery on, a peer advertising that id flags nothing missing, so
+  // no repair is requested and nothing is abandoned.
+  for (const bool recovery : {false, true}) {
+    SCOPED_TRACE(recovery ? "recovery on" : "recovery off");
+    GossipParams params = small_params();
+    params.max_event_ids = 1;
+    params.recovery.enabled = recovery;
+    params.recovery.repair_after_rounds = 1;
+    params.recovery.give_up_after_rounds = 3;
+    LpbcastNode node(1, params, directory(1, 10, 1), Rng(3));
+    int deliveries = 0;
+    node.set_deliver_handler([&](const Event&, TimeMs) { ++deliveries; });
+    GossipMessage m;
+    m.sender = 0;
+    Event a, b;
+    a.id = EventId{0, 0};
+    b.id = EventId{0, 1};
+    m.events = {a, b};  // b's id evicts a's from the digest
+    node.on_gossip(m, 0);
+    ASSERT_FALSE(node.event_ids().contains(a.id));
+    ASSERT_TRUE(node.events().contains(a.id));
+    GossipMessage digest_only;
+    digest_only.sender = 2;
+    digest_only.seen_ids = {a.id};
+    node.on_gossip(digest_only, 1);
+    a.age = 7;
+    m.events = {a};
+    node.on_gossip(m, 2);
+    EXPECT_EQ(deliveries, 2);
+    EXPECT_EQ(node.counters().events_received, 2u);
+    EXPECT_EQ(node.counters().duplicates, 1u);
+    ASSERT_NE(node.events().find(a.id), nullptr);
+    EXPECT_EQ(node.events().find(a.id)->age, 7u);
+    for (int round = 0; round < 4; ++round) {
+      (void)node.on_round(1000 * (round + 1));
+      EXPECT_TRUE(node.take_outbox().empty());
+    }
+    EXPECT_EQ(node.counters().missing_detected, 0u);
+    EXPECT_EQ(node.counters().repair_requests, 0u);
+    EXPECT_EQ(node.counters().missing_abandoned, 0u);
+  }
 }
 
 TEST(LpbcastNodeTest, GossipsReceivedCounter) {

@@ -310,11 +310,11 @@ TEST(ScenarioRunAllocTest, GoldenConfigurationsAllocateExactly) {
     std::uint64_t allocs;
   };
   const std::vector<Pin> pins = {
-      {"paper60", {}, 28000},
-      {"churn", {"churn_every_s=4", "churn_down_s=3", "churn_count=2"}, 27964},
-      {"paper60", {"partial_view=1"}, 29895},
-      {"paper60", {"adaptive=1", "rate=45"}, 27767},
-      {"fig9", {"adaptive=1", "t1_s=4", "t2_s=10"}, 22845},
+      {"paper60", {}, 27695},
+      {"churn", {"churn_every_s=4", "churn_down_s=3", "churn_count=2"}, 27673},
+      {"paper60", {"partial_view=1"}, 29640},
+      {"paper60", {"adaptive=1", "rate=45"}, 27443},
+      {"fig9", {"adaptive=1", "t1_s=4", "t2_s=10"}, 22516},
   };
   for (const Pin& pin : pins) {
     const RunCost cost = run_cost(pin.preset, pin.extra);

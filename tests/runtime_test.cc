@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -336,6 +337,83 @@ TEST(InMemoryFabricTest, BatchSamplesLossPerTarget) {
   EXPECT_GT(fabric.stats().dropped_loss, 50u);
 }
 
+// A fixed delay with several senders on their own threads, paced so that
+// datagrams arrive while a dispatcher sleeps towards an earlier due time:
+// none reaches its handler before the fabric clock reads its due
+// millisecond (at least the sender's clock reading plus the delay), none
+// is left undelivered, and each receiver sees every sender's datagrams in
+// send order, with its handler clock never running backwards.
+TEST(InMemoryFabricTest, FixedDelayDeliversNoEarlierThanDueAndInOrder) {
+  constexpr DurationMs kDelay = 4;
+  constexpr NodeId kSenders = 4;
+  constexpr NodeId kReceivers = 4;
+  constexpr std::uint32_t kPerSender = 150;
+  InMemoryFabric::Params params;
+  params.min_delay = kDelay;
+  params.max_delay = kDelay;
+  params.shards = 2;
+  InMemoryFabric fabric(params);
+
+  struct Receipt {
+    NodeId from;
+    std::uint32_t seq;
+    TimeMs sent;
+    TimeMs received;
+  };
+  std::mutex mutex;
+  std::vector<std::vector<Receipt>> receipts(kReceivers);
+  std::atomic<std::size_t> total{0};
+  for (NodeId r = 0; r < kReceivers; ++r) {
+    fabric.attach(kSenders + r, [&, r](const Datagram& d, TimeMs now) {
+      Receipt receipt{d.from, 0, 0, now};
+      ASSERT_EQ(d.payload.size(), sizeof receipt.seq + sizeof receipt.sent);
+      std::memcpy(&receipt.seq, d.payload.data(), sizeof receipt.seq);
+      std::memcpy(&receipt.sent, d.payload.data() + sizeof receipt.seq,
+                  sizeof receipt.sent);
+      std::lock_guard lock(mutex);
+      receipts[r].push_back(receipt);
+      total.fetch_add(1);
+    });
+  }
+  std::vector<NodeId> everyone;
+  for (NodeId r = 0; r < kReceivers; ++r) everyone.push_back(kSenders + r);
+
+  std::vector<std::thread> senders;
+  for (NodeId from = 0; from < kSenders; ++from) {
+    senders.emplace_back([&, from] {
+      for (std::uint32_t seq = 0; seq < kPerSender; ++seq) {
+        const TimeMs sent = fabric.now();
+        std::vector<std::uint8_t> bytes(sizeof seq + sizeof sent);
+        std::memcpy(bytes.data(), &seq, sizeof seq);
+        std::memcpy(bytes.data() + sizeof seq, &sent, sizeof sent);
+        fabric.send_batch(Multicast{from, everyone, std::move(bytes)});
+        if ((seq + from) % 3 == 0) std::this_thread::sleep_for(1ms);
+      }
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  const std::size_t expected = std::size_t{kSenders} * kReceivers * kPerSender;
+  EXPECT_TRUE(eventually([&] { return total.load() == expected; }));
+
+  std::lock_guard lock(mutex);
+  for (NodeId r = 0; r < kReceivers; ++r) {
+    SCOPED_TRACE(::testing::Message() << "receiver " << kSenders + r);
+    std::vector<std::uint32_t> next(kSenders, 0);
+    TimeMs last = 0;
+    for (const Receipt& receipt : receipts[r]) {
+      EXPECT_GE(receipt.received, receipt.sent + kDelay)
+          << "from " << receipt.from << " seq " << receipt.seq;
+      EXPECT_EQ(receipt.seq, next[receipt.from]++) << "from " << receipt.from;
+      EXPECT_GE(receipt.received, last);
+      last = receipt.received;
+    }
+    for (NodeId from = 0; from < kSenders; ++from) {
+      EXPECT_EQ(next[from], kPerSender) << "from " << from;
+    }
+  }
+  EXPECT_EQ(fabric.stats().delivered, expected);
+}
+
 TEST(InMemoryFabricTest, ClockIsMonotone) {
   InMemoryFabric fabric({});
   const TimeMs a = fabric.now();
@@ -392,14 +470,6 @@ TEST(NodeRuntimeTest, GossipGroupDisseminatesOverFabric) {
   EXPECT_EQ(total_deliveries.load(), 5);
 }
 
-TEST(NodeRuntimeTest, BaselineNodeRefusesTryBroadcast) {
-  InMemoryFabric fabric({});
-  NodeRuntime runtime(make_protocol_node(0, 2, false), fabric,
-                      [&fabric] { return fabric.now(); });
-  EXPECT_FALSE(runtime.adaptive());
-  EXPECT_FALSE(runtime.try_broadcast(gossip::make_payload({1})));
-}
-
 TEST(NodeRuntimeTest, AdaptiveNodeGatesBroadcasts) {
   InMemoryFabric fabric({});
   NodeRuntime runtime(make_protocol_node(0, 2, true), fabric,
@@ -407,7 +477,7 @@ TEST(NodeRuntimeTest, AdaptiveNodeGatesBroadcasts) {
   EXPECT_TRUE(runtime.adaptive());
   int accepted = 0;
   for (int i = 0; i < 100; ++i) {
-    if (runtime.try_broadcast(gossip::make_payload({1}))) ++accepted;
+    if (runtime.admit(gossip::make_payload({1}), 0, false)) ++accepted;
   }
   EXPECT_GT(accepted, 0);
   EXPECT_LT(accepted, 100);  // bucket capacity 10 caps the burst
@@ -428,7 +498,7 @@ TEST(NodeRuntimeTest, AdaptiveGroupAgreesOnMinBuffOverFabric) {
   for (auto& r : runtimes) r->start();
   // Traffic so gossip messages flow.
   for (int i = 0; i < 5; ++i) {
-    (void)runtimes[0]->try_broadcast(gossip::make_payload({9}));
+    (void)runtimes[0]->admit(gossip::make_payload({9}), 0, false);
   }
   EXPECT_TRUE(eventually([&] {
     for (auto& r : runtimes) {

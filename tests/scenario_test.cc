@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.h"
 #include "core/capacity_search.h"
+#include "core/scenario_registry.h"
 #include "core/sharded_scenario.h"
 #include "core/wallclock_scenario.h"
 
@@ -225,6 +227,28 @@ TEST(ScenarioTest, ZeroOfferedRateBroadcastsNothingOnEveryEngine) {
     EXPECT_EQ(r->refused_broadcasts, 0u);
     EXPECT_EQ(r->max_pending_depth, 0u);
   }
+}
+
+// The wall clock samples the simulators' adaptation series on every
+// adaptive run, so the back-pressure bench's wall-clock run (the
+// agb_sim_backpressure_bench parameters) reports the rate it admits at.
+TEST(ScenarioTest, WallclockAdaptiveRunSamplesTheAdaptationSeries) {
+  Config cfg;
+  for (const char* pair :
+       {"n=12", "senders=3", "initial_rate=2", "pending_cap=16", "quick=1",
+        "period_ms=50", "warmup_s=1", "duration_s=2", "cooldown_s=1"}) {
+    ASSERT_TRUE(cfg.parse_pair(pair, nullptr)) << pair;
+  }
+  const ScenarioParams p =
+      ScenarioRegistry::instance().build("adaptive-backpressure", cfg);
+  ASSERT_TRUE(p.adaptive && p.adaptation.control.enabled);
+  const ScenarioResults r = WallclockScenario(p).run();
+  EXPECT_GT(r.input_rate, 0.0);
+  EXPECT_GT(r.avg_allowed_rate, 0.0);
+  EXPECT_GT(r.final_allowed_rate, 0.0);
+  EXPECT_FALSE(r.min_buff_ts.empty());
+  EXPECT_FALSE(r.fanout_ts.empty());
+  EXPECT_TRUE(r.p_local_ts.empty());  // no locality view to steer
 }
 
 TEST(ScenarioTest, RunTwiceReturnsEmptySecondTime) {
