@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   // capacity knee, eager-recovery gamma, and the 90 -> 45 -> 60 capacity
   // schedule (override with t1_s/t2_s/buf1/buf2/fraction or a raw
   // capacity= spec). For a starker lpbcast collapse, try rate=36 buf1=30
-  // fraction=0.3 (see EXPERIMENTS.md).
+  // fraction=0.3; ROADMAP item 1 records the default run's allowed rates.
   auto base = bench::preset_params("fig9", cfg);
   base.gossip.max_events = static_cast<std::size_t>(
       cfg.get_int("buf0", static_cast<long long>(base.gossip.max_events)));

@@ -192,7 +192,7 @@ struct ScenarioResults {
 
   // Adaptive-only signals (0 for the baseline).
   /// Time-mean and window-end aggregate allowed rate, from allowed_rate_ts
-  /// (zero on the wall-clock path, which does not sample it).
+  /// (which the wall-clock path samples every 200 ms).
   double avg_allowed_rate = 0.0;
   double final_allowed_rate = 0.0;
   double avg_min_buff = 0.0;       // mean minBuff estimate at run end

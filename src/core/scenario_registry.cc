@@ -1,12 +1,33 @@
 #include "core/scenario_registry.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 namespace agb::core {
 
+/// Only user reads mark keys consumed: unread keys stay in unused_keys().
+struct KeySource {
+  const Config& user;
+  const Config& line;
+
+  [[nodiscard]] std::optional<std::string> raw(const std::string& key) const {
+    if (auto value = user.raw(key)) return value;
+    return line.raw(key);
+  }
+};
+
 namespace {
+
+using P = ScenarioParams;
 
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> out;
@@ -16,28 +37,49 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return out;
 }
 
-[[noreturn]] void die_bad_spec(const char* key, const std::string& spec) {
-  throw std::invalid_argument(std::string("bad ") + key + " spec '" + spec +
-                              "'");
-}
-
-/// Reads a size- or count-typed key. Cast straight to an unsigned type, a
-/// negative value would wrap to about 2^64 (n=-1 asked vector::reserve for
-/// that many nodes), so it is rejected, naming the key and the value.
-std::size_t get_size(const Config& cfg, const std::string& key,
-                     std::size_t fallback) {
-  const auto raw = cfg.raw(key);
-  if (!raw) return fallback;
-  const std::int64_t value = cfg.get_int(key, 0);
-  if (value < 0) {
-    throw std::invalid_argument("bad " + key + " value '" + *raw +
-                                "' (must be >= 0)");
+/// Parses a comma-separated list, each item by `parse_item`; `out` is
+/// left untouched unless every item parses.
+template <class T, class Fn>
+bool parse_list(const std::string& spec, std::vector<T>* out, Fn parse_item) {
+  std::vector<T> parsed;
+  for (const auto& item : split(spec, ',')) {
+    if (!parse_item(item, &parsed.emplace_back())) return false;
   }
-  return static_cast<std::size_t>(value);
+  *out = std::move(parsed);
+  return true;
 }
 
-/// Plain Levenshtein distance; preset names are short, so the quadratic
-/// table is microscopic.
+/// Reads `text` whole as a T: no sign on an unsigned type, no trailing
+/// junk, no inf or nan.
+template <class T>
+bool parse_number(std::string_view text, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool parse_probability(std::string_view text, double* out) {
+  double p = 0.0;
+  if (!parse_number(text, &p) || p < 0.0 || p > 1.0) return false;
+  *out = p;
+  return true;
+}
+
+bool parse_bool(std::string text, bool* out) {
+  std::transform(text.begin(), text.end(), text.begin(),
+                 [](unsigned char c) { return std::tolower(c); });
+  *out = text == "1" || text == "true" || text == "yes" || text == "on";
+  return *out || text == "0" || text == "false" || text == "no" ||
+         text == "off";
+}
+
+/// Levenshtein distance; names are short, so the quadratic table is tiny.
 std::size_t edit_distance(std::string_view a, std::string_view b) {
   std::vector<std::size_t> row(b.size() + 1);
   for (std::size_t j = 0; j <= b.size(); ++j) row[j] = j;
@@ -54,24 +96,24 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-/// Every fault kind parse_chaos_spec accepts, in grammar order — also the
-/// candidate list behind the "did you mean" hint for misspelt kinds.
-constexpr const char* kChaosKinds[] = {"corrupt", "truncate", "dup",
-                                       "reorder", "oneway",   "stall",
-                                       "skew"};
+/// Every fault kind parse_chaos_spec accepts, and its grammar.
+const std::vector<std::string> kChaosKinds{"corrupt", "truncate", "dup",
+                                           "reorder", "oneway",   "stall",
+                                           "skew"};
+constexpr const char* kChaosRules =
+    "corrupt:p | truncate:p | dup:p | reorder:p[:ms] | oneway:a:b|* | "
+    "stall:node:ms | skew:node:ms, each with an optional @start[s]-end[s] "
+    "window";
 
-/// Window bound in seconds with an optional trailing 's' ("15" or "15s"),
-/// converted to ms.
+/// Window bound in seconds, at most 1e9, with an optional trailing 's'
+/// ("15" or "15s"), converted to ms.
 bool parse_chaos_time(std::string text, TimeMs* out) {
   if (!text.empty() && text.back() == 's') text.pop_back();
-  if (text.empty()) return false;
-  try {
-    const double seconds = std::stod(text);
-    if (seconds < 0.0) return false;
-    *out = static_cast<TimeMs>(seconds * 1000.0);
-  } catch (const std::exception&) {
+  double seconds = 0.0;
+  if (!parse_number(text, &seconds) || seconds < 0.0 || seconds > 1e9) {
     return false;
   }
+  *out = static_cast<TimeMs>(seconds * 1000.0);
   return true;
 }
 
@@ -90,440 +132,571 @@ bool parse_chaos_rule(const std::string& item, fault::FaultRule* out) {
   const auto fields = split(body, ':');
   if (fields.empty()) return false;
   const std::string& kind = fields[0];
-  try {
-    if (kind == "corrupt" && fields.size() == 2) {
-      rule.kind = fault::FaultKind::kCorrupt;
-      rule.rate = std::stod(fields[1]);
-    } else if (kind == "truncate" && fields.size() == 2) {
-      rule.kind = fault::FaultKind::kTruncate;
-      rule.rate = std::stod(fields[1]);
-    } else if (kind == "dup" && fields.size() == 2) {
-      rule.kind = fault::FaultKind::kDuplicate;
-      rule.rate = std::stod(fields[1]);
-    } else if (kind == "reorder" &&
-               (fields.size() == 2 || fields.size() == 3)) {
-      rule.kind = fault::FaultKind::kReorder;
-      rule.rate = std::stod(fields[1]);
-      rule.amount = fields.size() == 3 ? std::stoll(fields[2]) : 50;
-    } else if (kind == "oneway" && fields.size() == 3) {
-      rule.kind = fault::FaultKind::kOneWay;
-      rule.a = static_cast<NodeId>(std::stoul(fields[1]));
-      rule.b = fields[2] == "*"
-                   ? fault::kAnyNode
-                   : static_cast<NodeId>(std::stoul(fields[2]));
-    } else if ((kind == "stall" || kind == "skew") && fields.size() == 3) {
-      rule.kind = kind == "stall" ? fault::FaultKind::kStall
-                                  : fault::FaultKind::kSkew;
-      rule.a = static_cast<NodeId>(std::stoul(fields[1]));
-      rule.amount = std::stoll(fields[2]);
-    } else {
-      return false;
-    }
-  } catch (const std::exception&) {
-    return false;
+  bool ok = false;
+  if ((kind == "corrupt" || kind == "truncate" || kind == "dup") &&
+      fields.size() == 2) {
+    rule.kind = kind == "corrupt"    ? fault::FaultKind::kCorrupt
+                : kind == "truncate" ? fault::FaultKind::kTruncate
+                                     : fault::FaultKind::kDuplicate;
+    ok = parse_probability(fields[1], &rule.rate);
+  } else if (kind == "reorder" && (fields.size() == 2 || fields.size() == 3)) {
+    rule.kind = fault::FaultKind::kReorder;
+    rule.amount = 50;
+    ok = parse_probability(fields[1], &rule.rate) &&
+         (fields.size() == 2 || parse_number(fields[2], &rule.amount));
+  } else if (kind == "oneway" && fields.size() == 3) {
+    rule.kind = fault::FaultKind::kOneWay;
+    ok = parse_number(fields[1], &rule.a) &&
+         (fields[2] == "*" || parse_number(fields[2], &rule.b));
+  } else if ((kind == "stall" || kind == "skew") && fields.size() == 3) {
+    rule.kind =
+        kind == "stall" ? fault::FaultKind::kStall : fault::FaultKind::kSkew;
+    ok = parse_number(fields[1], &rule.a) &&
+         parse_number(fields[2], &rule.amount);
   }
-  if (rule.rate < 0.0 || rule.rate > 1.0 || rule.amount < 0) return false;
+  if (!ok || rule.amount < 0) return false;
   *out = rule;
   return true;
 }
 
+/// Where a key's parsed value lands: a ScenarioParams field, or, as a null
+/// pointer of the value's type, a knob that a schedule generator or
+/// agb_sim reads.
+using Field =
+    std::variant<bool*, std::uint32_t*, std::size_t*, std::int64_t*, double*,
+                 std::string*, sim::LatencyModel*, sim::LossModel*,
+                 std::vector<CapacityChange>*, std::vector<FailureEvent>*,
+                 fault::ChaosSchedule*>;
+
+template <class T>
+Field knob(P&) {
+  return static_cast<T*>(nullptr);
+}
+
+constexpr double kNoMax = std::numeric_limits<double>::infinity();
+
+/// One key of the key=value vocabulary. A key named *_s takes whole
+/// seconds into a millisecond field.
+struct Key {
+  const char* name;
+  Field (*field)(P&);
+  double lo;  // the inclusive range of a numeric value, in the key's unit
+  double hi;
+  const char* doc;
+  void (*derive)(P&, const Field&) = nullptr;  // the value no key sets
+  const char* fallback = nullptr;  // a knob's value when no key sets it
+};
+
+DurationMs unit(const Key& key) {
+  return std::string_view(key.name).ends_with("_s") ? 1000 : 1;
+}
+
+/// Derived values. tau and, under gossip_membership, the suspicion
+/// timeouts are whole gossip periods; the age marks bracket the critical
+/// age.
+template <DurationMs kPeriods>
+void periods(P& p, const Field& field) {
+  *std::get<DurationMs*>(field) = kPeriods * p.gossip.gossip_period;
+}
+
+template <DurationMs kPeriods>
+void suspicion(P& p, const Field& field) {
+  if (p.gossip_membership) periods<kPeriods>(p, field);
+}
+
+template <int kSide>
+void around_critical_age(P& p, const Field& field) {
+  *std::get<double*>(field) = p.adaptation.critical_age + kSide * 0.5;
+}
+
+// A row's field: where its parsed value lands.
+#define AT(member) [](P& p) -> Field { return &p.member; }
+
+const Key kKeys[] = {
+    // Group and load.
+    {"quick", knob<bool>, 0, 1, "paper60's 20 s warm-up, 60 s window", nullptr,
+     "0"},
+    {"n", AT(n), 1, 1e7, "group size"},
+    {"senders", AT(senders), 1, 1e7, "members that broadcast"},
+    {"rate", AT(offered_rate), 0, 1e6, "msg/s over all senders (0: idle)"},
+    {"poisson", AT(poisson_arrivals), 0, 1, "Poisson (1) or periodic arrivals"},
+    {"payload", AT(payload_size), 0, 65536, "bytes per broadcast"},
+    {"supersede", AT(supersede_probability), 0, 1,
+     "chance a broadcast obsoletes its stream's earlier ones"},
+    {"pending_cap", AT(pending_cap), 0, 1e7, "sender queue before refusals"},
+    {"seed", AT(seed), 0, kNoMax, "master random seed"},
+    // Gossip (paper Fig. 1).
+    {"fanout", AT(gossip.fanout), 1, 1e4, "gossip targets per round, F"},
+    {"period_ms", AT(gossip.gossip_period), 1, 1e7, "gossip period T, ms"},
+    {"buffer", AT(gossip.max_events), 1, 1e7, "buffer bound |events|max"},
+    {"event_ids", AT(gossip.max_event_ids), 1, 1e8, "digest |eventIds|max"},
+    {"max_age", AT(gossip.max_age), 1, 1e6, "age limit k, hops"},
+    {"semantic_purge", AT(gossip.semantic_purge), 0, 1,
+     "evict superseded events first"},
+    {"recovery", AT(gossip.recovery.enabled), 0, 1, "pull repair"},
+    {"repair_after", AT(gossip.recovery.repair_after_rounds), 0, 1e6,
+     "rounds before a missing id is requested"},
+    {"give_up_after", AT(gossip.recovery.give_up_after_rounds), 0, 1e6,
+     "rounds before a missing id is abandoned"},
+    {"retrieve_rounds", AT(gossip.recovery.retrieve_rounds), 0, 1e6,
+     "rounds an evicted event stays retrievable (0: off)"},
+    // Adaptation (paper Fig. 5).
+    {"adaptive", AT(adaptive), 0, 1, "adaptive lpbcast (1) or the baseline"},
+    {"tau_ms", AT(adaptation.sample_period), 1, 1e7,
+     "minBuff sample period tau, ms (unset: 2 x period_ms)", periods<2>},
+    {"window", AT(adaptation.min_buff_window), 1, 1e6,
+     "sample periods W folded into minBuff"},
+    {"alpha", AT(adaptation.alpha), 0, 1, "EWMA history weight alpha"},
+    {"critical_age", AT(adaptation.critical_age), 0, 1e6,
+     "critical drop age a_r, hops"},
+    {"low_mark", AT(adaptation.low_age_mark), 0, 1e6,
+     "avgAge under which the rate falls (unset: critical_age - 0.5)",
+     around_critical_age<-1>},
+    {"high_mark", AT(adaptation.high_age_mark), 0, 1e6,
+     "avgAge over which the rate may rise (unset: critical_age + 0.5)",
+     around_critical_age<1>},
+    {"delta_d", AT(adaptation.decrease_factor), 0, 1,
+     "relative rate decrease per congested round"},
+    {"delta_i", AT(adaptation.increase_factor), 0, 1e6,
+     "relative rate increase per spare round"},
+    {"gamma", AT(adaptation.increase_probability), 0, 1,
+     "chance a sender takes an allowed increase"},
+    {"bucket", AT(adaptation.bucket_capacity), 1, 1e6, "token bucket size"},
+    {"initial_rate", AT(adaptation.initial_rate), 0, 1e6,
+     "each sender's first allowed msg/s (unset: rate / senders)",
+     [](P& p, const Field& field) {  // senders beyond n do not send
+       *std::get<double*>(field) =
+           p.offered_rate /
+           static_cast<double>(scenario_sender_ids(p.n, p.senders).size());
+     }},
+    {"robust_k", AT(adaptation.robust_k), 1, 1e4,
+     "adapt to the k-th smallest buffer"},
+    {"robust_floor", AT(adaptation.robust_floor), 0, 1e9,
+     "with robust_k > 1, buffers under this are ignored"},
+    {"idle_age_boost", AT(adaptation.idle_age_boost), 0, 1,
+     "a drop-free round feeds avgAge the age limit"},
+    // The control plane (adaptive runs).
+    {"control_plane", AT(adaptation.control.enabled), 0, 1,
+     "self-tuning p_local and fanout"},
+    {"control_hysteresis", AT(adaptation.control.hysteresis), 0, 1e3,
+     "hysteresis around the age marks, hops"},
+    {"p_local_min", AT(adaptation.control.p_local_min), 0, 1, "p_local floor"},
+    {"p_local_max", AT(adaptation.control.p_local_max), 0, 1, "p_local top"},
+    {"p_local_step", AT(adaptation.control.p_local_step), 0, 1,
+     "p_local change per round"},
+    {"fanout_congested_scale", AT(adaptation.control.fanout_congested_scale),
+     0, 100, "fanout scale when congested"},
+    {"fanout_spare_scale", AT(adaptation.control.fanout_spare_scale), 0, 100,
+     "fanout scale with spare capacity"},
+    {"starve_threshold", AT(adaptation.control.starve_threshold), 0, 1e6,
+     "remote-novelty EWMA under which p_local falls"},
+    // Membership.
+    {"partial_view", AT(partial_view), 0, 1, "lpbcast partial views"},
+    {"view_max", AT(view_params.max_view), 1, 1e6, "partial view bound"},
+    {"view_subs", AT(view_params.max_subs), 0, 1e6, "subs per message"},
+    {"view_unsubs", AT(view_params.max_unsubs), 0, 1e6, "unsubs per message"},
+    {"failure_detector", AT(failure_detector), 0, 1,
+     "crashes and recoveries update every view"},
+    {"gossip_membership", AT(gossip_membership), 0, 1,
+     "liveness gossiped with suspicion timeouts"},
+    {"suspect_after_ms", AT(membership_params.suspect_after), 1, 1e9,
+     "silence before suspicion, ms (gossip_membership: 4 x period_ms)",
+     suspicion<4>},
+    {"down_after_ms", AT(membership_params.down_after), 1, 1e9,
+     "silence before down, ms (gossip_membership: 8 x period_ms)",
+     suspicion<8>},
+    {"membership_budget", AT(membership_params.digest_budget_bytes), 0, 1e6,
+     "member-record bytes per message"},
+    {"migrate_on_rejoin", AT(migrate_on_rejoin), 0, 1,
+     "a recovering node rejoins at a new endpoint"},
+    // Network.
+    {"latency", AT(network.latency), 0, 0, "LAN link delay"},
+    {"clusters", AT(network.clusters), 1, 1e6, "islands; node i: i % clusters"},
+    {"wan_latency", AT(network.wan_latency), 0, 0, "delay between islands"},
+    {"loss", AT(network.loss), 0, 0, "i.i.d. or Gilbert-Elliott loss"},
+    {"locality", AT(locality.enabled), 0, 1, "targets biased to the island"},
+    {"p_local", AT(locality.p_local), 0, 1, "share of targets on the island"},
+    {"bridges_per_cluster", AT(locality.bridges_per_cluster), 1, 1e6,
+     "bridge nodes per island"},
+    // Schedules; each replaces the preset's generator of its kind.
+    {"capacity", AT(capacity_schedule), 0, 0, "buffer changes"},
+    {"failures", AT(failure_schedule), 0, 0, "crashes and recoveries"},
+    {"chaos", AT(chaos), 0, 0, "windowed fault injection"},
+    // The run.
+    {"warmup_s", AT(warmup), 0, 1e6, "warm-up outside the metrics, s"},
+    {"duration_s", AT(duration), 0, 1e6, "evaluation window, s"},
+    {"cooldown_s", AT(cooldown), 0, 1e6, "run-out after the window, s"},
+    {"bucket_s", AT(series_bucket), 1, 1e6, "time-series bucket, s"},
+    {"sim_shards", AT(sim_shards), 0, 256, "sharded simulator above 1"},
+    {"sim_workers", AT(sim_workers), 0, 256,
+     "sharded simulator threads (0: one per shard, up to the cores)"},
+    // Read by a preset's schedule generator (list=1 shows which).
+    {"t1_s", knob<DurationMs>, 0, 1e6, "squeeze: start after warm-up, s"},
+    {"t2_s", knob<DurationMs>, 0, 1e6, "squeeze: move to buf2, s"},
+    {"fraction", knob<double>, 0, 1, "squeeze: share of nodes resized"},
+    {"buf1", knob<std::size_t>, 1, 1e7, "squeeze: buffer while squeezed"},
+    {"buf2", knob<std::size_t>, 1, 1e7, "squeeze: buffer from t2_s on"},
+    {"churn_every_s", knob<DurationMs>, 0, 1e6, "waves: s between crashes"},
+    {"churn_down_s", knob<DurationMs>, 0, 1e6, "waves: s down per crash"},
+    {"churn_count", knob<std::size_t>, 0, 1e6, "waves: crashes"},
+    {"chaos_corrupt", knob<double>, 0, 1, "fault window: corruption rate"},
+    {"chaos_truncate", knob<double>, 0, 1, "fault window: truncation rate"},
+    {"chaos_dup", knob<double>, 0, 1, "fault window: duplication rate"},
+    {"chaos_reorder", knob<double>, 0, 1, "fault window: reorder rate"},
+    // Read by agb_sim.
+    {"scenario", knob<std::string>, 0, 0, "preset", nullptr, "paper60"},
+    {"list", knob<bool>, 0, 1, "print presets and keys", nullptr, "0"},
+    {"sweep", knob<std::string>, 0, 0,
+     "axis:lo:hi:step, one run per value of a numeric key"},
+    {"fabric", knob<std::string>, 0, 0, "sim, or inmemory (real threads)",
+     nullptr, "sim"},
+    {"shards", knob<std::size_t>, 1, 64, "fabric=inmemory receiver shards",
+     nullptr, "4"},
+    {"csv", knob<std::string>, 0, 0, "prefix of the CSV written", nullptr, ""},
+    {"bench", knob<std::string>, 0, 0, "JSON bench record path", nullptr, ""},
+    {"per_node", knob<bool>, 0, 1, "per-node counters (classic engine)",
+     nullptr, "0"},
+};
+
+#undef AT
+
+const Key* find_key(std::string_view name) {
+  for (const Key& key : kKeys) {
+    if (name == key.name) return &key;
+  }
+  return nullptr;
+}
+
+/// Visits `key`'s value type, knobs included.
+template <class Fn>
+auto visit_type(const Key& key, Fn&& fn) {
+  P probe;
+  return std::visit(
+      [&](auto* field) {
+        using T = std::remove_pointer_t<decltype(field)>;
+        return fn(static_cast<T*>(nullptr));
+      },
+      key.field(probe));
+}
+
+std::string number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.15g", v);
+  return buf;
+}
+
+/// What `key` accepts, as the tail of its bad-value message.
+std::string accepts(const Key& key) {
+  return visit_type(key, [&](auto* type) -> std::string {
+    using T = std::remove_pointer_t<decltype(type)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      return "0 or 1";
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      const std::string what =
+          std::is_integral_v<T> ? "an integer" : "a number";
+      return key.hi == kNoMax ? what + " >= " + number(key.lo)
+                              : what + " in [" + number(key.lo) + ", " +
+                                    number(key.hi) + "]";
+    } else if constexpr (std::is_same_v<T, sim::LatencyModel>) {
+      return "fixed:ms | uniform:lo:hi | normal:mean:stddev, each >= 0, "
+             "lo <= hi";
+    } else if constexpr (std::is_same_v<T, sim::LossModel>) {
+      return "p | burst:pgood:pbad:pgb:pbg, each in [0, 1]";
+    } else if constexpr (std::is_same_v<T, std::vector<CapacityChange>>) {
+      return "at_ms:fraction:cap[,...], at_ms >= 0, fraction in [0, 1], "
+             "cap >= 1";
+    } else if constexpr (std::is_same_v<T, std::vector<FailureEvent>>) {
+      return "at_ms:node:up|down[,...], at_ms >= 0, node below n";
+    } else if constexpr (std::is_same_v<T, fault::ChaosSchedule>) {
+      return std::string("rule[,rule...], rules: ") + kChaosRules;
+    } else {
+      return "text";
+    }
+  });
+}
+
+[[noreturn]] void throw_bad(const Key& key, const std::string& text,
+                            const std::string& want) {
+  throw std::invalid_argument("bad " + std::string(key.name) + " value '" +
+                              text + "' (want " + want + ")");
+}
+
+/// The one strict parser per type: `text` read whole as `key`'s value,
+/// range-checked, in the unit its field stores.
+template <class T>
+T parse_value(const Key& key, const std::string& text) {
+  T value{};
+  bool ok = false;
+  if constexpr (std::is_same_v<T, bool>) {
+    ok = parse_bool(text, &value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return text;
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    ok = parse_number(text, &value) && static_cast<double>(value) >= key.lo &&
+         static_cast<double>(value) <= key.hi;
+    if constexpr (std::is_same_v<T, std::int64_t>) value *= unit(key);
+  } else if constexpr (std::is_same_v<T, sim::LatencyModel>) {
+    ok = parse_latency_spec(text, &value);
+  } else if constexpr (std::is_same_v<T, sim::LossModel>) {
+    ok = parse_loss_spec(text, &value);
+  } else if constexpr (std::is_same_v<T, std::vector<CapacityChange>>) {
+    ok = parse_capacity_spec(text, &value);
+  } else if constexpr (std::is_same_v<T, std::vector<FailureEvent>>) {
+    ok = parse_failure_spec(text, &value);
+  } else if constexpr (std::is_same_v<T, fault::ChaosSchedule>) {
+    if (!parse_chaos_spec(text, &value)) {
+      throw std::invalid_argument(bad_chaos_spec_message(text));
+    }
+    ok = true;
+  }
+  if (!ok) throw_bad(key, text, accepts(key));
+  return value;
+}
+
+/// A knob's value: the user's, else the preset line's, else the table's.
+template <class T>
+T read(const KeySource& keys, const std::string& name) {
+  const Key* key = find_key(name);
+  const auto text = keys.raw(name);
+  if (key == nullptr || (!text && key->fallback == nullptr)) {
+    throw std::logic_error("no value for key '" + name + "'");
+  }
+  return parse_value<T>(*key, text ? *text : key->fallback);
+}
+
+/// True when `key`'s numeric field holds the same value in `p` and `stock`.
+bool holds_stock(const Key& key, P& p, P& stock) {
+  const Field theirs = key.field(stock);
+  return std::visit(
+      [&](auto* mine) {
+        using T = std::remove_pointer_t<decltype(mine)>;
+        if constexpr (std::is_arithmetic_v<T>) {
+          return *mine == *std::get<T*>(theirs);
+        } else {
+          return false;
+        }
+      },
+      key.field(p));
+}
+
+ScenarioParams apply_keys(const KeySource& keys, ScenarioParams p) {
+  P stock;
+  std::vector<const Key*> derived;
+  for (const Key& key : kKeys) {
+    const Field field = key.field(p);  // null: a generator or agb_sim knob
+    if (std::visit([](auto* f) { return f == nullptr; }, field)) continue;
+    if (const auto text = keys.raw(key.name)) {
+      std::visit(
+          [&](auto* f) {
+            *f = parse_value<std::remove_pointer_t<decltype(f)>>(key, *text);
+          },
+          field);
+    } else if (key.derive != nullptr && holds_stock(key, p, stock)) {
+      derived.push_back(&key);
+    }
+  }
+  // Derived values follow the final values of the keys they derive from.
+  for (const Key* key : derived) key->derive(p, key->field(p));
+
+  // Node ids in the schedule specs must name members of the final group.
+  const auto check = [&](const char* name, NodeId node) {
+    if (node != fault::kAnyNode && node >= p.n && keys.raw(name)) {
+      throw_bad(*find_key(name), *keys.raw(name),
+                "node ids below n=" + std::to_string(p.n));
+    }
+  };
+  for (const auto& event : p.failure_schedule) check("failures", event.node);
+  for (const auto& rule : p.chaos.rules) {
+    check("chaos", rule.a);
+    check("chaos", rule.b);
+  }
+  return p;
+}
+
 /// The calibrated paper60 configuration: 60 nodes, fanout 4, 2 s gossip
 /// period — the period at which this substrate's capacity knee lands at the
-/// paper's buffer-size axis (~120 events at 30 msg/s; see EXPERIMENTS.md).
-ScenarioParams paper60_defaults(const Config& cfg) {
+/// paper's buffer-size axis (~120 events at 30 msg/s; README's "Figure
+/// reproductions" regenerates the curve with bench/fig4_max_rate).
+ScenarioParams paper60(const KeySource& keys) {
   ScenarioParams p;
   p.n = 60;
   p.senders = 4;
   p.offered_rate = 30.0;
   p.payload_size = 16;
   p.seed = 42;
-
   p.gossip.fanout = 4;
   p.gossip.gossip_period = 2000;
   p.gossip.max_events = 120;
   p.gossip.max_event_ids = 4000;
   p.gossip.max_age = 12;
-
   p.adaptation.critical_age = kPaper60CriticalAge;
-
-  const bool quick = cfg.get_bool("quick", false);
+  const bool quick = read<bool>(keys, "quick");
   p.warmup = (quick ? 20 : 40) * 1000;
   p.duration = (quick ? 60 : 150) * 1000;
   p.cooldown = 30'000;
   return p;
 }
 
-ScenarioParams build_paper60(const Config& cfg) {
-  return params_from_config(cfg, paper60_defaults(cfg));
+/// The crash/recover waves: every churn_every_s another node, pick(p, i),
+/// goes down for churn_down_s, churn_count times, from the end of the
+/// warm-up.
+ScheduleGenerator crash_wave(const char* name,
+                             NodeId (*pick)(const ScenarioParams&,
+                                            std::size_t)) {
+  return {name, "failures", [pick](const KeySource& keys, ScenarioParams& p) {
+            const auto every = read<DurationMs>(keys, "churn_every_s");
+            const auto down_for = read<DurationMs>(keys, "churn_down_s");
+            const auto count = read<std::size_t>(keys, "churn_count");
+            for (std::size_t i = 0; i < count; ++i) {
+              const NodeId node = pick(p, i);
+              const TimeMs at = p.warmup + static_cast<TimeMs>(i) * every;
+              p.failure_schedule.push_back({at, node, /*up=*/false});
+              p.failure_schedule.push_back({at + down_for, node, /*up=*/true});
+            }
+          }};
 }
 
-ScenarioParams build_fig2(const Config& cfg) {
-  auto p = paper60_defaults(cfg);
-  p.gossip.max_events = 60;  // static, constrained: degradation is visible
-  return params_from_config(cfg, p);
+/// The capacity squeeze: `fraction` of the nodes move to each (time,
+/// capacity) step `steps` gives, first down to buf1, then back up if the
+/// squeeze heals.
+using Steps = std::vector<std::pair<TimeMs, std::size_t>>;
+ScheduleGenerator capacity_squeeze(Steps (*steps)(const KeySource&,
+                                                  const ScenarioParams&)) {
+  return {"capacity squeeze", "capacity",
+          [steps](const KeySource& keys, ScenarioParams& p) {
+            const auto fraction = read<double>(keys, "fraction");
+            for (const auto& [at, capacity] : steps(keys, p)) {
+              p.capacity_schedule.push_back({at, fraction, capacity});
+            }
+          }};
 }
 
-ScenarioParams build_fig9(const Config& cfg) {
-  auto p = paper60_defaults(cfg);
-  // Start just under the 90-slot capacity knee (~41 msg/s here) so the
-  // shrink bites; recover slightly faster than the paper's gamma=0.1 so the
-  // 450 s window shows both phases.
-  p.offered_rate = 36.0;
-  p.gossip.max_events = 90;
-  p.adaptation.increase_probability = 0.2;
-  p.duration = 450'000;
-  p.series_bucket = 10'000;
-  p = params_from_config(cfg, p);
-  if (!cfg.raw("capacity")) {
-    // 20 % of the nodes shrink 90 -> 45 at t1, then recover to 60 at t2
-    // (still under what the load needs). Times are relative to the start of
-    // the evaluation window.
-    const TimeMs t1 = cfg.get_int("t1_s", 150) * 1000;
-    const TimeMs t2 = cfg.get_int("t2_s", 300) * 1000;
-    const double fraction = cfg.get_double("fraction", 0.2);
-    const auto buf1 = get_size(cfg, "buf1", 45);
-    const auto buf2 = get_size(cfg, "buf2", 60);
-    p.capacity_schedule = {
-        {p.warmup + t1, fraction, buf1},
-        {p.warmup + t2, fraction, buf2},
-    };
-  }
-  return p;
+/// The fault window: the rules `rules` gives run from a quarter into the
+/// evaluation window until `close_quarters` quarters in. Computed after the
+/// keys, so scaled-down runs move the window with them; every preset
+/// leaves room after it for the kChaosRecoveryRounds self-healing report.
+ScheduleGenerator fault_window(
+    TimeMs close_quarters,
+    std::vector<fault::FaultRule> (*rules)(const KeySource&,
+                                           const ScenarioParams&)) {
+  return {"fault window", "chaos",
+          [=](const KeySource& keys, ScenarioParams& p) {
+            p.chaos.rules = rules(keys, p);
+            for (auto& rule : p.chaos.rules) {
+              rule.start = p.warmup + p.duration / 4;
+              rule.end = p.warmup + (p.duration * close_quarters) / 4;
+            }
+          }};
 }
 
-ScenarioParams build_churn(const Config& cfg) {
-  auto p = params_from_config(cfg, paper60_defaults(cfg));
-  if (!cfg.raw("failures")) {
-    // A rolling wave of crash/recover: every churn_every_s another member
-    // goes down for churn_down_s, starting once the warm-up completes. The
-    // node walk (stride 7) spreads failures over the id space, senders
-    // included.
-    const DurationMs every = cfg.get_int("churn_every_s", 20) * 1000;
-    const DurationMs down_for = cfg.get_int("churn_down_s", 15) * 1000;
-    const auto count = get_size(cfg, "churn_count", 8);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto node = static_cast<NodeId>((3 + 7 * i) % p.n);
-      const TimeMs at = p.warmup + static_cast<TimeMs>(i) * every;
-      p.failure_schedule.push_back({at, node, /*up=*/false});
-      p.failure_schedule.push_back({at + down_for, node, /*up=*/true});
-    }
-  }
-  return p;
-}
-
-ScenarioParams build_burst_loss(const Config& cfg) {
-  auto p = paper60_defaults(cfg);
-  // ~20 % average loss arriving in bursts — the correlated-loss regime the
-  // paper singles out as the hard case for gossip — with pull-based repair
-  // on so the retrieval phase earns its keep.
-  p.network.loss = sim::LossModel::burst(0.02, 0.9, 0.05, 0.2);
-  p.gossip.recovery.enabled = true;
-  return params_from_config(cfg, p);
-}
-
-ScenarioParams build_wan_clusters(const Config& cfg) {
-  auto p = paper60_defaults(cfg);
-  // Three LAN islands; cross-cluster links are an order of magnitude
-  // slower (the directional-gossip setting of paper §5).
-  p.network.clusters = 3;
-  p.network.wan_latency = sim::LatencyModel::uniform(20.0, 60.0);
-  return params_from_config(cfg, p);
-}
-
-ScenarioParams build_wan_directional(const Config& cfg) {
-  auto p = paper60_defaults(cfg);
-  // The same three-island topology as wan-clusters, but target selection
-  // is locality-biased: 90 % of the fanout stays on the local island and
-  // the rest goes through the remote clusters' bridges — the paper §5
-  // directional result (same delivery, a fraction of the WAN datagrams).
-  // Funnelling adds dissemination rounds, so the calibration grants a
-  // longer age limit and two bridges per island: at these defaults the
-  // preset lands within half a point of uniform wan-clusters' delivery
-  // while cutting the cross-WAN share ~67 % -> ~10 %.
-  p.network.clusters = 3;
-  p.network.wan_latency = sim::LatencyModel::uniform(20.0, 60.0);
-  p.gossip.max_age = 20;
-  p.locality.enabled = true;
-  p.locality.p_local = 0.9;
-  p.locality.bridges_per_cluster = 2;
-  return params_from_config(cfg, p);
-}
-
-ScenarioParams build_wan_directional_churn(const Config& cfg) {
-  auto p = build_wan_directional(cfg);
-  // Crash elected bridges, one island at a time. Under the modulo cluster
-  // rule the first bridge of cluster c is node c (its lowest id); with
-  // the failure detector on, every crash promotes the next-lowest id and
-  // cross-cluster traffic reroutes.
-  p.failure_detector = cfg.get_bool("failure_detector", true);
-  if (!cfg.raw("failures")) {
-    const DurationMs every = cfg.get_int("churn_every_s", 30) * 1000;
-    const DurationMs down_for = cfg.get_int("churn_down_s", 20) * 1000;
-    const auto count = get_size(cfg, "churn_count", 3);
-    const std::size_t clusters = std::max<std::size_t>(p.network.clusters, 1);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto bridge = static_cast<NodeId>(i % clusters);
-      const TimeMs at = p.warmup + static_cast<TimeMs>(i) * every;
-      p.failure_schedule.push_back({at, bridge, /*up=*/false});
-      p.failure_schedule.push_back({at + down_for, bridge, /*up=*/true});
-    }
-  }
-  return p;
-}
-
-/// Suspicion timeouts track the (possibly overridden) gossip period unless
-/// set explicitly: a few silent rounds raise a suspect, a few more declare
-/// it down. Shared by the oracle-free presets below.
-void derive_suspicion_timeouts(const Config& cfg, ScenarioParams& p) {
-  if (!cfg.raw("suspect_after_ms")) {
-    p.membership_params.suspect_after = 4 * p.gossip.gossip_period;
-  }
-  if (!cfg.raw("down_after_ms")) {
-    p.membership_params.down_after = 8 * p.gossip.gossip_period;
-  }
-}
-
-ScenarioParams build_churn_blind(const Config& cfg) {
-  // The wan-directional topology and bridge churn of wan-directional-churn,
-  // but with NO perfect failure detector: liveness is gossiped
-  // (membership::GossipMembership), so bridge re-election runs on suspicion
-  // timeouts alone. This is the oracle-retirement acceptance scenario.
-  auto p = paper60_defaults(cfg);
-  p.network.clusters = 3;
-  p.network.wan_latency = sim::LatencyModel::uniform(20.0, 60.0);
-  p.gossip.max_age = 20;
-  p.locality.enabled = true;
-  p.locality.p_local = 0.9;
-  p.locality.bridges_per_cluster = 2;
-  p.gossip_membership = true;
-  p.failure_detector = false;
-  p = params_from_config(cfg, p);
-  derive_suspicion_timeouts(cfg, p);
-  if (!cfg.raw("failures")) {
-    const DurationMs every = cfg.get_int("churn_every_s", 30) * 1000;
-    const DurationMs down_for = cfg.get_int("churn_down_s", 20) * 1000;
-    const auto count = get_size(cfg, "churn_count", 3);
-    const std::size_t clusters = std::max<std::size_t>(p.network.clusters, 1);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto bridge = static_cast<NodeId>(i % clusters);
-      const TimeMs at = p.warmup + static_cast<TimeMs>(i) * every;
-      p.failure_schedule.push_back({at, bridge, /*up=*/false});
-      p.failure_schedule.push_back({at + down_for, bridge, /*up=*/true});
-    }
-  }
-  return p;
-}
-
-ScenarioParams build_host_migration(const Config& cfg) {
-  // Rolling churn where every recovering node comes back *somewhere else*:
-  // the rejoin bumps its revision and rotates its advertised endpoint
-  // binding, and the group re-resolves it purely from the gossiped
-  // records (runtime deployments feed these into a DynamicDirectory).
-  auto p = paper60_defaults(cfg);
-  p.gossip_membership = true;
-  p.failure_detector = false;
-  p.migrate_on_rejoin = true;
-  p = params_from_config(cfg, p);
-  derive_suspicion_timeouts(cfg, p);
-  if (!cfg.raw("failures")) {
-    const DurationMs every = cfg.get_int("churn_every_s", 20) * 1000;
-    const DurationMs down_for = cfg.get_int("churn_down_s", 15) * 1000;
-    const auto count = get_size(cfg, "churn_count", 8);
-    for (std::size_t i = 0; i < count; ++i) {
-      const auto node = static_cast<NodeId>((3 + 7 * i) % p.n);
-      const TimeMs at = p.warmup + static_cast<TimeMs>(i) * every;
-      p.failure_schedule.push_back({at, node, /*up=*/false});
-      p.failure_schedule.push_back({at + down_for, node, /*up=*/true});
-    }
-  }
-  return p;
-}
-
-ScenarioParams build_adaptive_wan(const Config& cfg) {
-  // wan-directional with the full adaptive stack and the control plane on:
-  // mid-run, half the group's buffers shrink hard, driving avgAge below
-  // the low mark (drops die young). The control plane answers by raising
-  // p_local — keep traffic on the LAN islands — and trimming fanout, then
-  // relaxes both toward their bases once the squeeze heals. The adaptive
-  // parity suite runs this preset through both harnesses and asserts the
-  // group-mean p_local lands in the same regime band.
-  auto p = paper60_defaults(cfg);
-  p.network.clusters = 3;
-  p.network.wan_latency = sim::LatencyModel::uniform(20.0, 60.0);
-  p.gossip.max_age = 20;
-  p.locality.enabled = true;
-  p.locality.p_local = 0.9;
-  p.locality.bridges_per_cluster = 2;
-  p.adaptive = true;
-  p.adaptation.control.enabled = true;
-  p = params_from_config(cfg, p);
-  if (!cfg.raw("capacity")) {
-    // Squeeze a quarter of the way into the window, heal at 5/8 — late
-    // enough that quick parity runs still see both phases. Times are
-    // absolute (the schedule is replayed against the run clock).
-    const TimeMs squeeze = p.warmup + p.duration / 4;
-    const TimeMs heal = p.warmup + (p.duration * 5) / 8;
-    const double fraction = cfg.get_double("fraction", 0.5);
-    const auto low = get_size(cfg, "buf1", 30);
-    p.capacity_schedule = {
-        {squeeze, fraction, low},
-        {heal, fraction, p.gossip.max_events},
-    };
-  }
-  return p;
-}
-
-ScenarioParams build_adaptive_backpressure(const Config& cfg) {
-  // Deliberate overload on the LAN topology: the offered load outruns the
-  // adapter's allowed rate, so sender arrivals queue behind the token
-  // bucket (the paper's blocking BROADCAST) and drain as it refills. The
-  // receipt is a pending queue that is busy but bounded by pending_cap on
-  // both harnesses — the wall-clock path exercises NodeRuntime's
-  // token-refill back-pressure loop, the simulators ScenarioGroup's
-  // sender queues.
-  auto p = paper60_defaults(cfg);
-  p.adaptive = true;
-  p.adaptation.control.enabled = true;
-  p.offered_rate = 45.0;
-  p = params_from_config(cfg, p);
-  if (!cfg.raw("capacity")) {
-    const TimeMs squeeze = p.warmup + p.duration / 4;
-    const double fraction = cfg.get_double("fraction", 0.3);
-    const auto low = get_size(cfg, "buf1", 45);
-    p.capacity_schedule = {{squeeze, fraction, low}};
-  }
-  return p;
-}
-
-ScenarioParams build_semantic_streams(const Config& cfg) {
-  auto p = paper60_defaults(cfg);
-  // Supersede-heavy workload under buffer pressure: each sender's stream
-  // obsoletes its own history often, and semantic purging reclaims the
-  // space from superseded events first.
-  p.supersede_probability = 0.35;
-  p.gossip.semantic_purge = true;
-  p.gossip.max_events = 60;
-  return params_from_config(cfg, p);
-}
-
-/// Scale presets: the calendar-queue / round-wheel soak targets of the
-/// million-node roadmap item. Partial views keep per-node membership O(view)
-/// instead of O(n), the horizon is 30 sim-seconds (4 warmup + 20 eval +
-/// 6 cooldown), and the eventIds digest is bounded tighter than paper60's
-/// since at this group size a node only ever sees a thin slice of traffic.
-ScenarioParams scale_defaults(std::size_t n, const Config& cfg) {
-  auto p = paper60_defaults(cfg);
-  p.n = n;
-  p.senders = 32;
-  p.offered_rate = 10.0;
-  p.partial_view = true;
-  // Buffer sizing is per-node state multiplied by 10^5..10^6 nodes, so it
-  // is both the memory bill and the cache working set. At 10 events/s
-  // living max_age rounds, ~rate * max_age * period = 240 distinct events
-  // are in flight; the dedup digest only needs to cover that window.
-  p.gossip.max_events = 48;
-  p.gossip.max_event_ids = 384;
-  p.gossip.max_age = 12;  // ~log_fanout(n) dissemination rounds plus slack
-  p.warmup = 4'000;
-  p.duration = 20'000;
-  p.cooldown = 6'000;
-  return p;
-}
-
-ScenarioParams build_scale_1e5(const Config& cfg) {
-  return params_from_config(cfg, scale_defaults(100'000, cfg));
-}
-
-ScenarioParams build_scale_1e6(const Config& cfg) {
-  return params_from_config(cfg, scale_defaults(1'000'000, cfg));
-}
-
-// Fault-injection presets. All three compute their fault windows AFTER
-// params_from_config so quick/parity scale-downs of warmup/duration move
-// the windows with them, and all three leave room between the last window
-// close and the evaluation end for the kChaosRecoveryRounds self-healing
-// report. Injected nodes (3, 5) are non-senders under scenario_sender_ids
-// at both the paper scale (senders 0/15/30/45) and the parity scale
-// (senders 0/4/8), so the fault target never doubles as a traffic source.
-
-ScenarioParams build_chaos_soak(const Config& cfg) {
-  // Arbitrary datagram mutation mid-run: corruption and truncation feed
-  // the fuzz-hardened codec in a live run (decode must answer monostate,
-  // never crash), duplication stresses the dedup digest, reordering the
-  // age-based purge. Pull repair is on so the healing phase has teeth.
-  auto p = paper60_defaults(cfg);
-  p.gossip.recovery.enabled = true;
-  p = params_from_config(cfg, p);
-  if (!cfg.raw("chaos")) {
-    const TimeMs open = p.warmup + p.duration / 4;
-    const TimeMs close = p.warmup + p.duration / 2;
-    const DurationMs shuffle = p.gossip.gossip_period / 2;
-    p.chaos.rules = {
-        {fault::FaultKind::kCorrupt, cfg.get_double("chaos_corrupt", 0.15),
-         fault::kAnyNode, fault::kAnyNode, 0, open, close},
-        {fault::FaultKind::kTruncate, cfg.get_double("chaos_truncate", 0.05),
-         fault::kAnyNode, fault::kAnyNode, 0, open, close},
-        {fault::FaultKind::kDuplicate, cfg.get_double("chaos_dup", 0.10),
-         fault::kAnyNode, fault::kAnyNode, 0, open, close},
-        {fault::FaultKind::kReorder, cfg.get_double("chaos_reorder", 0.10),
-         fault::kAnyNode, fault::kAnyNode, shuffle, open, close},
-    };
-  }
-  return p;
-}
-
-ScenarioParams build_asymmetric_partition(const Config& cfg) {
-  // One-way link failures under gossiped liveness: node 3 can hear the
-  // group but nothing it sends arrives (the hardest case for suspicion
-  // timeouts — it believes everyone is fine while everyone suspects it),
-  // plus a single dead 1→2 direction whose reverse stays alive. The
-  // receipt is suspicion traffic during the window and a re-converged
-  // membership after it: node 3's own fresh heartbeats beat the group's
-  // suspect/down records once its datagrams flow again.
-  auto p = paper60_defaults(cfg);
-  p.gossip_membership = true;
-  p.failure_detector = false;
-  p = params_from_config(cfg, p);
-  derive_suspicion_timeouts(cfg, p);
-  if (!cfg.raw("chaos")) {
-    const TimeMs open = p.warmup + p.duration / 4;
-    const TimeMs close = p.warmup + p.duration / 2;
-    p.chaos.rules = {
-        {fault::FaultKind::kOneWay, 0.0, 3, fault::kAnyNode, 0, open, close},
-        {fault::FaultKind::kOneWay, 0.0, 1, 2, 0, open, close},
-    };
-  }
-  return p;
-}
-
-ScenarioParams build_gray_failure(const Config& cfg) {
-  // Gray failures: node 3's receive path stalls (slow-but-up — its round
-  // thread keeps gossiping on cadence) and node 5's clock skews forward by
-  // two gossip periods — deliberately under the 4-period suspicion
-  // timeout, so a correct membership layer rides both out without a single
-  // down verdict. Both are wall-clock phenomena; under the simulator the
-  // rules are inert and the preset doubles as a clean-run control.
-  auto p = paper60_defaults(cfg);
-  p.gossip_membership = true;
-  p.failure_detector = false;
-  p = params_from_config(cfg, p);
-  derive_suspicion_timeouts(cfg, p);
-  if (!cfg.raw("chaos")) {
-    const TimeMs open = p.warmup + p.duration / 4;
-    const TimeMs close = p.warmup + (p.duration * 3) / 4;
-    const auto stall = std::max<DurationMs>(5, p.gossip.gossip_period / 5);
-    const DurationMs skew = 2 * p.gossip.gossip_period;
-    p.chaos.rules = {
-        {fault::FaultKind::kStall, 0.0, 3, fault::kAnyNode, stall, open,
-         close},
-        {fault::FaultKind::kSkew, 0.0, 5, fault::kAnyNode, skew, open,
-         close},
-    };
-  }
-  return p;
+/// A built-in preset: paper60 plus `line` plus `generator`.
+ScenarioPreset on_paper60(std::string name, std::string summary,
+                          std::string line, ScheduleGenerator generator = {}) {
+  auto build = [line, generator](const Config& cfg) {
+    return build_on_paper60(cfg, line, generator);
+  };
+  return {std::move(name), std::move(summary), std::move(build),
+          std::move(line), std::move(generator)};
 }
 
 }  // namespace
+
+ScenarioParams build_on_paper60(const Config& cfg, const std::string& line,
+                                const ScheduleGenerator& generator) {
+  Config parsed;
+  std::string error;
+  for (const auto& pair : split(line, ' ')) {
+    if (!parsed.parse_pair(pair, &error)) throw std::logic_error(error);
+  }
+  const KeySource keys{cfg, parsed};
+  ScenarioParams p = apply_keys(keys, paper60(keys));
+  if (generator.run && !keys.raw(generator.owner)) generator.run(keys, p);
+  return p;
+}
+
+ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
+  const Config none;
+  return apply_keys(KeySource{cfg, none}, std::move(base));
+}
+
+template <class T>
+T key_value(const Config& cfg, const std::string& name) {
+  const Config none;
+  return read<T>(KeySource{cfg, none}, name);
+}
+template bool key_value<bool>(const Config&, const std::string&);
+template std::size_t key_value<std::size_t>(const Config&, const std::string&);
+template std::string key_value<std::string>(const Config&, const std::string&);
+
+std::vector<std::string> key_names() {
+  std::vector<std::string> names;
+  for (const Key& key : kKeys) names.emplace_back(key.name);
+  return names;
+}
+
+std::vector<NumericKey> numeric_keys() {
+  std::vector<NumericKey> out;
+  for (const Key& key : kKeys) {
+    visit_type(key, [&](auto* type) {
+      using T = std::remove_pointer_t<decltype(type)>;
+      if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>) {
+        out.push_back({key.name, key.lo, key.hi, std::is_integral_v<T>});
+      }
+    });
+  }
+  return out;
+}
+
+std::string key_reference() {
+  ScenarioParams base = build_on_paper60(Config{}, "", {});
+  std::string out;
+  char head[64];
+  for (const Key& key : kKeys) {
+    const std::string value = std::visit(
+        [&](auto* f) -> std::string {
+          using T = std::remove_pointer_t<decltype(f)>;
+          if (f == nullptr) {
+            return key.fallback && *key.fallback ? key.fallback : "-";
+          }
+          if constexpr (std::is_same_v<T, bool>) {
+            return *f ? "1" : "0";
+          } else if constexpr (std::is_integral_v<T>) {
+            return std::to_string(*f / static_cast<T>(unit(key)));
+          } else if constexpr (std::is_same_v<T, double>) {
+            return number(*f);
+          } else if constexpr (std::is_same_v<T, sim::LatencyModel>) {
+            using K = sim::LatencyModel::Kind;
+            return f->kind == K::kFixed ? "fixed:" + number(f->a)
+                   : (f->kind == K::kUniform ? "uniform:" : "normal:") +
+                         number(f->a) + ":" + number(f->b);
+          } else {
+            return "-";  // no loss and no schedules in paper60
+          }
+        },
+        key.field(base));
+    std::snprintf(head, sizeof head, "%-22s %-13s ", key.name, value.c_str());
+    out += head + std::string(key.doc) + "; " + accepts(key) + "\n";
+  }
+  return out;
+}
+
+std::vector<std::string> closest_names(
+    std::string_view name, const std::vector<std::string>& candidates) {
+  const auto rank = [&](const std::string& candidate) {
+    return std::make_pair(edit_distance(name, candidate), candidate);
+  };
+  std::vector<std::string> out;
+  for (const auto& candidate : candidates) {
+    if (rank(candidate).first <= std::max<std::size_t>(2, name.size() / 3) ||
+        (!name.empty() && (candidate.find(name) != std::string::npos ||
+                           name.find(candidate) != std::string_view::npos))) {
+      out.push_back(candidate);
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [&](const auto& a, const auto& b) { return rank(a) < rank(b); });
+  return out;
+}
 
 std::vector<double> SweepSpec::values() const {
   std::vector<double> out;
@@ -534,110 +707,84 @@ std::vector<double> SweepSpec::values() const {
 }
 
 bool parse_sweep_spec(const std::string& spec, SweepSpec* out) {
-  auto parts = split(spec, ':');
-  if (parts.size() != 4 || parts[0].empty()) return false;
-  SweepSpec parsed;
-  parsed.axis = parts[0];
-  try {
-    parsed.lo = std::stod(parts[1]);
-    parsed.hi = std::stod(parts[2]);
-    parsed.step = std::stod(parts[3]);
-  } catch (const std::exception&) {
+  const auto parts = split(spec, ':');
+  if (parts.size() != 4) return false;
+  // The axis must be a numeric key, or loss, whose i.i.d. form is a number.
+  const Key* axis = find_key(parts[0]);
+  if (axis == nullptr || !visit_type(*axis, [](auto* type) {
+        using T = std::remove_pointer_t<decltype(type)>;
+        return std::is_arithmetic_v<T> || std::is_same_v<T, sim::LossModel>;
+      })) {
     return false;
   }
-  if (parsed.step <= 0.0 || parsed.hi < parsed.lo) return false;
+  SweepSpec parsed;
+  parsed.axis = parts[0];
+  if (!parse_number(parts[1], &parsed.lo) ||
+      !parse_number(parts[2], &parsed.hi) ||
+      !parse_number(parts[3], &parsed.step) || parsed.step <= 0.0 ||
+      parsed.hi < parsed.lo) {
+    return false;
+  }
   *out = std::move(parsed);
   return true;
 }
 
 bool parse_latency_spec(const std::string& spec, sim::LatencyModel* out) {
-  auto parts = split(spec, ':');
-  if (parts.empty()) return false;
-  try {
-    if (parts[0] == "fixed" && parts.size() == 2) {
-      *out = sim::LatencyModel::fixed(std::stod(parts[1]));
-      return true;
-    }
-    if (parts[0] == "uniform" && parts.size() == 3) {
-      *out = sim::LatencyModel::uniform(std::stod(parts[1]),
-                                        std::stod(parts[2]));
-      return true;
-    }
-    if (parts[0] == "normal" && parts.size() == 3) {
-      *out = sim::LatencyModel::normal(std::stod(parts[1]),
-                                       std::stod(parts[2]));
-      return true;
-    }
-  } catch (const std::exception&) {
+  const auto parts = split(spec, ':');
+  double a = 0.0;
+  double b = 0.0;
+  if (parts.size() < 2 || !parse_number(parts[1], &a) || a < 0.0) return false;
+  const bool two = parts.size() == 3 && parse_number(parts[2], &b) && b >= 0.0;
+  if (parts[0] == "fixed" && parts.size() == 2) {
+    *out = sim::LatencyModel::fixed(a);
+  } else if (parts[0] == "uniform" && two && a <= b) {
+    *out = sim::LatencyModel::uniform(a, b);
+  } else if (parts[0] == "normal" && two) {
+    *out = sim::LatencyModel::normal(a, b);
+  } else {
     return false;
   }
-  return false;
+  return true;
 }
 
 bool parse_loss_spec(const std::string& spec, sim::LossModel* out) {
-  auto parts = split(spec, ':');
-  try {
-    if (parts.size() == 1 && !parts[0].empty()) {
-      *out = sim::LossModel::iid(std::stod(parts[0]));
-      return true;
-    }
-    if (parts.size() == 5 && parts[0] == "burst") {
-      *out = sim::LossModel::burst(std::stod(parts[1]), std::stod(parts[2]),
-                                   std::stod(parts[3]), std::stod(parts[4]));
-      return true;
-    }
-  } catch (const std::exception&) {
-    return false;
+  const auto parts = split(spec, ':');
+  const bool burst = parts.size() == 5 && parts[0] == "burst";
+  if (!burst && parts.size() != 1) return false;
+  double p[4] = {};
+  for (std::size_t i = burst ? 1 : 0; i < parts.size(); ++i) {
+    if (!parse_probability(parts[i], &p[i - (burst ? 1 : 0)])) return false;
   }
-  return false;
+  *out = burst ? sim::LossModel::burst(p[0], p[1], p[2], p[3])
+               : sim::LossModel::iid(p[0]);
+  return true;
 }
 
 bool parse_capacity_spec(const std::string& spec,
                          std::vector<CapacityChange>* out) {
-  std::vector<CapacityChange> parsed;
-  for (const auto& item : split(spec, ',')) {
-    auto fields = split(item, ':');
-    if (fields.size() != 3) return false;
-    try {
-      parsed.push_back(CapacityChange{
-          std::stoll(fields[0]), std::stod(fields[1]),
-          static_cast<std::size_t>(std::stoul(fields[2]))});
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-  *out = std::move(parsed);
-  return true;
+  return parse_list(spec, out, [](const std::string& item, CapacityChange* c) {
+    const auto f = split(item, ':');
+    return f.size() == 3 && parse_number(f[0], &c->at) && c->at >= 0 &&
+           parse_probability(f[1], &c->node_fraction) &&
+           parse_number(f[2], &c->new_capacity) && c->new_capacity > 0;
+  });
 }
 
 bool parse_failure_spec(const std::string& spec,
                         std::vector<FailureEvent>* out) {
-  std::vector<FailureEvent> parsed;
-  for (const auto& item : split(spec, ',')) {
-    auto fields = split(item, ':');
-    if (fields.size() != 3 || (fields[2] != "up" && fields[2] != "down")) {
-      return false;
-    }
-    try {
-      parsed.push_back(FailureEvent{
-          std::stoll(fields[0]), static_cast<NodeId>(std::stoul(fields[1])),
-          fields[2] == "up"});
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-  *out = std::move(parsed);
-  return true;
+  return parse_list(spec, out, [](const std::string& item, FailureEvent* e) {
+    const auto f = split(item, ':');
+    e->up = f.size() == 3 && f[2] == "up";
+    return f.size() == 3 && parse_number(f[0], &e->at) && e->at >= 0 &&
+           parse_number(f[1], &e->node) && (e->up || f[2] == "down");
+  });
 }
 
 bool parse_chaos_spec(const std::string& spec, fault::ChaosSchedule* out) {
   fault::ChaosSchedule parsed;
-  for (const auto& item : split(spec, ',')) {
-    fault::FaultRule rule;
-    if (!parse_chaos_rule(item, &rule)) return false;
-    parsed.rules.push_back(rule);
+  if (!parse_list(spec, &parsed.rules, parse_chaos_rule) || parsed.empty()) {
+    return false;
   }
-  if (parsed.empty()) return false;
   *out = std::move(parsed);
   return true;
 }
@@ -647,185 +794,12 @@ std::string bad_chaos_spec_message(const std::string& spec) {
   for (const auto& item : split(spec, ',')) {
     const std::string kind =
         item.substr(0, std::min(item.find(':'), item.find('@')));
-    bool known = false;
-    std::size_t best = std::string::npos;
-    const char* nearest = nullptr;
-    for (const char* candidate : kChaosKinds) {
-      if (kind == candidate) {
-        known = true;
-        break;
-      }
-      const std::size_t distance = edit_distance(kind, candidate);
-      if (distance < best) {
-        best = distance;
-        nearest = candidate;
-      }
-    }
-    if (!known && nearest != nullptr &&
-        best <= std::max<std::size_t>(2, kind.size() / 3)) {
-      message += "; did you mean: ";
-      message += nearest;
-      message += '?';
+    const auto close = closest_names(kind, kChaosKinds);
+    if (!close.empty() && close.front() != kind) {  // a known kind: distance 0
+      message += "; did you mean: " + close.front() + '?';
     }
   }
-  message +=
-      " rules: corrupt:p | truncate:p | dup:p | reorder:p[:ms] | "
-      "oneway:a:b|* | stall:node:ms | skew:node:ms, each with an optional "
-      "@start[s]-end[s] window";
-  return message;
-}
-
-ScenarioParams params_from_config(const Config& cfg, ScenarioParams base) {
-  ScenarioParams p = std::move(base);
-
-  p.n = get_size(cfg, "n", p.n);
-  p.senders = get_size(cfg, "senders", p.senders);
-  p.offered_rate = cfg.get_double("rate", p.offered_rate);
-  if (const auto raw = cfg.raw("rate"); raw && !(p.offered_rate >= 0.0)) {
-    throw std::invalid_argument("bad rate value '" + *raw +
-                                "' (must be >= 0)");
-  }
-  p.poisson_arrivals = cfg.get_bool("poisson", p.poisson_arrivals);
-  p.payload_size = get_size(cfg, "payload", p.payload_size);
-  p.supersede_probability =
-      cfg.get_double("supersede", p.supersede_probability);
-  p.adaptive = cfg.get_bool("adaptive", p.adaptive);
-  p.pending_cap = get_size(cfg, "pending_cap", p.pending_cap);
-  p.seed = static_cast<std::uint64_t>(
-      cfg.get_int("seed", static_cast<std::int64_t>(p.seed)));
-  p.sim_shards = get_size(cfg, "sim_shards", p.sim_shards);
-  p.sim_workers = get_size(cfg, "sim_workers", p.sim_workers);
-
-  p.gossip.fanout = get_size(cfg, "fanout", p.gossip.fanout);
-  p.gossip.gossip_period = cfg.get_int("period_ms", p.gossip.gossip_period);
-  p.gossip.max_events = get_size(cfg, "buffer", p.gossip.max_events);
-  p.gossip.max_event_ids = get_size(cfg, "event_ids", p.gossip.max_event_ids);
-  p.gossip.max_age =
-      static_cast<std::uint32_t>(get_size(cfg, "max_age", p.gossip.max_age));
-  p.gossip.semantic_purge =
-      cfg.get_bool("semantic_purge", p.gossip.semantic_purge);
-
-  auto& recovery = p.gossip.recovery;
-  recovery.enabled = cfg.get_bool("recovery", recovery.enabled);
-  recovery.repair_after_rounds =
-      get_size(cfg, "repair_after", recovery.repair_after_rounds);
-  recovery.give_up_after_rounds =
-      get_size(cfg, "give_up_after", recovery.give_up_after_rounds);
-  recovery.retrieve_rounds =
-      get_size(cfg, "retrieve_rounds", recovery.retrieve_rounds);
-
-  // Adaptation knobs whose defaults derive from other parameters: the
-  // sample period tracks the gossip period, the marks bracket the critical
-  // age, and each sender starts at its fair share of the offered load.
-  // Derivation only replaces a *stock* base value — a preset or embedder
-  // that set one of these explicitly keeps it (cfg keys still win over
-  // everything).
-  const adaptive::AdaptiveParams stock;
-  auto& a = p.adaptation;
-  a.sample_period = cfg.get_int(
-      "tau_ms", a.sample_period != stock.sample_period
-                    ? a.sample_period
-                    : 2 * p.gossip.gossip_period);
-  a.min_buff_window = get_size(cfg, "window", a.min_buff_window);
-  a.alpha = cfg.get_double("alpha", a.alpha);
-  a.critical_age = cfg.get_double("critical_age", a.critical_age);
-  a.low_age_mark = cfg.get_double(
-      "low_mark", a.low_age_mark != stock.low_age_mark
-                      ? a.low_age_mark
-                      : a.critical_age - 0.5);
-  a.high_age_mark = cfg.get_double(
-      "high_mark", a.high_age_mark != stock.high_age_mark
-                       ? a.high_age_mark
-                       : a.critical_age + 0.5);
-  a.decrease_factor = cfg.get_double("delta_d", a.decrease_factor);
-  a.increase_factor = cfg.get_double("delta_i", a.increase_factor);
-  a.increase_probability = cfg.get_double("gamma", a.increase_probability);
-  a.bucket_capacity = cfg.get_double("bucket", a.bucket_capacity);
-  a.initial_rate = cfg.get_double(
-      "initial_rate", a.initial_rate != stock.initial_rate
-                          ? a.initial_rate
-                          : p.offered_rate / static_cast<double>(p.senders));
-  a.robust_k = get_size(cfg, "robust_k", a.robust_k);
-  a.robust_floor =
-      static_cast<std::uint32_t>(get_size(cfg, "robust_floor", a.robust_floor));
-  a.idle_age_boost = cfg.get_bool("idle_age_boost", a.idle_age_boost);
-
-  // Control-plane keys (the self-tuning feedback layer; only consulted
-  // when adaptive=true).
-  auto& c = a.control;
-  c.enabled = cfg.get_bool("control_plane", c.enabled);
-  c.hysteresis = cfg.get_double("control_hysteresis", c.hysteresis);
-  c.p_local_min = cfg.get_double("p_local_min", c.p_local_min);
-  c.p_local_max = cfg.get_double("p_local_max", c.p_local_max);
-  c.p_local_step = cfg.get_double("p_local_step", c.p_local_step);
-  c.fanout_congested_scale =
-      cfg.get_double("fanout_congested_scale", c.fanout_congested_scale);
-  c.fanout_spare_scale =
-      cfg.get_double("fanout_spare_scale", c.fanout_spare_scale);
-  c.starve_threshold = cfg.get_double("starve_threshold", c.starve_threshold);
-
-  p.partial_view = cfg.get_bool("partial_view", p.partial_view);
-  p.view_params.max_view = get_size(cfg, "view_max", p.view_params.max_view);
-  p.view_params.max_subs = get_size(cfg, "view_subs", p.view_params.max_subs);
-  p.view_params.max_unsubs =
-      get_size(cfg, "view_unsubs", p.view_params.max_unsubs);
-
-  // Second-granularity keys replace the base value only when present, so a
-  // base carrying sub-second values is never silently truncated.
-  if (cfg.raw("warmup_s")) p.warmup = cfg.get_int("warmup_s", 0) * 1000;
-  if (cfg.raw("duration_s")) p.duration = cfg.get_int("duration_s", 0) * 1000;
-  if (cfg.raw("cooldown_s")) p.cooldown = cfg.get_int("cooldown_s", 0) * 1000;
-  if (cfg.raw("bucket_s")) p.series_bucket = cfg.get_int("bucket_s", 0) * 1000;
-
-  p.network.clusters = get_size(cfg, "clusters", p.network.clusters);
-  p.locality.enabled = cfg.get_bool("locality", p.locality.enabled);
-  p.locality.p_local = cfg.get_double("p_local", p.locality.p_local);
-  p.locality.bridges_per_cluster = get_size(cfg, "bridges_per_cluster",
-                                            p.locality.bridges_per_cluster);
-  p.failure_detector = cfg.get_bool("failure_detector", p.failure_detector);
-  p.gossip_membership =
-      cfg.get_bool("gossip_membership", p.gossip_membership);
-  p.membership_params.suspect_after = cfg.get_int(
-      "suspect_after_ms", p.membership_params.suspect_after);
-  p.membership_params.down_after =
-      cfg.get_int("down_after_ms", p.membership_params.down_after);
-  p.membership_params.digest_budget_bytes = get_size(
-      cfg, "membership_budget", p.membership_params.digest_budget_bytes);
-  p.migrate_on_rejoin =
-      cfg.get_bool("migrate_on_rejoin", p.migrate_on_rejoin);
-  if (auto spec = cfg.raw("latency")) {
-    if (!parse_latency_spec(*spec, &p.network.latency)) {
-      die_bad_spec("latency", *spec);
-    }
-  }
-  if (auto spec = cfg.raw("wan_latency")) {
-    if (!parse_latency_spec(*spec, &p.network.wan_latency)) {
-      die_bad_spec("wan_latency", *spec);
-    }
-  }
-  if (auto spec = cfg.raw("loss")) {
-    if (!parse_loss_spec(*spec, &p.network.loss)) {
-      die_bad_spec("loss", *spec);
-    }
-  }
-  if (auto spec = cfg.raw("capacity")) {
-    if (!parse_capacity_spec(*spec, &p.capacity_schedule)) {
-      die_bad_spec("capacity", *spec);
-    }
-  }
-  if (auto spec = cfg.raw("failures")) {
-    if (!parse_failure_spec(*spec, &p.failure_schedule)) {
-      die_bad_spec("failures", *spec);
-    }
-  }
-  if (auto spec = cfg.raw("chaos")) {
-    if (!parse_chaos_spec(*spec, &p.chaos)) {
-      // Richer than die_bad_spec: the message carries the nearest-kind
-      // hint, so a CLI typo gets a correction instead of just a rejection.
-      throw std::invalid_argument(bad_chaos_spec_message(*spec));
-    }
-  }
-  return p;
+  return message + " rules: " + kChaosRules;
 }
 
 ScenarioRegistry& ScenarioRegistry::instance() {
@@ -834,60 +808,159 @@ ScenarioRegistry& ScenarioRegistry::instance() {
 }
 
 ScenarioRegistry::ScenarioRegistry() {
-  add({"paper60", "calibrated 60-node LAN baseline (fanout 4, T=2s)",
-       build_paper60});
-  add({"fig2", "reliability degradation vs input rate (static 60-buffer)",
-       build_fig2});
-  add({"fig4", "maximum input rate vs buffer size (capacity search base)",
-       build_paper60});
-  add({"fig6", "ideal vs adaptive rates under shrinking buffers",
-       build_paper60});
-  add({"fig7", "input/output rates and drop ages, lpbcast vs adaptive",
-       build_paper60});
-  add({"fig8", "reliability (receivers & atomicity), lpbcast vs adaptive",
-       build_paper60});
-  add({"fig9", "dynamic buffers: 20% of nodes 90 -> 45 -> 60 under load",
-       build_fig9});
-  add({"churn", "rolling crash/recover wave across the group", build_churn});
-  add({"burst-loss", "Gilbert-Elliott bursty loss (~20%) with pull repair",
-       build_burst_loss});
-  add({"wan-clusters", "three LAN islands joined by 20-60 ms WAN links",
-       build_wan_clusters});
-  add({"wan-directional",
-       "wan-clusters with locality-biased targets and bridge nodes",
-       build_wan_directional});
-  add({"wan-directional-churn",
-       "wan-directional with the elected bridges crashing in turn",
-       build_wan_directional_churn});
-  add({"churn-blind",
-       "bridge churn detected by gossiped suspicion alone (no oracle)",
-       build_churn_blind});
-  add({"host-migration",
-       "churned nodes rejoin at new endpoints under bumped revisions",
-       build_host_migration});
-  add({"adaptive-wan",
-       "wan-directional + control plane: p_local rises under a buffer "
-       "squeeze, recovers after it heals",
-       build_adaptive_wan});
-  add({"adaptive-backpressure",
-       "overloaded adaptive LAN: blocking-BROADCAST queues bounded by "
-       "pending_cap on both harnesses",
-       build_adaptive_backpressure});
-  add({"semantic-streams", "supersede-heavy streams with semantic purging",
-       build_semantic_streams});
-  add({"scale-1e5", "100k nodes on partial views (calendar-queue scale soak)",
-       build_scale_1e5});
-  add({"scale-1e6", "1M nodes on partial views (memory-bound scale soak)",
-       build_scale_1e6});
-  add({"chaos-soak",
-       "mid-run corruption/truncation/dup/reorder burst; must self-heal",
-       build_chaos_soak});
-  add({"asymmetric-partition",
-       "one-way link failures: suspicion under fire, re-convergence after",
-       build_asymmetric_partition});
-  add({"gray-failure",
-       "stalled + clock-skewed nodes stay slow-but-up; no down verdicts",
-       build_gray_failure});
+  // Paper §5's three islands joined by slower WAN links, and directional
+  // gossip over them: 90 % of the fanout stays local, the rest goes through
+  // remote bridges. Funnelling adds rounds, so a longer age limit and two
+  // bridges per island keep delivery within half a point of wan-clusters
+  // while the cross-WAN share falls from ~67 % to ~10 %.
+  const std::string islands = "clusters=3 wan_latency=uniform:20:60";
+  const std::string directional =
+      islands + " max_age=20 locality=1 p_local=0.9 bridges_per_cluster=2";
+  // Oracle-free liveness: GossipMembership's suspicion timeouts.
+  const std::string oracle_free = "gossip_membership=1 failure_detector=0";
+  // The rolling wave's stride 7 spreads crashes over the ids, senders
+  // included. The bridge churn crashes island c's first bridge, node c, one
+  // island at a time; each crash promotes the next-lowest id.
+  const std::string wave = " churn_every_s=20 churn_down_s=15 churn_count=8";
+  const auto rolling_wave =
+      crash_wave("rolling crash wave", [](const P& p, std::size_t i) {
+        return static_cast<NodeId>((3 + 7 * i) % p.n);
+      });
+  const std::string bridge_wave =
+      " churn_every_s=30 churn_down_s=20 churn_count=3";
+  const auto bridge_churn =
+      crash_wave("bridge churn", [](const P& p, std::size_t i) {
+        return static_cast<NodeId>(
+            i % std::max<std::size_t>(p.network.clusters, 1));
+      });
+  // Scale presets: O(view) partial views, and buffers sized as the memory
+  // bill they are at 10^5..10^6 nodes: at 10 events/s living 12 rounds of
+  // 2 s, ~240 events are in flight, and the digest covers that window.
+  const std::string scale =
+      " senders=32 rate=10 partial_view=1 buffer=48 event_ids=384 warmup_s=4 "
+      "duration_s=20 cooldown_s=6";
+
+  add(on_paper60("paper60", "calibrated 60-node LAN baseline (fanout 4, T=2s)",
+                 ""));
+  add(on_paper60("fig2",
+                 "reliability degradation vs input rate (static 60-buffer)",
+                 "buffer=60"));
+  for (const auto& [name, summary] :
+       {std::pair{"fig4", "maximum input rate vs buffer size (capacity "
+                          "search base)"},
+        {"fig6", "ideal vs adaptive rates under shrinking buffers"},
+        {"fig7", "input/output rates and drop ages, lpbcast vs adaptive"},
+        {"fig8", "reliability (receivers & atomicity), lpbcast vs adaptive"}}) {
+    add(on_paper60(name, summary, ""));
+  }
+  // Just under the 90-slot knee (~41 msg/s) so the shrink bites, and a
+  // faster gamma than the paper's 0.1 so 450 s show both phases.
+  add(on_paper60(
+      "fig9", "dynamic buffers: 20% of nodes 90 -> 45 -> 60 under load",
+      "rate=36 buffer=90 gamma=0.2 duration_s=450 bucket_s=10 t1_s=150 "
+      "t2_s=300 fraction=0.2 buf1=45 buf2=60",
+      capacity_squeeze([](const KeySource& keys, const P& p) {
+        return Steps{{p.warmup + read<DurationMs>(keys, "t1_s"),
+                      read<std::size_t>(keys, "buf1")},
+                     {p.warmup + read<DurationMs>(keys, "t2_s"),
+                      read<std::size_t>(keys, "buf2")}};
+      })));
+  add(on_paper60("churn", "rolling crash/recover wave across the group",
+                 wave.substr(1), rolling_wave));
+  // ~20 % loss in bursts, the paper's hard case for gossip.
+  add(on_paper60("burst-loss",
+                 "Gilbert-Elliott bursty loss (~20%) with pull repair",
+                 "loss=burst:0.02:0.9:0.05:0.2 recovery=1"));
+  add(on_paper60("wan-clusters",
+                 "three LAN islands joined by 20-60 ms WAN links", islands));
+  add(on_paper60("wan-directional",
+                 "wan-clusters with locality-biased targets and bridge nodes",
+                 directional));
+  add(on_paper60("wan-directional-churn",
+                 "wan-directional with the elected bridges crashing in turn",
+                 directional + " failure_detector=1" + bridge_wave,
+                 bridge_churn));
+  add(on_paper60(
+      "churn-blind",
+      "bridge churn detected by gossiped suspicion alone (no oracle)",
+      directional + " " + oracle_free + bridge_wave, bridge_churn));
+  // A rejoin bumps the revision and rotates the advertised endpoint.
+  add(on_paper60("host-migration",
+                 "churned nodes rejoin at new endpoints under bumped "
+                 "revisions",
+                 oracle_free + " migrate_on_rejoin=1" + wave, rolling_wave));
+  // Half the buffers shrink hard a quarter into the window: the control
+  // plane raises p_local and trims fanout, then relaxes both after the heal
+  // at 5/8, late enough that quick parity runs see both phases.
+  add(on_paper60(
+      "adaptive-wan",
+      "wan-directional + control plane: p_local rises under a buffer "
+      "squeeze, recovers after it heals",
+      directional + " adaptive=1 control_plane=1 fraction=0.5 buf1=30",
+      capacity_squeeze([](const KeySource& keys, const P& p) {
+        const std::size_t low = read<std::size_t>(keys, "buf1");
+        return Steps{{p.warmup + p.duration / 4, low},
+                     {p.warmup + (p.duration * 5) / 8, p.gossip.max_events}};
+      })));
+  // Overload queues arrivals behind the token bucket (the paper's blocking
+  // BROADCAST), busy but bounded by pending_cap on every engine.
+  add(on_paper60("adaptive-backpressure",
+                 "overloaded adaptive LAN: blocking-BROADCAST queues bounded "
+                 "by pending_cap on both harnesses",
+                 "adaptive=1 control_plane=1 rate=45 fraction=0.3 buf1=45",
+                 capacity_squeeze([](const KeySource& keys, const P& p) {
+                   return Steps{{p.warmup + p.duration / 4,
+                                 read<std::size_t>(keys, "buf1")}};
+                 })));
+  add(on_paper60("semantic-streams",
+                 "supersede-heavy streams with semantic purging",
+                 "supersede=0.35 semantic_purge=1 buffer=60"));
+  add(on_paper60("scale-1e5",
+                 "100k nodes on partial views (calendar-queue scale soak)",
+                 "n=100000" + scale));
+  add(on_paper60("scale-1e6",
+                 "1M nodes on partial views (memory-bound scale soak)",
+                 "n=1000000" + scale));
+  // Fault windows hit nodes 3 and 5, non-senders at the paper scale and at
+  // the parity scale. Corruption feeds the codec live, duplication the
+  // digest, reordering the age purge; pull repair helps the healing.
+  using fault::FaultKind;
+  using fault::kAnyNode;
+  add(on_paper60(
+      "chaos-soak",
+      "mid-run corruption/truncation/dup/reorder burst; must self-heal",
+      "recovery=1 chaos_corrupt=0.15 chaos_truncate=0.05 chaos_dup=0.1 "
+      "chaos_reorder=0.1",
+      fault_window(2, [](const KeySource& keys, const P& p) {
+        return std::vector<fault::FaultRule>{
+            {FaultKind::kCorrupt, read<double>(keys, "chaos_corrupt")},
+            {FaultKind::kTruncate, read<double>(keys, "chaos_truncate")},
+            {FaultKind::kDuplicate, read<double>(keys, "chaos_dup")},
+            {FaultKind::kReorder, read<double>(keys, "chaos_reorder"),
+             kAnyNode, kAnyNode, p.gossip.gossip_period / 2}};
+      })));
+  // Nothing node 3 sends arrives, and 1 -> 2 dies while 2 -> 1 lives;
+  // after the window node 3's fresh heartbeats must win again.
+  add(on_paper60(
+      "asymmetric-partition",
+      "one-way link failures: suspicion under fire, re-convergence after",
+      oracle_free, fault_window(2, [](const KeySource&, const P&) {
+        return std::vector<fault::FaultRule>{
+            {FaultKind::kOneWay, 0.0, 3, kAnyNode},
+            {FaultKind::kOneWay, 0.0, 1, 2}};
+      })));
+  // Node 3 stalls and node 5's clock skews two periods, under the 4-period
+  // suspicion timeout: no down verdicts. Both act on the wall clock only.
+  add(on_paper60(
+      "gray-failure",
+      "stalled + clock-skewed nodes stay slow-but-up; no down verdicts",
+      oracle_free, fault_window(3, [](const KeySource&, const P& p) {
+        const DurationMs period = p.gossip.gossip_period;
+        return std::vector<fault::FaultRule>{
+            {FaultKind::kStall, 0.0, 3, kAnyNode,
+             std::max<DurationMs>(5, period / 5)},
+            {FaultKind::kSkew, 0.0, 5, kAnyNode, 2 * period}};
+      })));
 }
 
 void ScenarioRegistry::add(ScenarioPreset preset) {
@@ -909,46 +982,20 @@ const ScenarioPreset* ScenarioRegistry::find(std::string_view name) const {
 
 std::vector<std::string> ScenarioRegistry::suggest(
     std::string_view name) const {
-  // Plausibly-close: within a third of the typed name in edits (at least
-  // 2, so short typos still match), or a containment either way (a
-  // truncated or over-qualified name).
-  const std::size_t budget = std::max<std::size_t>(2, name.size() / 3);
-  std::vector<std::pair<std::size_t, std::string>> ranked;
-  for (const auto& preset : presets_) {
-    const std::size_t distance = edit_distance(name, preset.name);
-    const bool contained =
-        !name.empty() && (preset.name.find(name) != std::string::npos ||
-                          name.find(preset.name) != std::string_view::npos);
-    if (distance <= budget || contained) {
-      ranked.emplace_back(distance, preset.name);
-    }
-  }
-  std::sort(ranked.begin(), ranked.end());
-  std::vector<std::string> out;
-  out.reserve(ranked.size());
-  for (auto& entry : ranked) out.push_back(std::move(entry.second));
-  return out;
+  std::vector<std::string> names;
+  for (const auto& preset : presets_) names.push_back(preset.name);
+  return closest_names(name, names);
 }
 
 std::string ScenarioRegistry::unknown_name_message(
     std::string_view name) const {
-  std::string message = "unknown scenario preset '";
-  message.append(name);
-  message += '\'';
+  std::string message = "unknown scenario preset '" + std::string(name) + "'";
   const auto close = suggest(name);
-  if (!close.empty()) {
-    message += "; did you mean:";
-    for (const auto& candidate : close) {
-      message += ' ';
-      message += candidate;
-    }
-    message += '?';
+  for (std::size_t i = 0; i < close.size(); ++i) {
+    message += (i == 0 ? "; did you mean: " : " ") + close[i];
   }
-  message += " known:";
-  for (const auto* known : presets()) {
-    message += ' ';
-    message += known->name;
-  }
+  message += close.empty() ? " known:" : "? known:";
+  for (const auto* known : presets()) message += " " + known->name;
   return message;
 }
 

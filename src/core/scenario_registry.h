@@ -1,30 +1,13 @@
-// Named scenario presets: the single source of every experiment
-// configuration in the repo.
+// Named scenario presets and the key table: the single source of every
+// experiment configuration in the repo.
 //
-// Each preset is a named, documented recipe that turns key=value overrides
-// (common::Config) into a full core::ScenarioParams. The figure benches,
-// tools/agb_sim and downstream embedders all build their parameters here,
-// so adding a workload is a registry entry — not a new binary. Defaults
-// layer in a fixed order: calibrated paper60 base < preset-specific
-// defaults < user key=value overrides.
-//
-// Built-in presets (see scenario_registry.cc for the parameter details):
-//   paper60          — the calibrated 60-node LAN baseline
-//   fig2             — reliability degradation (static, small buffer)
-//   fig4             — maximum input rate vs buffer size
-//   fig6             — ideal vs adaptive rates
-//   fig7             — rates and drop ages, lpbcast vs adaptive
-//   fig8             — reliability, lpbcast vs adaptive
-//   fig9             — dynamic buffer sizes (capacity schedule)
-//   churn            — rolling crash/recover of group members
-//   burst-loss       — Gilbert-Elliott bursty loss + pull repair
-//   wan-clusters     — three LAN islands joined by slow WAN links
-//   wan-directional  — wan-clusters with locality-biased targets + bridges
-//   wan-directional-churn — wan-directional with bridges crashing in turn
-//   semantic-streams — supersede-heavy streams with semantic purging
-//   chaos-soak       — mid-run corruption/duplication/reorder burst
-//   asymmetric-partition — one-way link failures under gossiped liveness
-//   gray-failure     — stalled + clock-skewed nodes that must not flap
+// Every key=value override (common::Config) is one row of the key table in
+// scenario_registry.cc: name, doc, type, inclusive range and the
+// ScenarioParams field it sets. Values are parsed whole, a bad one throws
+// std::invalid_argument ("bad <key> value '<v>' (want ...)") before any
+// group is built, and `agb_sim list=1` prints the rows. Every built-in
+// preset is paper60 < one override line < the user's keys, plus at most
+// one schedule generator.
 #pragma once
 
 #include <functional>
@@ -38,14 +21,29 @@
 namespace agb::core {
 
 /// The calibrated critical age a_r (hops) of the paper60 configuration
-/// under the bimodal-atomicity criterion the adaptive marks target.
-/// Regenerate with bench/fig4_max_rate (see EXPERIMENTS.md).
+/// under the bimodal-atomicity criterion the adaptive marks target: the
+/// knee drop age bench/fig4_max_rate measures (ROADMAP item 1 lists the
+/// measured knee ages; README's "Figure reproductions" gives the command).
 inline constexpr double kPaper60CriticalAge = 8.0;
+
+/// Where a build reads its keys: the user's Config, then the preset's line.
+struct KeySource;
+
+/// A preset's schedule: the rolling crash wave, the bridge churn, the
+/// capacity squeeze or the fault window. It runs after the keys, unless the
+/// user set `owner` (the failures=, capacity= or chaos= spec).
+struct ScheduleGenerator {
+  std::string name;
+  std::string owner;
+  std::function<void(const KeySource&, ScenarioParams&)> run;
+};
 
 struct ScenarioPreset {
   std::string name;
   std::string summary;  // one line, shown by `agb_sim list=1`
   std::function<ScenarioParams(const Config&)> build;
+  std::string overrides{};        // the key=value line on paper60
+  ScheduleGenerator generator{};  // empty `run`: none
 };
 
 class ScenarioRegistry {
@@ -60,17 +58,12 @@ class ScenarioRegistry {
 
   [[nodiscard]] const ScenarioPreset* find(std::string_view name) const;
 
-  /// Builds `name` with `cfg` overrides. Throws std::invalid_argument
-  /// (with a "did you mean" hint and the known presets) for an unknown
-  /// name, and propagates the std::invalid_argument thrown for malformed
-  /// spec values; tools catch and translate to exit codes, embedders
-  /// handle it like any input error.
+  /// Builds `name` with `cfg` overrides. Throws std::invalid_argument for
+  /// an unknown name (unknown_name_message()) or a bad value.
   [[nodiscard]] ScenarioParams build(std::string_view name,
                                      const Config& cfg) const;
 
-  /// Preset names close to `name` (small edit distance or one containing
-  /// the other), best match first — the "did you mean" list behind
-  /// unknown_name_message(). Empty when nothing is plausibly close.
+  /// Preset names close to `name`, best match first (closest_names()).
   [[nodiscard]] std::vector<std::string> suggest(std::string_view name) const;
 
   /// The full diagnostic for a name find() rejected: "did you mean" with
@@ -86,33 +79,44 @@ class ScenarioRegistry {
   std::vector<ScenarioPreset> presets_;
 };
 
-/// Applies the shared key=value vocabulary on top of `base`: every key's
-/// fallback is the value already in `base`, so presets seed defaults and
-/// user overrides always win. Four adaptation knobs (tau_ms, low_mark,
-/// high_mark, initial_rate) derive their fallback from other parameters
-/// when the base still holds the stock AdaptiveParams default — a base
-/// that set them explicitly to a *non-stock* value keeps it (a base value
-/// equal to the stock default is indistinguishable from "untouched" and
-/// gets the derived fallback; pass the cfg key to pin it exactly).
-/// Throws std::invalid_argument on malformed spec values — pre-validate
-/// untrusted input with the parse_*_spec helpers below if termination of
-/// the calling flow is unacceptable. Understands the full parameter space —
-/// group/load/gossip/adaptation/recovery keys plus the spec-valued ones:
-///   latency=fixed:ms|uniform:lo:hi|normal:mean:stddev
-///   wan_latency=<same grammar>
-///   loss=p|burst:pgood:pbad:pgb:pbg
-///   capacity=at_ms:frac:cap[,...]
-///   failures=at_ms:node:up|down[,...]
-///   chaos=rule[,rule...] with rule = kind:args[@start[s]-end[s]], kinds:
-///     corrupt:p truncate:p dup:p reorder:p[:ms] oneway:a:b|* stall:node:ms
-///     skew:node:ms (window times in seconds, absolute — warmup included)
+/// paper60 < `line` < `cfg`, then `generator`: every built-in preset.
+ScenarioParams build_on_paper60(const Config& cfg, const std::string& line,
+                                const ScheduleGenerator& generator);
+
+/// Applies every key of the table that `cfg` sets on top of `base`. A
+/// derived key that no key sets (tau_ms, low_mark, high_mark,
+/// initial_rate; suspect_after_ms and down_after_ms with gossip_membership)
+/// follows the keys it derives from, unless `base` holds a non-stock value.
 ScenarioParams params_from_config(const Config& cfg, ScenarioParams base);
 
-/// A registry-driven parameter sweep: `axis:lo:hi:step`, where `axis` is
-/// any numeric key of the shared key=value vocabulary (rate, buffer, n,
-/// fanout, loss, period_ms, ...). One agb_sim invocation replays a whole
-/// per-figure sweep by rebuilding the chosen preset once per axis value —
-/// the fig binaries stay as thin wrappers over the same presets.
+/// An agb_sim key read from `cfg`, parsed and range-checked like build(),
+/// else the table's default (bool, std::size_t and std::string).
+template <class T>
+T key_value(const Config& cfg, const std::string& name);
+
+/// The names of every key in the table.
+std::vector<std::string> key_names();
+
+/// A numeric key's inclusive range, in the key's unit (seconds for *_s).
+struct NumericKey {
+  std::string name;
+  double lo = 0.0;
+  double hi = 0.0;  // infinity: only the value's type bounds it
+  bool integer = false;
+};
+std::vector<NumericKey> numeric_keys();
+
+/// One line per key: its paper60 value, doc and what it accepts.
+std::string key_reference();
+
+/// Names among `candidates` within max(2, |name| / 3) edits of `name` or
+/// containing it (or contained), best first: the one "did you mean" rule
+/// for preset names, keys and chaos kinds.
+std::vector<std::string> closest_names(
+    std::string_view name, const std::vector<std::string>& candidates);
+
+/// A parameter sweep, `axis:lo:hi:step`, over a numeric key of the table
+/// (or loss): the preset is rebuilt once per axis value.
 struct SweepSpec {
   std::string axis;
   double lo = 0.0;
@@ -125,7 +129,9 @@ struct SweepSpec {
 };
 
 /// Spec-string parsers, exposed for tools and tests. Return false on
-/// malformed input and leave `out` untouched.
+/// malformed or out-of-range input and leave `out` untouched; `agb_sim
+/// list=1` prints each grammar. Chaos window times are seconds, absolute
+/// (warm-up included).
 bool parse_sweep_spec(const std::string& spec, SweepSpec* out);
 bool parse_latency_spec(const std::string& spec, sim::LatencyModel* out);
 bool parse_loss_spec(const std::string& spec, sim::LossModel* out);
@@ -135,11 +141,11 @@ bool parse_failure_spec(const std::string& spec,
                         std::vector<FailureEvent>* out);
 bool parse_chaos_spec(const std::string& spec, fault::ChaosSchedule* out);
 
-/// The diagnostic params_from_config throws for a chaos spec
-/// parse_chaos_spec rejected: names the bad spec, suggests the nearest
-/// fault kind ("did you mean: corrupt?") for a misspelt one, and restates
-/// the rule grammar. Tools print it verbatim (exit 2), so a typo'd
-/// `chaos=corupt:0.1` is a correction, not a stack trace.
+/// The diagnostic a chaos spec parse_chaos_spec rejected earns: names the
+/// bad spec, suggests the nearest fault kind ("did you mean: corrupt?")
+/// for a misspelt one, and restates the rule grammar. Tools print it
+/// verbatim (exit 2), so a typo'd `chaos=corupt:0.1` is a correction, not
+/// a stack trace.
 std::string bad_chaos_spec_message(const std::string& spec);
 
 }  // namespace agb::core

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -425,6 +428,130 @@ TEST(SweepTest, AxisValueRebuildsThePreset) {
     EXPECT_EQ(p.gossip.max_events, static_cast<std::size_t>(buffer));
     EXPECT_EQ(p.n, 60u);  // everything else stays the preset default
   }
+}
+
+// Every numeric key of the table builds at both ends of its range, and is
+// refused, naming the key and its range, one step beyond each finite end,
+// as a non-number and with trailing junk. Only params are built, never a
+// group, a thread pool or a worker count. A generator's key is set on the
+// first preset that reads it; agb_sim's own (shards) is read alone.
+TEST(KeyTableTest, EveryNumericKeyBuildsAtItsEdgesAndRefusesBeyondThem) {
+  auto& registry = ScenarioRegistry::instance();
+  const auto text = [](double v, const char* format) {
+    char buf[48];
+    std::snprintf(buf, sizeof buf, format, v);
+    return std::string(buf);
+  };
+  const auto keys = numeric_keys();
+  ASSERT_GE(keys.size(), 60u);
+  for (const NumericKey& key : keys) {
+    SCOPED_TRACE("key " + key.name);
+    const char* format = key.integer ? "%.0f" : "%.17g";
+    const ScenarioPreset* reader = nullptr;
+    for (const ScenarioPreset* preset : registry.presets()) {
+      Config probe;
+      probe.set(key.name, text(key.lo, format));
+      (void)preset->build(probe);
+      const auto unused = probe.unused_keys();
+      if (std::find(unused.begin(), unused.end(), key.name) == unused.end()) {
+        reader = preset;
+        break;
+      }
+    }
+    const auto build = [&](const std::string& value) {
+      Config cfg;
+      cfg.set(key.name, value);
+      if (reader != nullptr) {
+        (void)reader->build(cfg);
+      } else {
+        (void)key_value<std::size_t>(cfg, key.name);
+      }
+    };
+    const bool bounded = !std::isinf(key.hi);
+    EXPECT_NO_THROW(build(text(key.lo, format)));
+    EXPECT_NO_THROW(build(text(bounded ? key.hi : key.lo + 1e9, format)));
+
+    const std::string range =
+        bounded ? "[" + text(key.lo, "%.15g") + ", " + text(key.hi, "%.15g") +
+                      "]"
+                : ">= " + text(key.lo, "%.15g");
+    std::vector<std::string> refused{"abc", text(key.lo, format) + "x",
+                                     text(key.lo - 1, format)};
+    if (bounded) refused.push_back(text(key.hi + 1, format));
+    for (const std::string& value : refused) {
+      try {
+        build(value);
+        ADD_FAILURE() << key.name << "=" << value << " built";
+      } catch (const std::invalid_argument& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find("bad " + key.name + " value '" + value + "'"),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find(range), std::string::npos) << message;
+      }
+    }
+  }
+}
+
+// Spec values get the same checks: probabilities in [0, 1], latencies
+// >= 0 with lo <= hi, capacity times >= 0 and fractions in [0, 1], and
+// schedule node ids below n.
+TEST(KeyTableTest, OutOfRangeSpecValuesThrowNamingTheKey) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"loss", "1.5"},
+      {"loss", "burst:0.02:1.2:0.05:0.2"},
+      {"latency", "uniform:10:5"},
+      {"latency", "fixed:-5"},
+      {"wan_latency", "normal:40:-1"},
+      {"capacity", "-5:2.0:10"},
+      {"capacity", "1000:0.5:0"},
+      {"failures", "-1:3:down"},
+      {"failures", "1000:99:down"},
+      {"chaos", "oneway:99:*"},
+      {"chaos", "stall:3:5,skew:10:5"},
+  };
+  for (const auto& [key, value] : cases) {
+    Config cfg;
+    cfg.set("n", "10");
+    cfg.set(key, value);
+    try {
+      (void)ScenarioRegistry::instance().build("paper60", cfg);
+      ADD_FAILURE() << key << "=" << value << " built";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("bad ") + key +
+                                           " value '" + value + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// initial_rate splits the load over the senders that exist: senders=100
+// in a 10-node group is 10 senders, each starting at a tenth of the rate.
+TEST(KeyTableTest, InitialRateCountsTheSendersThatExist) {
+  auto p = ScenarioRegistry::instance().build(
+      "paper60", config_of({"n=10", "senders=100"}));
+  EXPECT_EQ(scenario_sender_ids(p.n, p.senders).size(), 10u);
+  EXPECT_DOUBLE_EQ(p.adaptation.initial_rate, 3.0);
+}
+
+TEST(KeyTableTest, SweepAxisMustBeANumericKey) {
+  SweepSpec sweep;
+  EXPECT_FALSE(parse_sweep_spec("bufer:30:60:30", &sweep));  // a typo
+  EXPECT_FALSE(parse_sweep_spec("latency:1:5:1", &sweep));   // a spec
+  EXPECT_FALSE(parse_sweep_spec("scenario:1:5:1", &sweep));  // text
+  EXPECT_TRUE(parse_sweep_spec("adaptive:0:1:1", &sweep));
+  EXPECT_TRUE(parse_sweep_spec("churn_count:1:3:1", &sweep));
+}
+
+TEST(KeyTableTest, KeysAreUniqueAndTyposFindTheirKey) {
+  const auto names = key_names();
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size());
+  ASSERT_FALSE(closest_names("bufer", names).empty());
+  EXPECT_EQ(closest_names("bufer", names).front(), "buffer");
+  EXPECT_EQ(closest_names("fanuot", names).front(), "fanout");
+  EXPECT_TRUE(closest_names("zzzzzzzzzzzz", names).empty());
 }
 
 TEST(ScenarioTopologyTest, WanClustersRunsAndDeliversAcrossIslands) {

@@ -1,92 +1,27 @@
 // agb_sim — the general experiment driver.
 //
-// A thin lookup into core::ScenarioRegistry: pick a named preset, override
-// any key on the command line, run, report. Downstream users run custom
-// experiments without writing C++:
+// A thin lookup into core::ScenarioRegistry: pick a preset, override any
+// key on the command line, run, report:
 //
-//   agb_sim list=1                             # catalogue of presets
+//   agb_sim list=1                             # presets and key reference
 //   agb_sim scenario=fig9 adaptive=1 csv=run1
-//   agb_sim scenario=burst-loss n=120 duration_s=300
 //   agb_sim n=100 rate=40 adaptive=1 buffer=80 loss=0.05   # paper60 base
-//
-// sweep=<axis>:<lo>:<hi>:<step> reruns the preset once per axis value and
-// prints one summary row per run — the registry-driven replacement for the
-// hand-rolled per-figure sweep loops:
-//   agb_sim scenario=fig2 sweep=rate:10:60:10 quick=1      # fig2's rate axis
-//   agb_sim scenario=fig4 sweep=buffer:30:180:30           # fig4's buffer axis
-// Any numeric key works as the axis; other overrides apply to every run.
-// With csv=prefix the same rows land in <prefix>_sweep.csv.
-//
-// Keys (defaults in parentheses; presets change some of them — see
-// src/core/scenario_registry.cc):
-//   scenario(paper60) quick(0)
-//   n(60) senders(4) rate(30) adaptive(0) partial_view(0) payload(16)
-//   poisson(1) supersede(0) pending_cap(64) view_max/view_subs/view_unsubs
-//   fanout(4) period_ms(2000) buffer(120) event_ids(4000) max_age(12)
-//   semantic_purge(0)
-//   tau_ms(2*period) window(2) alpha(0.9) critical_age(8) low_mark high_mark
-//   delta_d(0.1) delta_i(0.1) gamma(0.1) bucket(8) initial_rate robust_k(1)
-//   robust_floor(0) idle_age_boost(1)
-//   recovery(0) repair_after(2) give_up_after(8) retrieve_rounds(6)
-//   latency=fixed:ms | uniform:lo:hi | normal:mean:stddev   (fixed:1)
-//   wan_latency=<same grammar>  clusters(1)
-//   locality(0) p_local(0.85) bridges_per_cluster(1) failure_detector(0)
-//   control_plane(0) control_hysteresis(0.25) p_local_min(0.5)
-//   p_local_max(0.98) p_local_step(0.02) fanout_congested_scale(0.75)
-//   fanout_spare_scale(1.25) starve_threshold(0.05)
-//   gossip_membership(0) suspect_after_ms(4*period) down_after_ms(8*period)
-//   membership_budget(256) migrate_on_rejoin(0)
-//   loss=p (iid) | burst:pgood:pbad:pgb:pbg                 (0)
-//   capacity=at_ms:frac:cap[,...]     failures=at_ms:node:up|down[,...]
-//   chaos=rule[,rule...]   deterministic fault injection (fault::FaultPlane)
-//       rule = kind:args[@start[s]-end[s]]  (window in seconds, absolute)
-//       kinds: corrupt:p truncate:p dup:p reorder:p[:ms] oneway:a:b|*
-//              stall:node:ms skew:node:ms
-//       e.g. chaos=corrupt:0.05@5s-15s,oneway:3:*@5s-15s — malformed specs
-//       exit 2 with a "did you mean" hint; presets chaos-soak /
-//       asymmetric-partition / gray-failure carry calibrated schedules
-//   sim_shards(1) sim_workers(0=auto)
-//       sim_shards>1 runs the preset on the multi-core sharded simulator
-//       (core::ShardedScenario): per-shard event queues + clocks stepped in
-//       conservative lookahead windows (derived from the minimum network
-//       delay), all deliveries window-batched. Results are shard- and
-//       worker-count invariant (at most n shards); sim_shards<=1 keeps the
-//       classic single-queue engine (byte-identical golden traces).
-//   warmup_s(40) duration_s(150) cooldown_s(30) bucket_s(5) seed(42)
-//   csv=prefix   (writes <prefix>_series.csv)
-//   bench=path.json   (sim fabric: writes a BENCH_sim_scale record —
-//                      preset, n, sim_seconds, wall_seconds (construction
-//                      + run(), no teardown), nodes_simulated_per_second,
-//                      bytes_per_node, peak_event_queue_len — for the perf
-//                      trajectory; pair with scenario=scale-1e5 / scale-1e6.
-//                      with chaos active it writes a BENCH_chaos record
-//                      instead — recovery-rounds p50/p99 (post-fault
-//                      latency over the gossip period), post-chaos
-//                      receiver %, injection + decode-drop counters; pair
-//                      with scenario=chaos-soak.
-//                      inmemory fabric: writes a BENCH_backpressure record —
-//                      the senders' pending-queue depth p50/p90/p99/max,
-//                      refusals, avg p_local, avg effective fanout; pair
-//                      with scenario=adaptive-backpressure)
-//
-// fabric=inmemory runs the preset on the wall-clock runtime instead of the
-// simulator: real NodeRuntime threads over the sharded InMemoryFabric
-// (shards=N receiver shards, default 4), via core::WallclockScenario. The
-// full preset runs for real — partial views, locality bias + bridges, WAN
-// cluster delays (all latency models, including normal and per-link
-// overrides, via the shared sim::DelaySampler), burst loss, failure and
-// capacity schedules, and the adaptive control plane. The senders are the
-// simulators' own blocking-BROADCAST queues (arrivals through cooldown,
-// 100 ms retry tick), stepped on a clock paced against the fabric's.
-// duration_s is then real seconds — keep it small:
+//   agb_sim scenario=fig2 sweep=rate:10:60:10 quick=1      # one row per rate
 //   agb_sim scenario=wan-directional fabric=inmemory n=30 period_ms=50 duration_s=5
 //
-// Every engine prints the same report (core::ScenarioResults); only the
-// engine line differs. "delivery throughput" is the network's delivered
-// datagrams over the wall time of construction + run(). rate=0 runs the
-// group with no offered load; a negative rate exits 2.
+// A bad value exits 2 naming the key before any group is built; a key the
+// run never reads warns. fabric=inmemory runs real NodeRuntime threads
+// (core::WallclockScenario), so its seconds are real; sim_shards>1 runs
+// core::ShardedScenario. Every engine prints the same report; "delivery
+// throughput" is delivered datagrams over the wall time of construction +
+// run(). bench=path.json writes one record: `chaos` when a chaos schedule
+// ran (recovery-round percentiles, injection and decode-drop counters),
+// `backpressure` on fabric=inmemory (pending-depth percentiles, refusals,
+// avg p_local and fanout), `sim_scale` otherwise (nodes simulated per
+// second, bytes per node, peak event-queue length).
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -94,6 +29,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -115,35 +51,51 @@ std::string format_axis_value(double value) {
   return buf;
 }
 
-/// Runs the preset once per axis value and prints one row per run.
+/// "; did you mean: <key>?" for the key nearest `name`, or nothing.
+std::string key_hint(const std::string& name) {
+  const auto close = agb::core::closest_names(name, agb::core::key_names());
+  return close.empty() ? "" : "; did you mean: " + close.front() + "?";
+}
+
+/// Warns about every key the run never read: a run whose flag did nothing
+/// reads like a run where the flag mattered.
+void warn_unread(const agb::Config& cfg, const std::string& scenario) {
+  const auto known = agb::core::key_names();
+  for (const auto& key : cfg.unused_keys()) {
+    if (std::find(known.begin(), known.end(), key) != known.end()) {
+      std::fprintf(stderr,
+                   "agb_sim: warning: scenario '%s' does not read key '%s'\n",
+                   scenario.c_str(), key.c_str());
+    } else {
+      std::fprintf(stderr, "agb_sim: warning: unknown key '%s'%s\n",
+                   key.c_str(), key_hint(key).c_str());
+    }
+  }
+}
+
+/// Runs the preset once per axis value and prints one row per run. Every
+/// value is built, and so checked, before the first run.
 int run_sweep(const agb::core::ScenarioPreset& preset, const agb::Config& cfg,
               const agb::core::SweepSpec& sweep,
               const std::string& csv_prefix) {
   using namespace agb;
+  const std::vector<double> values = sweep.values();
+  std::vector<core::ScenarioParams> runs;
+  for (double value : values) {
+    Config run_cfg = cfg;  // fresh copy: the axis override must not stick
+    run_cfg.set(sweep.axis, format_axis_value(value));
+    runs.push_back(preset.build(run_cfg));
+    if (runs.size() == 1) warn_unread(run_cfg, preset.name);
+  }
   const std::vector<std::string> columns{
       sweep.axis,     "input_msg_s",   "output_msg_s", "atomic_pct",
       "avg_recv_pct", "drop_age_hops", "ovf_drops"};
   metrics::Table table(columns);
   std::vector<std::vector<double>> rows;
-  for (double value : sweep.values()) {
-    Config run_cfg = cfg;  // fresh copy: the axis override must not stick
-    run_cfg.set(sweep.axis, format_axis_value(value));
-    core::ScenarioParams params;
-    try {
-      params = preset.build(run_cfg);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "agb_sim: %s\n", e.what());
-      return 2;
-    }
-    if (rows.empty()) {  // typo detection once, on the first resolved run
-      for (const auto& key : run_cfg.unused_keys()) {
-        std::fprintf(stderr, "agb_sim: warning: unknown key '%s'\n",
-                     key.c_str());
-      }
-    }
-    core::Scenario scenario(params);
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    core::Scenario scenario(runs[i]);
     auto r = scenario.run();
-    rows.push_back({value, r.input_rate, r.output_rate,
+    rows.push_back({values[i], r.input_rate, r.output_rate,
                     r.delivery.atomicity_pct, r.delivery.avg_receiver_pct,
                     r.avg_drop_age, static_cast<double>(r.overflow_drops)});
     table.add_numeric_row(rows.back(), 2);
@@ -313,42 +265,35 @@ void print_report(const agb::core::ScenarioParams& p,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace agb;
-
-  Config cfg;
-  std::string error;
-  if (!cfg.parse_args(argc, argv, &error)) {
-    std::fprintf(stderr, "agb_sim: %s\n(see the header of tools/agb_sim.cc "
-                 "for the key reference)\n", error.c_str());
-    return 2;
+/// The presets, each as paper60 plus its override line, then the keys.
+void print_catalogue(const agb::core::ScenarioRegistry& registry) {
+  std::printf("%-22s %9s %-8s %s\n", "scenario", "n", "view", "summary");
+  for (const auto* preset : registry.presets()) {
+    const agb::core::ScenarioParams defaults = preset->build(agb::Config{});
+    std::printf("%-22s %9zu %-8s %s\n", preset->name.c_str(), defaults.n,
+                defaults.partial_view ? "partial" : "full",
+                preset->summary.c_str());
+    const std::string& generator = preset->generator.name;
+    std::printf("    paper60%s%s%s%s\n", preset->overrides.empty() ? "" : " ",
+                preset->overrides.c_str(), generator.empty() ? "" : " + ",
+                generator.c_str());
   }
+  std::printf("\nview: full = every node holds the whole directory "
+              "(O(n^2) group memory); partial = bounded lpbcast views "
+              "(O(n*view), what the scale presets use)\n\n%-22s %-13s %s\n%s",
+              "key", "paper60", "meaning; accepts",
+              agb::core::key_reference().c_str());
+}
 
+int run(const agb::Config& cfg) {
+  using namespace agb;
   auto& registry = core::ScenarioRegistry::instance();
-  if (cfg.get_bool("list", false)) {
-    std::printf("%-22s %9s %-8s %s\n", "scenario", "n", "view", "summary");
-    for (const auto* preset : registry.presets()) {
-      std::string n_str = "?";
-      std::string view = "?";
-      try {
-        const core::ScenarioParams defaults = preset->build(Config{});
-        n_str = std::to_string(defaults.n);
-        view = defaults.partial_view ? "partial" : "full";
-      } catch (const std::exception&) {
-        // A preset that needs config keys to resolve still lists.
-      }
-      std::printf("%-22s %9s %-8s %s\n", preset->name.c_str(), n_str.c_str(),
-                  view.c_str(), preset->summary.c_str());
-    }
-    std::printf("\nview: full = every node holds the whole directory "
-                "(O(n^2) group memory); partial = bounded lpbcast views "
-                "(O(n*view), what the scale presets use)\n");
+  if (core::key_value<bool>(cfg, "list")) {
+    print_catalogue(registry);
     return 0;
   }
 
-  const std::string name = cfg.get_string("scenario", "paper60");
+  const auto name = core::key_value<std::string>(cfg, "scenario");
   const core::ScenarioPreset* preset = registry.find(name);
   if (preset == nullptr) {
     std::fprintf(stderr, "agb_sim: %s (try list=1)\n",
@@ -361,76 +306,57 @@ int main(int argc, char** argv) {
     if (!core::parse_sweep_spec(*sweep_raw, &sweep)) {
       std::fprintf(stderr,
                    "agb_sim: bad sweep spec '%s' (want axis:lo:hi:step, "
-                   "step > 0, hi >= lo)\n",
-                   sweep_raw->c_str());
+                   "axis a numeric key, step > 0, hi >= lo)%s\n",
+                   sweep_raw->c_str(),
+                   key_hint(sweep_raw->substr(0, sweep_raw->find(':')))
+                       .c_str());
       return 2;
     }
-    return run_sweep(*preset, cfg, sweep, cfg.get_string("csv", ""));
+    return run_sweep(*preset, cfg, sweep,
+                     core::key_value<std::string>(cfg, "csv"));
   }
 
-  core::ScenarioParams p;
-  try {
-    p = preset->build(cfg);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "agb_sim: %s\n", e.what());
-    return 2;
-  }
+  const core::ScenarioParams p = preset->build(cfg);
 
-  // Knobs the resolved scenario cannot react to are a warning, not a
-  // silent no-op: a run whose flag did nothing reads like a run where the
-  // flag mattered.
-  if (cfg.raw("failure_detector") && p.failure_schedule.empty()) {
-    std::fprintf(stderr,
-                 "agb_sim: warning: failure_detector= has no effect: "
-                 "scenario '%s' schedules no failures (add failures=... or "
-                 "pick a churn preset)\n",
-                 name.c_str());
-  }
-  if (!p.gossip_membership) {
-    for (const char* key : {"suspect_after_ms", "down_after_ms",
-                            "membership_budget", "migrate_on_rejoin"}) {
-      if (cfg.raw(key)) {
-        std::fprintf(stderr,
-                     "agb_sim: warning: %s= has no effect without "
-                     "gossip_membership=1\n",
-                     key);
-      }
-    }
-  }
-  if (cfg.raw("p_local") && p.adaptive && p.adaptation.control.enabled) {
-    std::fprintf(stderr,
-                 "agb_sim: warning: p_local= sets only the starting point: "
-                 "the control plane drives p_local at runtime (set "
-                 "control_plane=0 to pin it)\n");
-  }
-  if (p.sim_shards <= 1 && cfg.raw("sim_workers")) {
-    std::fprintf(stderr,
-                 "agb_sim: warning: sim_workers= has no effect without "
-                 "sim_shards>1 (the classic single-queue engine runs)\n");
-  }
-
-  const std::string csv_prefix = cfg.get_string("csv", "");
-  const std::string bench_path = cfg.get_string("bench", "");
-  const bool per_node = cfg.get_bool("per_node", false);
-  const std::string fabric = cfg.get_string("fabric", "sim");
-  const auto shards = static_cast<std::size_t>(cfg.get_int("shards", 4));
-
-  for (const auto& key : cfg.unused_keys()) {
-    std::fprintf(stderr, "agb_sim: warning: unknown key '%s'\n", key.c_str());
-  }
-
+  const auto csv_prefix = core::key_value<std::string>(cfg, "csv");
+  const auto bench_path = core::key_value<std::string>(cfg, "bench");
+  const bool per_node = core::key_value<bool>(cfg, "per_node");
+  const auto fabric = core::key_value<std::string>(cfg, "fabric");
+  const auto shards = core::key_value<std::size_t>(cfg, "shards");
   if (fabric != "sim" && fabric != "inmemory") {
     std::fprintf(stderr, "agb_sim: unknown fabric '%s' (sim | inmemory)\n",
                  fabric.c_str());
     return 2;
   }
-  if (fabric == "inmemory" && cfg.raw("sim_shards")) {
-    std::fprintf(stderr,
-                 "agb_sim: warning: sim_shards= has no effect on "
-                 "fabric=inmemory (use shards= for receiver shards)\n");
-  }
 
-  // Every engine is timed over construction + run() and lives until main
+  // Knobs the resolved run cannot react to are a warning, not a silent
+  // no-op: a run whose flag did nothing reads like a run where the flag
+  // mattered.
+  const char* without_membership = "has no effect without gossip_membership=1";
+  const std::tuple<const char*, bool, const char*> idle_knobs[] = {
+      {"failure_detector", p.failure_schedule.empty(),
+       "has no effect: the run schedules no failures (add failures=... or "
+       "pick a churn preset)"},
+      {"suspect_after_ms", !p.gossip_membership, without_membership},
+      {"down_after_ms", !p.gossip_membership, without_membership},
+      {"membership_budget", !p.gossip_membership, without_membership},
+      {"migrate_on_rejoin", !p.gossip_membership, without_membership},
+      {"p_local", p.adaptive && p.adaptation.control.enabled,
+       "sets only the starting point: the control plane drives p_local at "
+       "runtime (set control_plane=0 to pin it)"},
+      {"sim_workers", p.sim_shards <= 1,
+       "has no effect without sim_shards>1 (the classic engine runs)"},
+      {"sim_shards", fabric == "inmemory",
+       "has no effect on fabric=inmemory (use shards= for receiver shards)"},
+  };
+  for (const auto& [key, idle, why] : idle_knobs) {
+    if (idle && cfg.raw(key)) {
+      std::fprintf(stderr, "agb_sim: warning: %s= %s\n", key, why);
+    }
+  }
+  warn_unread(cfg, name);
+
+  // Every engine is timed over construction + run() and lives until run()
   // returns, so no engine's wall time includes its teardown. sim_shards<=1
   // keeps the classic single-queue engine — its event traces are the
   // golden fingerprints — while sim_shards>1 dispatches to the sharded
@@ -574,4 +500,22 @@ int main(int argc, char** argv) {
                 r.atomicity_ts.size());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  agb::Config cfg;
+  std::string error;
+  if (!cfg.parse_args(argc, argv, &error)) {
+    std::fprintf(stderr, "agb_sim: %s (agb_sim list=1 shows every key)\n",
+                 error.c_str());
+    return 2;
+  }
+  try {
+    return run(cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "agb_sim: %s\n", e.what());
+    return 2;
+  }
 }
