@@ -13,12 +13,14 @@
 int main(int argc, char** argv) {
   using namespace agb;
   auto cfg = bench::parse_cli(argc, argv);
+  // paper60 with this bench's defaults, under the keys `cfg` sets.
   auto base = bench::paper_params(cfg);
-  base.offered_rate = cfg.get_double("rate", 15.0);
-  base.gossip.fanout = static_cast<std::size_t>(cfg.get_int("fanout", 3));
-  base.gossip.max_events = static_cast<std::size_t>(cfg.get_int("buffer", 400));
-  base.gossip.max_age = static_cast<std::uint32_t>(cfg.get_int("max_age", 8));
+  base.offered_rate = 15.0;
+  base.gossip.fanout = 3;
+  base.gossip.max_events = 400;
+  base.gossip.max_age = 8;
   base.gossip.recovery.repair_after_rounds = 2;
+  base = core::params_from_config(cfg, base);
 
   bench::print_banner("Recovery extension",
                       "reliability under loss, with and without repair",

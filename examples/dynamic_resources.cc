@@ -6,9 +6,11 @@
 //   $ ./dynamic_resources
 //   $ ./dynamic_resources adaptive=0     # watch lpbcast collapse instead
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/config.h"
 #include "core/scenario.h"
+#include "core/scenario_registry.h"
 
 int main(int argc, char** argv) {
   using namespace agb;
@@ -21,27 +23,33 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // The demo's defaults; any key of the scenario key table (agb_sim
+  // list=1) overrides them. The age marks and the initial rate follow
+  // critical_age and rate.
+  core::ScenarioParams base;
+  base.n = 40;
+  base.senders = 4;
+  base.offered_rate = 20.0;
+  base.adaptive = true;
+  base.gossip.fanout = 4;
+  base.gossip.gossip_period = 1000;
+  base.gossip.max_events = 60;
+  base.gossip.max_event_ids = 3000;
+  base.gossip.max_age = 14;
+  base.adaptation.critical_age = 7.0;
+  base.adaptation.increase_probability = 0.25;
+  base.warmup = 20'000;
+  base.duration = 240'000;
+  base.cooldown = 20'000;
+  base.series_bucket = 10'000;
+  base.seed = 11;
   core::ScenarioParams p;
-  p.n = 40;
-  p.senders = 4;
-  p.offered_rate = cfg.get_double("rate", 20.0);
-  p.adaptive = cfg.get_bool("adaptive", true);
-  p.gossip.fanout = 4;
-  p.gossip.gossip_period = 1000;
-  p.gossip.max_events = 60;
-  p.gossip.max_event_ids = 3000;
-  p.gossip.max_age = 14;
-  p.adaptation.sample_period = 2000;
-  p.adaptation.critical_age = cfg.get_double("critical_age", 7.0);
-  p.adaptation.low_age_mark = p.adaptation.critical_age - 0.5;
-  p.adaptation.high_age_mark = p.adaptation.critical_age + 0.5;
-  p.adaptation.initial_rate = p.offered_rate / 4.0;
-  p.adaptation.increase_probability = 0.25;
-  p.warmup = 20'000;
-  p.duration = 240'000;
-  p.cooldown = 20'000;
-  p.series_bucket = 10'000;
-  p.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 11));
+  try {
+    p = core::params_from_config(cfg, base);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "dynamic_resources: %s\n", e.what());
+    return 2;
+  }
 
   // Shrink at +80 s, partial recovery at +160 s (relative to eval start).
   const TimeMs t1 = p.warmup + 80'000;

@@ -8,9 +8,11 @@
 // protocol over real transports see examples/udp_cluster.cc; for the
 // node-level API see examples/pubsub_topics.cc.
 #include <cstdio>
+#include <stdexcept>
 
 #include "common/config.h"
 #include "core/scenario.h"
+#include "core/scenario_registry.h"
 
 int main(int argc, char** argv) {
   using namespace agb;
@@ -23,22 +25,28 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  // The example's defaults; any key of the scenario key table (agb_sim
+  // list=1) overrides them, parsed and range-checked like agb_sim's.
+  core::ScenarioParams base;
+  base.n = 30;
+  base.senders = 3;
+  base.offered_rate = 12.0;
+  base.adaptive = true;
+  base.gossip.fanout = 4;
+  base.gossip.gossip_period = 1000;
+  base.gossip.max_events = 40;
+  base.gossip.max_age = 20;
+  base.warmup = 10'000;
+  base.duration = 60'000;
+  base.cooldown = 15'000;
+  base.seed = 1;
   core::ScenarioParams params;
-  params.n = static_cast<std::size_t>(cfg.get_int("n", 30));
-  params.senders = static_cast<std::size_t>(cfg.get_int("senders", 3));
-  params.offered_rate = cfg.get_double("rate", 12.0);
-  params.adaptive = cfg.get_bool("adaptive", true);
-  params.gossip.fanout = static_cast<std::size_t>(cfg.get_int("fanout", 4));
-  params.gossip.gossip_period = cfg.get_int("period_ms", 1000);
-  params.gossip.max_events =
-      static_cast<std::size_t>(cfg.get_int("buffer", 40));
-  params.gossip.max_age = 20;
-  params.adaptation.initial_rate =
-      params.offered_rate / static_cast<double>(params.senders);
-  params.warmup = 10'000;
-  params.duration = cfg.get_int("duration_s", 60) * 1000;
-  params.cooldown = 15'000;
-  params.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  try {
+    params = core::params_from_config(cfg, base);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
+  }
 
   std::printf("adaptive gossip broadcast quickstart\n");
   std::printf("  group size   : %zu nodes (%zu senders)\n", params.n,

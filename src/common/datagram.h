@@ -59,8 +59,8 @@ using BatchHandler = std::function<void(const Datagram* batch,
                                         std::size_t count, TimeMs now)>;
 
 /// Best-effort datagram fabric. Implementations: sim::SimNetwork (virtual
-/// time, latency/loss/partition models) and runtime transports (in-memory
-/// threaded fabric, UDP sockets).
+/// time, the sim::Link loss/latency/fault model) and runtime transports
+/// (in-memory threaded fabric, UDP sockets).
 class DatagramNetwork {
  public:
   virtual ~DatagramNetwork() = default;

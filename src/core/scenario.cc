@@ -443,11 +443,9 @@ ScenarioResults Scenario::run() {
   group_.build(master_rng_);
   for (gossip::LpbcastNode* node : group_.nodes()) {
     net_->attach(node->id(), [this, node](const Datagram& d, TimeMs now) {
-      if (!node->on_wire(decoder_.decode(d.payload), now)) {
-        ++decode_failures_;
-        return;
+      if (node->on_wire(decoder_.decode(d.payload), now)) {
+        group_.drain_outbox(0, *node);
       }
-      group_.drain_outbox(0, *node);
     });
   }
   for (const auto& link : params_.link_latencies) {
@@ -462,7 +460,6 @@ ScenarioResults Scenario::run() {
   sim_.run_until(params_.warmup + params_.duration + params_.cooldown);
 
   ScenarioResults results = group_.finish();
-  results.decode_failures = decode_failures_;
   results.net = net_->stats();
   results.peak_event_queue_len = sim_.peak_pending_events();
   if (fault_plane_ != nullptr) results.chaos = fault_plane_->stats();
@@ -511,6 +508,7 @@ void summarize_run(const ScenarioParams& params,
     results.repair_requests += counters.repair_requests;
     results.repair_replies += counters.repair_replies;
     results.events_recovered += counters.events_recovered;
+    results.decode_failures += counters.decode_drops;
     if (const auto* gm = node->gossip_membership()) {
       results.membership_transitions.suspicions += gm->counters().suspicions;
       results.membership_transitions.downs += gm->counters().downs;

@@ -308,7 +308,8 @@ class SenderQueue {
 ///     the rates, the atomicity and input-rate series and, after a chaos
 ///     schedule, post_chaos_delivery;
 ///   * from `nodes` (the whole group, id order): overflow, age-limit and
-///     obsolete drops, repair counters, membership transitions and view
+///     obsolete drops, decode failures, repair counters, membership
+///     transitions and view
 ///     sizes, and over the adaptive nodes the means of min_buff, avg_age,
 ///     effective fanout and p_local (over nodes with a locality view);
 ///   * from `senders`: the refusals, the deepest queue and the depth
@@ -576,7 +577,6 @@ class Scenario final : private ScenarioGroup::Engine {
   ScenarioGroup group_;
   std::unique_ptr<sim::PeriodicTimer> sampler_;
   gossip::WireDecoder decoder_;  // a fan-out's receivers share one decode
-  std::uint64_t decode_failures_ = 0;
   bool ran_ = false;
 };
 

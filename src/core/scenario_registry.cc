@@ -479,6 +479,22 @@ bool holds_stock(const Key& key, P& p, P& stock) {
       key.field(p));
 }
 
+/// The first node id the schedule `owner` ("failures" or "chaos") names
+/// outside the group, else kAnyNode.
+NodeId stray_node(const P& p, std::string_view owner) {
+  std::vector<NodeId> ids;
+  for (const auto& e : p.failure_schedule) {
+    if (owner == "failures") ids.push_back(e.node);
+  }
+  for (const auto& r : p.chaos.rules) {
+    if (owner == "chaos") ids.insert(ids.end(), {r.a, r.b});
+  }
+  const auto it = std::find_if(ids.begin(), ids.end(), [&](NodeId id) {
+    return id != fault::kAnyNode && id >= p.n;
+  });
+  return it == ids.end() ? fault::kAnyNode : *it;
+}
+
 ScenarioParams apply_keys(const KeySource& keys, ScenarioParams p) {
   P stock;
   std::vector<const Key*> derived;
@@ -499,16 +515,11 @@ ScenarioParams apply_keys(const KeySource& keys, ScenarioParams p) {
   for (const Key* key : derived) key->derive(p, key->field(p));
 
   // Node ids in the schedule specs must name members of the final group.
-  const auto check = [&](const char* name, NodeId node) {
-    if (node != fault::kAnyNode && node >= p.n && keys.raw(name)) {
-      throw_bad(*find_key(name), *keys.raw(name),
+  for (const char* owner : {"failures", "chaos"}) {
+    if (keys.raw(owner) && stray_node(p, owner) != fault::kAnyNode) {
+      throw_bad(*find_key(owner), *keys.raw(owner),
                 "node ids below n=" + std::to_string(p.n));
     }
-  };
-  for (const auto& event : p.failure_schedule) check("failures", event.node);
-  for (const auto& rule : p.chaos.rules) {
-    check("chaos", rule.a);
-    check("chaos", rule.b);
   }
   return p;
 }
@@ -610,7 +621,16 @@ ScenarioParams build_on_paper60(const Config& cfg, const std::string& line,
   }
   const KeySource keys{cfg, parsed};
   ScenarioParams p = apply_keys(keys, paper60(keys));
-  if (generator.run && !keys.raw(generator.owner)) generator.run(keys, p);
+  if (generator.run && !keys.raw(generator.owner)) {
+    generator.run(keys, p);
+    // A generated schedule must name members of the final group too.
+    if (const NodeId node = stray_node(p, generator.owner);
+        node != fault::kAnyNode) {
+      throw_bad(*find_key("n"), std::to_string(p.n),
+                "n > " + std::to_string(node) + ": the " + generator.name +
+                    " aims at node " + std::to_string(node));
+    }
+  }
   return p;
 }
 

@@ -84,15 +84,17 @@ struct ShardedScenario::Impl final : ScenarioGroup::Engine {
   struct Shard {
     sim::NetworkStats stats;
     std::vector<TrackerOp> log;
-    std::uint64_t decode_failures = 0;
   };
 
   explicit Impl(ScenarioParams params)
       : params_(std::move(params)),
         master_rng_(params_.seed),
-        sampler_(params_.network.latency, params_.network.clusters,
-                 params_.network.wan_latency),
         lookahead_(derive_lookahead(params_)),
+        link_(params_.network.loss,
+              sim::DelaySampler(params_.network.latency,
+                                params_.network.clusters,
+                                params_.network.wan_latency),
+              lookahead_),
         // No more shards than nodes: node -> shard is `id & mask`, so the
         // cap changes no outcome, only the empty shards' rings.
         engine_(sim::ShardedEngineParams{
@@ -109,11 +111,11 @@ struct ShardedScenario::Impl final : ScenarioGroup::Engine {
     // node instead (node_net_seed), so shard layout can't perturb it.
     (void)master_rng_.split();
 
-    net_rng_.reserve(params_.n);
+    streams_.reserve(params_.n);
     for (std::size_t i = 0; i < params_.n; ++i) {
-      net_rng_.emplace_back(node_net_seed(params_.seed, static_cast<NodeId>(i)));
+      streams_.push_back(sim::LinkStream{
+          Rng(node_net_seed(params_.seed, static_cast<NodeId>(i)))});
     }
-    burst_bad_ = std::make_unique<bool[]>(params_.n);
     send_seq_.assign(params_.n, 0);
     down_.assign(params_.n, 0);
     if (!params_.chaos.empty()) {
@@ -142,62 +144,31 @@ struct ShardedScenario::Impl final : ScenarioGroup::Engine {
     shards_[shard].log.push_back(op);
   }
 
-  /// The sharded twin of SimNetwork::send_batch: same stats, same drop
-  /// precedence (down > loss > chaos), but every surviving datagram goes
-  /// into the window-barrier channels instead of the local event queue, and
-  /// the receiver-down check moves to delivery time on the owner shard (a
-  /// sender cannot read remote liveness mid-window).
+  /// Every target goes through the link with the sender's own stream and
+  /// plane, its delay floored at the lookahead, and every surviving copy
+  /// goes into the window-barrier channels instead of the local event
+  /// queue. A sender cannot read remote liveness mid-window, so the link
+  /// checks only the sender and the receiver-down check moves to delivery
+  /// time on the owner shard.
   void send(std::size_t s, Multicast batch) override {
     sim::NetworkStats& stats = shards_[s].stats;
     ++stats.batches;
-    stats.sent += batch.targets.size();
     const TimeMs now = engine_.shard(s).now();
     const NodeId from = batch.from;
     const bool sender_down = down_[from] != 0;
-    for (NodeId to : batch.targets) {
-      const bool cross_cluster = sampler_.cross_cluster(from, to);
-      ++(cross_cluster ? stats.sent_cross_cluster : stats.sent_intra_cluster);
-      if (sender_down) {
-        ++stats.dropped_down;
-        continue;
-      }
-      // One Gilbert-Elliott chain per *sender*, advanced per packet —
-      // shard-count invariant where the classic engine's single shared
-      // chain is not. Burstiness still correlates consecutive packets of a
-      // sender's fan-out, which is the loss pattern gossip fears.
-      if (params_.network.loss.drop(net_rng_[from], burst_bad_[from])) {
-        ++stats.dropped_loss;
-        continue;
-      }
-      fault::FaultAction action;
-      if (!fault_planes_.empty()) {
-        // Per-node plane, sampled at event time on the sender's shard
-        // clock: a window rule answers from `now` alone, so the verdict is
-        // identical no matter which shard fires it.
-        action = fault_planes_[from]->sample(from, to, now);
-      }
-      if (action.drop) {
-        ++stats.dropped_chaos;
-        continue;
-      }
-      DurationMs delay = sampler_.sample(from, to, net_rng_[from]);
-      delay = std::max(delay, lookahead_);  // conservative horizon floor
-      if (action.special()) {
-        SharedBytes payload =
-            (action.corrupt || action.truncate)
-                ? fault_planes_[from]->mutate(batch.payload, action)
-                : batch.payload;
-        for (int copy = 0; copy <= action.duplicates; ++copy) {
-          engine_.push(s, sim::CrossShardDatagram{
-                              now + delay + action.extra_delay, from, to,
-                              send_seq_[from]++, payload});
-        }
-        continue;
-      }
-      engine_.push(s, sim::CrossShardDatagram{now + delay, from, to,
-                                              send_seq_[from]++,
-                                              batch.payload});
-    }
+    // One Gilbert-Elliott chain and one plane per *sender*: shard-count
+    // invariant where the classic engine's shared ones are not. A window
+    // rule answers from `now` alone, so the plane's verdict is identical
+    // no matter which shard fires it.
+    link_.send(
+        from, batch.targets, batch.payload, now, streams_[from],
+        fault_planes_.empty() ? nullptr : fault_planes_[from].get(), stats,
+        [sender_down](NodeId) { return sender_down; },
+        [&](NodeId to, DurationMs delay, const SharedBytes& payload, bool) {
+          engine_.push(s, sim::CrossShardDatagram{now + delay, from, to,
+                                                  send_seq_[from]++,
+                                                  payload});
+        });
   }
 
   /// Serial barrier phase: replay per-shard logs canonically, turn the
@@ -282,11 +253,9 @@ struct ShardedScenario::Impl final : ScenarioGroup::Engine {
       ++shard.stats.delivered;
       shard.stats.bytes_delivered += d.payload.size();
       gossip::LpbcastNode* node = nodes[d.to];
-      if (!node->on_wire(decoder.decode(d.payload), now)) {
-        ++shard.decode_failures;
-        continue;
+      if (node->on_wire(decoder.decode(d.payload), now)) {
+        group_.drain_outbox(s, *node);
       }
-      group_.drain_outbox(s, *node);
     }
   }
 
@@ -296,7 +265,7 @@ struct ShardedScenario::Impl final : ScenarioGroup::Engine {
 
     group_.build(master_rng_);
     for (const auto& link : params_.link_latencies) {
-      sampler_.set_link_override(link.a, link.b, link.model);
+      link_.sampler().set_link_override(link.a, link.b, link.model);
     }
     group_.start(master_rng_);
     group_.schedule();
@@ -311,47 +280,21 @@ struct ShardedScenario::Impl final : ScenarioGroup::Engine {
 
     ScenarioResults results = group_.finish();
     results.peak_event_queue_len = engine_.peak_pending_events();
-    sim::NetworkStats& net = results.net;
-    for (const Shard& shard : shards_) {
-      results.decode_failures += shard.decode_failures;
-      const sim::NetworkStats& st = shard.stats;
-      net.sent += st.sent;
-      net.sent_intra_cluster += st.sent_intra_cluster;
-      net.sent_cross_cluster += st.sent_cross_cluster;
-      net.batches += st.batches;
-      net.events_scheduled += st.events_scheduled;
-      net.delivered += st.delivered;
-      net.dropped_loss += st.dropped_loss;
-      net.dropped_partition += st.dropped_partition;
-      net.dropped_down += st.dropped_down;
-      net.dropped_detached += st.dropped_detached;
-      net.dropped_chaos += st.dropped_chaos;
-      net.bytes_delivered += st.bytes_delivered;
-    }
-    for (const auto& plane : fault_planes_) {
-      const fault::FaultStats st = plane->stats();
-      results.chaos.corrupted += st.corrupted;
-      results.chaos.truncated += st.truncated;
-      results.chaos.duplicated += st.duplicated;
-      results.chaos.reordered += st.reordered;
-      results.chaos.dropped_oneway += st.dropped_oneway;
-      results.chaos.stalls += st.stalls;
-      results.chaos.skew_reads += st.skew_reads;
-    }
+    for (const Shard& shard : shards_) results.net += shard.stats;
+    for (const auto& plane : fault_planes_) results.chaos += plane->stats();
     return results;
   }
 
   ScenarioParams params_;
   Rng master_rng_;
-  sim::DelaySampler sampler_;
   DurationMs lookahead_ = 1;
+  sim::Link link_;  // its delay floor is the lookahead
   sim::ShardedEngine engine_;
   ScenarioGroup group_;
   std::vector<Shard> shards_;
 
   // Per-node network state, confined to the owner (sender) shard.
-  std::vector<Rng> net_rng_;
-  std::unique_ptr<bool[]> burst_bad_;
+  std::vector<sim::LinkStream> streams_;
   std::vector<std::uint64_t> send_seq_;
   std::vector<std::uint8_t> down_;
   std::vector<std::unique_ptr<fault::FaultPlane>> fault_planes_;

@@ -5,13 +5,15 @@
 // build into per-shard arenas, the round-phase wheel, the sender queues,
 // the series sampler, and the rejoin, oracle-view and capacity-target
 // rules). What is this engine's own: sim::ShardedEngine's per-shard clocks
-// and queues, a network that sends through the window-barrier channels,
-// per-shard operation logs replayed at barriers as the accounting sink,
-// and a sampler fired at the barriers that land on bucket boundaries. Node
-// `id` lives on shard `id & (shards - 1)`, with its round wheel, sender
-// state and network randomness confined to that shard. The shard count is
-// sim_shards rounded up to a power of two, but never more than the group
-// has nodes (rounded up too), so no shard is built empty.
+// and queues, a network that sends through the window-barrier channels
+// (sim::Link's one order: down sender, loss, one-way rule, delay floored
+// at the lookahead, fault-plane copies; the receiver's liveness is checked
+// at delivery), per-shard operation logs replayed at barriers as the
+// accounting sink, and a sampler fired at the barriers that land on bucket
+// boundaries. Node `id` lives on shard `id & (shards - 1)`, with its round
+// wheel, sender state and network randomness confined to that shard. The
+// shard count is sim_shards rounded up to a power of two, but never more
+// than the group has nodes (rounded up too), so no shard is built empty.
 //
 // Determinism contract (pinned by tests/sharded_sim_test.cc): for a fixed
 // seed, every scenario-visible outcome — per-node delivered-event

@@ -19,10 +19,9 @@ namespace {
 using std::chrono::milliseconds;
 
 /// Maps the preset's network model onto InMemoryFabric::Params. The fabric
-/// prices links with the same sim::DelaySampler and drops with the same
-/// sim::LossModel as the simulator's SimNetwork, so every latency model
-/// (fixed, uniform, normal), the WAN cluster rule, per-link overrides and
-/// the loss process transfer verbatim.
+/// sends through the simulator's sim::Link, so every latency model (fixed,
+/// uniform, normal), the WAN cluster rule, per-link overrides and the loss
+/// process transfer verbatim.
 runtime::InMemoryFabric::Params fabric_params(const ScenarioParams& p,
                                               const WallclockOptions& o) {
   runtime::InMemoryFabric::Params fp;
@@ -231,10 +230,7 @@ ScenarioResults WallclockScenario::run() {
   // Every thread that touched the nodes or the tracker has stopped: read
   // them directly.
   std::vector<gossip::LpbcastNode*> nodes;
-  for (auto& runtime : im.runtimes) {
-    nodes.push_back(&runtime->node());
-    results.decode_failures += runtime->decode_drops();
-  }
+  for (auto& runtime : im.runtimes) nodes.push_back(&runtime->node());
   summarize_run(im.params, im.tracker, nodes, senders, results);
   results.net = im.fabric->stats();
   results.peak_event_queue_len = im.fabric->max_queue_depth();

@@ -40,6 +40,17 @@ bool ChaosSchedule::asymmetric() const noexcept {
   });
 }
 
+FaultStats& FaultStats::operator+=(const FaultStats& other) noexcept {
+  corrupted += other.corrupted;
+  truncated += other.truncated;
+  duplicated += other.duplicated;
+  reordered += other.reordered;
+  dropped_oneway += other.dropped_oneway;
+  stalls += other.stalls;
+  skew_reads += other.skew_reads;
+  return *this;
+}
+
 FaultPlane::FaultPlane(ChaosSchedule schedule, std::uint64_t seed)
     : schedule_(std::move(schedule)), rng_(seed) {}
 

@@ -1,10 +1,11 @@
 // Deterministic fault injection for all three datagram fabrics.
 //
 // The FaultPlane is to faults what sim::DelaySampler is to latency: one
-// shared component, consulted by SimNetwork, InMemoryFabric and UdpTransport
-// at the send_batch choke point, so every fabric misbehaves the same way
-// from the same seed. It injects the impolite failures the polite schedules
-// (clean crashes, symmetric loss, churn) never produce:
+// shared component, consulted by sim::Link (the link model of SimNetwork,
+// the sharded engine and InMemoryFabric) and by UdpTransport, so every
+// fabric misbehaves the same way from the same seed. It injects the
+// impolite failures the polite schedules (clean crashes, symmetric loss,
+// churn) never produce:
 //
 //   - payload corruption / truncation — random byte flips and cuts that feed
 //     the fuzz-hardened codec in live runs (decode must answer monostate,
@@ -118,6 +119,8 @@ struct FaultStats {
   [[nodiscard]] std::uint64_t mutations() const noexcept {
     return corrupted + truncated;
   }
+
+  FaultStats& operator+=(const FaultStats& other) noexcept;
 };
 
 /// The plane's seed derivation from the scenario seed — a fixed xor (the

@@ -32,22 +32,20 @@ sim::DelaySampler resolve_sampler(const InMemoryFabric::Params& params) {
 }  // namespace
 
 InMemoryFabric::InMemoryFabric(Params params, std::uint64_t seed)
-    : params_(params),
-      sampler_(resolve_sampler(params)),
-      zero_delay_(sampler_.always_zero()),
-      has_loss_(params.loss.kind != sim::LossModel::Kind::kNone),
+    : link_(params.loss, resolve_sampler(params)),
+      zero_delay_(link_.sampler().always_zero()),
       epoch_(std::chrono::steady_clock::now()) {
   // Round the shard count up to a power of two so node -> shard/slot is a
   // mask and a shift instead of a division.
   std::size_t count = 1;
-  while (count < params_.shards) count <<= 1;
+  while (count < params.shards) count <<= 1;
   shard_mask_ = count - 1;
   shard_shift_ = 0;
   while ((std::size_t{1} << shard_shift_) < count) ++shard_shift_;
   shards_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->rng = Rng(shard_seed(seed, i));
+    shard->stream.rng = Rng(shard_seed(seed, i));
     shards_.push_back(std::move(shard));
   }
   for (auto& shard : shards_) {
@@ -117,75 +115,24 @@ bool InMemoryFabric::node_up(NodeId node) const {
 
 void InMemoryFabric::send_batch(Multicast batch) {
   const std::size_t count = shards_.size();
-  // The intra/cross split mirrors sim::NetworkStats.sent: counted per
-  // addressed target, before any drop, so the WAN-traffic share reflects
-  // what the sender put on the wire.
-  if (sampler_.clusters() > 1) {
-    std::size_t cross = 0;
-    for (NodeId to : batch.targets) {
-      if (sampler_.cross_cluster(batch.from, to)) ++cross;
-    }
-    sent_cross_cluster_.fetch_add(cross, std::memory_order_relaxed);
-    sent_intra_cluster_.fetch_add(batch.targets.size() - cross,
-                                  std::memory_order_relaxed);
-  } else {
-    sent_intra_cluster_.fetch_add(batch.targets.size(),
-                                  std::memory_order_relaxed);
-  }
+  const TimeMs stamp = now();
 
-  // Liveness filter (only when anyone is down at all): a down sender's
-  // whole fan-out is suppressed; down receivers are filtered per target.
-  // The snapshot is sorted (std::set order), so the per-target probe is a
-  // binary search without re-taking the mutex.
+  // Liveness snapshot (only when anyone is down at all), sorted in
+  // std::set order so the per-target probe is a binary search without
+  // re-taking the mutex.
   thread_local std::vector<NodeId> down_snapshot;
   down_snapshot.clear();
   if (down_count_.load(std::memory_order_acquire) > 0) {
     std::lock_guard lock(down_mutex_);
-    if (down_.contains(batch.from)) {
-      dropped_down_.fetch_add(batch.targets.size(),
-                              std::memory_order_relaxed);
-      return;
-    }
     down_snapshot.assign(down_.begin(), down_.end());
   }
-  const auto target_down = [&](NodeId to) {
+  const auto is_down_now = [&](NodeId node) {
     return !down_snapshot.empty() &&
-           std::binary_search(down_snapshot.begin(), down_snapshot.end(), to);
+           std::binary_search(down_snapshot.begin(), down_snapshot.end(),
+                              node);
   };
-
-  // Fault-plane pre-pass, outside any shard lock: peel off targets whose
-  // datagram cannot ride the shared fast path (mutated payload, duplicate
-  // copies, reorder delay) and enqueue them separately below. Clean runs
-  // (null plane) skip this entirely — no extra draws, no copies.
-  struct SpecialSend {
-    NodeId to;
-    DurationMs extra_delay;
-    SharedBytes payload;
-  };
-  std::vector<SpecialSend> specials;
-  if (fault_plane_) {
-    const TimeMs stamp = now();
-    std::size_t kept = 0;
-    for (NodeId to : batch.targets) {
-      const fault::FaultAction action =
-          fault_plane_->sample(batch.from, to, stamp);
-      if (action.drop) {
-        dropped_chaos_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      if (action.special()) {
-        SharedBytes payload = (action.corrupt || action.truncate)
-                                  ? fault_plane_->mutate(batch.payload, action)
-                                  : batch.payload;
-        for (int copy = 0; copy <= action.duplicates; ++copy) {
-          specials.push_back(SpecialSend{to, action.extra_delay, payload});
-        }
-        continue;
-      }
-      batch.targets[kept++] = to;
-    }
-    batch.targets.resize(kept);
-  }
+  const bool sender_down = is_down_now(batch.from);
+  const auto down = [&](NodeId to) { return sender_down || is_down_now(to); };
 
   // Split the fan-out per shard in ONE pass over the targets, outside any
   // lock. The scratch sublists are thread-local so a steady-state sender
@@ -195,22 +142,8 @@ void InMemoryFabric::send_batch(Multicast batch) {
     if (scratch.size() < count) scratch.resize(count);
     for (std::size_t i = 0; i < count; ++i) scratch[i].clear();
     for (NodeId to : batch.targets) {
-      if (target_down(to)) {
-        dropped_down_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
       scratch[static_cast<std::size_t>(to) & shard_mask_].push_back(to);
     }
-  } else if (!down_snapshot.empty()) {
-    std::size_t kept = 0;
-    for (NodeId to : batch.targets) {
-      if (target_down(to)) {
-        dropped_down_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        batch.targets[kept++] = to;
-      }
-    }
-    batch.targets.resize(kept);
   }
   for (std::size_t i = 0; i < count; ++i) {
     Shard& shard = *shards_[i];
@@ -223,99 +156,54 @@ void InMemoryFabric::send_batch(Multicast batch) {
     {
       std::lock_guard lock(shard.mutex);
       send_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      if (shard.stopping) continue;
-      if (has_loss_) {
-        std::size_t kept = 0;
-        for (NodeId to : sub) {
-          if (params_.loss.drop(shard.rng, shard.burst_bad)) {
-            dropped_loss_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            sub[kept++] = to;
-          }
-        }
-        sub.resize(kept);
+      std::size_t ready = 0;  // zero-delay survivors, compacted into sub
+      TimeMs earliest = kNever;
+      link_.send(
+          batch.from, sub, batch.payload, stamp, shard.stream, fault_plane_,
+          shard.stats, down,
+          [&](NodeId to, DurationMs delay, const SharedBytes& payload,
+              bool own) {
+            if (shard.stopping) {
+              ++shard.stats.dropped_detached;  // shutdown() discards it
+              return;
+            }
+            if (zero_delay_ && !own) {
+              sub[ready++] = to;  // never ahead of the link's own cursor
+              return;
+            }
+            // Equal due times keep insertion order (multimap), preserving
+            // per-receiver FIFO; each entry aliases its payload.
+            earliest = std::min(earliest, stamp + delay);
+            shard.delayed.emplace(stamp + delay,
+                                  Datagram{batch.from, to, payload});
+          });
+      if (ready > 0) {
+        // Due immediately: ONE queue entry and one payload refcount bump
+        // for this whole shard's share, expanded at dispatch.
+        sub.resize(ready);
+        shard.ready_count += ready;
+        shard.ready.push_back(
+            ReadyBatch{batch.from, batch.payload, std::move(sub)});
+        // Wake a waiting dispatcher: nothing it waits for is due sooner.
+        notify = shard.wake_at != kAwake;
       }
-      if (!sub.empty()) {
-        if (zero_delay_) {
-          // Due immediately: ONE queue entry and one payload refcount
-          // bump for this whole shard's share, expanded at dispatch.
-          shard.ready_count += sub.size();
-          shard.ready.push_back(
-              ReadyBatch{batch.from, batch.payload, std::move(sub)});
-          // Wake a waiting dispatcher: nothing it waits for is due sooner.
-          notify = shard.wake_at != kAwake;
-        } else {
-          const TimeMs base = now();
-          TimeMs earliest = kNever;
-          for (NodeId to : sub) {
-            // Shared latency selection (per-link override > cluster rule >
-            // default), sampled from this shard's Rng — the wall-clock twin
-            // of SimNetwork's selection, including normal distributions and
-            // pinned per-link models.
-            const DurationMs delay =
-                sampler_.sample(batch.from, to, shard.rng);
-            earliest = std::min(earliest, base + delay);
-            // Each entry aliases the batch payload: a refcount bump per
-            // target. Equal due times keep insertion order (multimap),
-            // preserving per-receiver FIFO.
-            shard.delayed.emplace(base + delay,
-                                  Datagram{batch.from, to, batch.payload});
-          }
-          // A dispatcher that wakes by the earliest due time finds these
-          // datagrams on its own, and the skipped futex syscall is most of
-          // a send's cost.
-          notify = earliest < shard.wake_at;
-        }
-        if (shard.depth() > shard.max_depth) shard.max_depth = shard.depth();
-      }
+      // A dispatcher that wakes by the earliest due time finds the delayed
+      // datagrams on its own, and the skipped futex syscall is most of a
+      // send's cost.
+      notify = notify || earliest < shard.wake_at;
+      if (shard.depth() > shard.max_depth) shard.max_depth = shard.depth();
     }
     if (notify) shard.cv.notify_one();  // one wakeup per touched shard
-  }
-
-  // Fault-plane specials: each rides the delay queue as its own entry (the
-  // delayed path is live even on a zero-delay fabric — the dispatcher
-  // drains both queues), with the sampled link delay plus any reorder
-  // delay, carrying its own (possibly mutated) payload.
-  for (SpecialSend& special : specials) {
-    if (target_down(special.to)) {
-      dropped_down_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    Shard& shard = shard_of(special.to);
-    bool notify = false;
-    {
-      std::lock_guard lock(shard.mutex);
-      send_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-      if (shard.stopping) continue;
-      if (has_loss_ && params_.loss.drop(shard.rng, shard.burst_bad)) {
-        dropped_loss_.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      const DurationMs delay =
-          zero_delay_ ? 0 : sampler_.sample(batch.from, special.to, shard.rng);
-      const TimeMs due = now() + delay + special.extra_delay;
-      shard.delayed.emplace(
-          due, Datagram{batch.from, special.to, std::move(special.payload)});
-      if (shard.depth() > shard.max_depth) shard.max_depth = shard.depth();
-      notify = due < shard.wake_at;
-    }
-    if (notify) shard.cv.notify_one();
   }
 }
 
 sim::NetworkStats InMemoryFabric::stats() const {
-  constexpr auto kRelaxed = std::memory_order_relaxed;
-  sim::NetworkStats s;
-  s.sent_intra_cluster = sent_intra_cluster_.load(kRelaxed);
-  s.sent_cross_cluster = sent_cross_cluster_.load(kRelaxed);
-  s.sent = s.sent_intra_cluster + s.sent_cross_cluster;
-  s.delivered = delivered_.load(kRelaxed);
-  s.bytes_delivered = bytes_delivered_.load(kRelaxed);
-  s.dropped_loss = dropped_loss_.load(kRelaxed);
-  s.dropped_down = dropped_down_.load(kRelaxed);
-  s.dropped_detached = dropped_detached_.load(kRelaxed);
-  s.dropped_chaos = dropped_chaos_.load(kRelaxed);
-  return s;
+  sim::NetworkStats total;
+  for (const auto& shard : shards_) {
+    std::lock_guard lock(shard->mutex);
+    total += shard->stats;
+  }
+  return total;
 }
 
 std::size_t InMemoryFabric::max_queue_depth(std::size_t shard) const {
@@ -345,7 +233,7 @@ void InMemoryFabric::shutdown() {
       shard.stopping = true;
       // Discard everything still queued: after shutdown() no handler runs
       // again, so a caller may tear down handler state right away.
-      dropped_detached_.fetch_add(shard.depth(), std::memory_order_relaxed);
+      shard.stats.dropped_detached += shard.depth();
       shard.delayed.clear();
       shard.ready.clear();
       shard.ready_count = 0;
@@ -380,14 +268,14 @@ void InMemoryFabric::dispatch_loop(Shard& shard) {
     // the floor right here when the receiver is unknown or detached.
     const std::size_t slot = slot_of(datagram.to);
     if (slot >= shard.handlers.size() || !shard.handlers[slot]) {
-      dropped_detached_.fetch_add(1, std::memory_order_relaxed);
+      ++shard.stats.dropped_detached;
       return;
     }
     // Receiver crashed while the datagram was in flight: re-check at
     // delivery time, as the simulator does (granularity: one drain cycle).
     if (!down_now.empty() &&
         std::binary_search(down_now.begin(), down_now.end(), datagram.to)) {
-      dropped_down_.fetch_add(1, std::memory_order_relaxed);
+      ++shard.stats.dropped_down;
       return;
     }
     std::vector<Datagram>& bucket = shard.buckets[slot];
@@ -454,19 +342,16 @@ void InMemoryFabric::dispatch_loop(Shard& shard) {
       for (std::size_t offset = 0; offset < burst.size();
            offset += kMaxBurst) {
         if (shard.stopping || !shard.handlers[slot]) {
-          dropped_detached_.fetch_add(burst.size() - offset,
-                                      std::memory_order_relaxed);
+          shard.stats.dropped_detached += burst.size() - offset;
           break;
         }
         BatchHandler handler = shard.handlers[slot];  // copy: may detach
         const std::size_t count =
             std::min(kMaxBurst, burst.size() - offset);
-        std::uint64_t bytes = 0;
+        shard.stats.delivered += count;
         for (std::size_t i = offset; i < offset + count; ++i) {
-          bytes += burst[i].payload.size();
+          shard.stats.bytes_delivered += burst[i].payload.size();
         }
-        delivered_.fetch_add(count, std::memory_order_relaxed);
-        bytes_delivered_.fetch_add(bytes, std::memory_order_relaxed);
         shard.in_flight = burst[offset].to;
         lock.unlock();
         handler(burst.data() + offset, count, now());

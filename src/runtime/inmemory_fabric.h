@@ -3,25 +3,29 @@
 // The paper validates its simulations against a prototype running on 60
 // workstations; our runtime substitutes an in-process fabric: real threads,
 // real wall-clock timing, real serialized datagrams, optional loss and
-// delay injection. The network models are the simulator's: the same
-// sim::LossModel (i.i.d. or bursty Gilbert-Elliott), a WAN cluster rule
-// (node i lives in cluster i % clusters; cross-cluster datagrams sample the
-// wan delay range instead of the LAN one), and per-node crash/recover via
-// set_node_up — so every scenario the simulator can price, the wall-clock
-// path can run — and it reports the simulator's sim::NetworkStats ledger.
+// delay injection. The network model is the simulator's sim::Link: the same
+// sim::LossModel (i.i.d. or bursty Gilbert-Elliott), the same latency
+// topology (sim::DelaySampler, with its WAN cluster rule) and the same
+// fault plane, applied to each addressed copy in the same order — down
+// endpoint, loss, one-way rule, delay, fault-plane copies — so every
+// scenario the simulator can price, the wall-clock path can run, and it
+// reports the simulator's sim::NetworkStats ledger.
 //
 // The fabric is sharded by receiver: node n belongs to shard n % shards,
-// and each shard owns its own delay-ordered queue and dispatcher thread.
-// send_batch splits a fan-out across the shards it touches (one lock
-// acquisition per touched shard, not per target), and dispatchers deliver
-// independently — deliveries to receivers on different shards proceed in
-// parallel. Within a shard, all currently-due datagrams for one receiver
-// are handed to its handler as a single burst (BatchHandler), so a
-// receiver pays its per-delivery cost once per burst. Same-due-time
-// datagrams to one receiver are delivered in send order (a receiver maps
-// to exactly one shard, and each shard's queue is FIFO among equal due
-// times). Handlers run on dispatcher threads and must synchronise their
-// own state (runtime::NodeRuntime does).
+// and each shard owns its own delay-ordered queue, dispatcher thread, link
+// stream and ledger. send_batch splits a fan-out across the shards it
+// touches and runs each shard's share through the link under that shard's
+// lock (one acquisition per touched shard, not per target); the fault
+// plane, when set, is sampled under it too, so the lock order is shard
+// mutex, then plane mutex. Dispatchers deliver independently — deliveries
+// to receivers on different shards proceed in parallel. Within a shard,
+// all currently-due datagrams for one receiver are handed to its handler
+// as a single burst (BatchHandler), so a receiver pays its per-delivery
+// cost once per burst. Same-due-time datagrams to one receiver are
+// delivered in send order (a receiver maps to exactly one shard, and each
+// shard's queue is FIFO among equal due times). Handlers run on dispatcher
+// threads and must synchronise their own state (runtime::NodeRuntime
+// does).
 #pragma once
 
 #include <atomic>
@@ -35,7 +39,6 @@
 #include <optional>
 #include <set>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/datagram.h"
@@ -98,8 +101,9 @@ class InMemoryFabric final : public DatagramNetwork {
 
   /// Splits the fan-out across receiver shards: one lock acquisition per
   /// *touched shard*, never per target, and a dispatcher wakeup only where
-  /// a datagram is due before the dispatcher would wake anyway. Loss and
-  /// delay are still sampled per target.
+  /// a datagram is due before the dispatcher would wake anyway. Each
+  /// target goes through the link under its shard's lock. After
+  /// shutdown() a send is still counted, and lands in dropped_detached.
   void send_batch(Multicast batch) override;
 
   /// Crash/recover, the wall-clock twin of sim::SimNetwork::set_node_up: a
@@ -113,9 +117,9 @@ class InMemoryFabric final : public DatagramNetwork {
   [[nodiscard]] bool node_up(NodeId node) const;
 
   /// Fault injection (non-owning; may be null = clean run), the wall-clock
-  /// twin of sim::SimNetwork::set_fault_plane. Clean runs take the exact
-  /// pre-fault path: no extra RNG draws, no payload copies. Set before
-  /// traffic starts; the plane must outlive the fabric's send activity.
+  /// twin of sim::SimNetwork::set_fault_plane. Clean runs make no plane
+  /// draws and no payload copies. Set before traffic starts; the plane must
+  /// outlive the fabric's send activity.
   void set_fault_plane(fault::FaultPlane* plane) noexcept {
     fault_plane_ = plane;
   }
@@ -123,13 +127,13 @@ class InMemoryFabric final : public DatagramNetwork {
   /// Milliseconds since the fabric was created (the runtime's clock).
   [[nodiscard]] TimeMs now() const;
 
-  /// The datagram ledger in the simulator's vocabulary. `sent` counts every
-  /// addressed target before any drop, split intra/cross by the cluster
-  /// rule; each drop lands under one reason: loss, down (sender or
-  /// receiver, set_node_up), chaos (fault-plane one-way rule) or detached
-  /// (receiver unknown or detached, or discarded by shutdown()). batches,
-  /// events_scheduled and dropped_partition stay zero. Exact once traffic
-  /// has stopped.
+  /// The datagram ledger in the simulator's vocabulary: the sum of the
+  /// shards' ledgers. `sent` counts every addressed target before any
+  /// drop, split intra/cross by the cluster rule; each drop lands under one
+  /// reason: down (sender or receiver, set_node_up), loss, chaos
+  /// (fault-plane one-way rule) or detached (receiver unknown or detached,
+  /// or discarded by shutdown()). batches, events_scheduled and
+  /// dropped_partition stay zero. Exact once traffic has stopped.
   [[nodiscard]] sim::NetworkStats stats() const;
 
   /// How many times the send path took a shard lock. A fan-out costs one
@@ -191,10 +195,11 @@ class InMemoryFabric final : public DatagramNetwork {
     std::deque<ReadyBatch> ready;
     std::size_t ready_count = 0;  // datagrams across `ready` batches
     std::vector<BatchHandler> handlers;  // slot-indexed; empty = detached
-    Rng rng{1};
-    /// Gilbert-Elliott chain state (kBurst loss): one chain per shard,
+    /// This shard's loss and delay draws and its Gilbert-Elliott chain,
     /// advanced per datagram under `mutex`.
-    bool burst_bad = false;
+    sim::LinkStream stream;
+    /// This shard's share of the ledger, guarded by `mutex`.
+    sim::NetworkStats stats;
     bool stopping = false;
     /// When the dispatcher's wait ends on its own: kAwake while it runs
     /// (it re-checks the queues before it ever waits), kNever in an
@@ -236,14 +241,13 @@ class InMemoryFabric final : public DatagramNetwork {
   /// fabrics with no failures never touch the mutex.
   [[nodiscard]] bool is_down(NodeId node) const;
 
-  Params params_;
-  /// Resolved latency topology (Params::sampler, or the integer delay
-  /// fields lifted into an equivalent sampler). Per-datagram draws come
-  /// from the owning shard's Rng, so shard streams stay independent.
-  sim::DelaySampler sampler_;
+  /// Params::loss and the resolved latency topology (Params::sampler, or
+  /// the integer delay fields lifted into an equivalent sampler). Draws
+  /// come from the receiver shard's stream, so shard streams stay
+  /// independent.
+  sim::Link link_;
   /// No delay to model: every datagram goes through the Shard::ready FIFO.
   bool zero_delay_;
-  bool has_loss_;
   std::size_t shard_mask_ = 0;
   unsigned shard_shift_ = 0;
   std::chrono::steady_clock::time_point epoch_;
@@ -256,14 +260,6 @@ class InMemoryFabric final : public DatagramNetwork {
   std::set<NodeId> down_;
   std::atomic<std::size_t> down_count_{0};
   fault::FaultPlane* fault_plane_ = nullptr;
-  std::atomic<std::uint64_t> delivered_{0};
-  std::atomic<std::uint64_t> bytes_delivered_{0};
-  std::atomic<std::uint64_t> dropped_loss_{0};
-  std::atomic<std::uint64_t> dropped_detached_{0};
-  std::atomic<std::uint64_t> dropped_down_{0};
-  std::atomic<std::uint64_t> dropped_chaos_{0};
-  std::atomic<std::uint64_t> sent_intra_cluster_{0};
-  std::atomic<std::uint64_t> sent_cross_cluster_{0};
   std::atomic<std::uint64_t> send_lock_acquisitions_{0};
 };
 

@@ -89,20 +89,14 @@ void NodeRuntime::on_datagram_batch(const Datagram* batch, std::size_t count,
     }
   }
   // Decode outside the state lock — the codec needs no node state — then
-  // feed the whole burst through under ONE lock acquisition. Malformed
-  // datagrams (corruption on the wire) are counted and dropped here, never
-  // fed to the node.
+  // feed the whole burst through under ONE lock acquisition. A malformed
+  // datagram (corruption on the wire) decodes to std::monostate, which the
+  // node counts in its decode_drops counter and otherwise ignores.
   std::vector<gossip::WireMessage> messages;
   messages.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    gossip::WireMessage message = gossip::decode_any(batch[i].payload);
-    if (std::holds_alternative<std::monostate>(message)) {
-      decode_drops_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    messages.push_back(std::move(message));
+    messages.push_back(gossip::decode_any(batch[i].payload));
   }
-  if (messages.empty()) return;
   std::vector<gossip::LpbcastNode::ControlDatagram> controls;
   const NodeId self = node_->id();
   {

@@ -68,10 +68,9 @@ class NodeRuntime {
     fault_plane_ = plane;
   }
 
-  /// Malformed datagrams dropped at decode (std::monostate from
-  /// decode_any). Zero in clean runs; rises under chaos corruption.
+  /// Malformed datagrams dropped at decode: counters().decode_drops.
   [[nodiscard]] std::uint64_t decode_drops() const {
-    return decode_drops_.load(std::memory_order_relaxed);
+    return counters().decode_drops;
   }
 
   [[nodiscard]] NodeId id() const { return node_->id(); }
@@ -128,7 +127,6 @@ class NodeRuntime {
   DatagramNetwork& network_;
   Clock clock_;
   fault::FaultPlane* fault_plane_ = nullptr;
-  std::atomic<std::uint64_t> decode_drops_{0};
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

@@ -1,5 +1,5 @@
-// Pluggable per-hop delay sampling, shared by the simulator's SimNetwork and
-// the wall-clock InMemoryFabric.
+// Pluggable per-hop delay sampling: the latency half of sim::Link, which
+// every fabric with a delay model sends through.
 //
 // A DelaySampler owns the full latency topology of a run: a default
 // (intra-cluster) LatencyModel, the cluster rule with its WAN model, and an
@@ -55,9 +55,9 @@ struct LatencyModel {
   }
 };
 
-/// Canonical key for a symmetric (unordered) node pair. Partition sets and
-/// per-link latency tables index on this, so (a,b) and (b,a) spellings always
-/// hit the same entry.
+/// Canonical key for a symmetric (unordered) node pair. Per-link latency
+/// tables index on this, so (a,b) and (b,a) spellings always hit the same
+/// entry.
 [[nodiscard]] constexpr std::pair<NodeId, NodeId> symmetric_link_key(
     NodeId a, NodeId b) {
   return a < b ? std::pair{a, b} : std::pair{b, a};
@@ -76,9 +76,6 @@ class DelaySampler {
     overrides_[symmetric_link_key(a, b)] = model;
   }
   void clear_link_overrides() { overrides_.clear(); }
-  [[nodiscard]] bool has_link_overrides() const noexcept {
-    return !overrides_.empty();
-  }
 
   /// The cluster rule (directional gossip, paper §5): node i belongs to
   /// cluster i % clusters; a link crossing a boundary is a WAN hop.

@@ -3,13 +3,21 @@
 // Substitutes for the paper's Ethernet LAN of 60 workstations: point-to-point
 // datagrams with a pluggable latency distribution, a pluggable loss process
 // (i.i.d. or bursty Gilbert-Elliott, since the paper notes that correlated
-// loss hurts gossip), pairwise partitions and per-node crash/recover. All
-// randomness is drawn from one seeded Rng, so runs are deterministic.
+// loss hurts gossip) and per-node crash/recover. All randomness is drawn
+// from one seeded Rng, so runs are deterministic.
+//
+// The link model itself is sim::Link below, shared by every fabric with a
+// loss and delay model (SimNetwork, the sharded engine, InMemoryFabric).
+// It decides each addressed copy in one order: count it as sent; drop it
+// for a down endpoint, then for loss, then for a fault-plane one-way rule;
+// sample its delay; hand the fabric the datagram or the fault plane's
+// copies. A partition is two one-way rules (chaos=oneway:a:b,oneway:b:a).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -108,16 +116,92 @@ struct NetworkStats {
   std::uint64_t events_scheduled = 0;
   std::uint64_t delivered = 0;
   std::uint64_t dropped_loss = 0;
-  /// Symmetric partitions (SimNetwork::partition); zero elsewhere.
+  /// Zero on every fabric: a partition is two fault-plane one-way rules and
+  /// lands in `dropped_chaos`. The field stays so ledgers and their
+  /// fingerprints keep their shape.
   std::uint64_t dropped_partition = 0;
   std::uint64_t dropped_down = 0;
   /// Receiver unknown or detached at delivery time; on InMemoryFabric also
   /// every datagram shutdown() discards.
   std::uint64_t dropped_detached = 0;
-  /// Dropped by a fault-plane one-way partition rule (asymmetric: the
-  /// reverse direction keeps flowing, unlike `dropped_partition`).
+  /// Dropped by a fault-plane one-way rule (the reverse direction keeps
+  /// flowing unless a second rule cuts it too).
   std::uint64_t dropped_chaos = 0;
   std::uint64_t bytes_delivered = 0;
+
+  NetworkStats& operator+=(const NetworkStats& other) noexcept;
+};
+
+/// The Rng that loss and delay draw from and the Gilbert-Elliott chain
+/// state: SimNetwork keeps one, the sharded engine one per sender node and
+/// InMemoryFabric one per receiver shard.
+struct LinkStream {
+  Rng rng;
+  bool burst_bad = false;
+};
+
+/// The link model of every fabric that has one: loss, latency topology and
+/// the fault plane, applied to each addressed copy in one order.
+class Link {
+ public:
+  /// `delay_floor` is the least delay a copy may take: the sharded engine's
+  /// lookahead, 0 elsewhere.
+  Link(LossModel loss, DelaySampler sampler, DurationMs delay_floor = 0)
+      : loss_(loss), sampler_(std::move(sampler)), floor_(delay_floor) {}
+
+  /// Decides each target in order: counts it in `stats.sent` and the
+  /// cluster split; drops it for `down(to)`, else a loss draw, else the
+  /// plane's one-way verdict; samples its delay, floored; then calls
+  /// deliver(to, delay, payload, own) once, or once per fault-plane copy
+  /// (own = true, reorder delay added, payload possibly mutated). The
+  /// draws per target: loss, plane, delay; a null plane draws nothing.
+  template <class Down, class Deliver>
+  void send(NodeId from, std::span<const NodeId> targets,
+            const SharedBytes& payload, TimeMs now, LinkStream& stream,
+            fault::FaultPlane* plane, NetworkStats& stats, Down&& down,
+            Deliver&& deliver) const {
+    for (const NodeId to : targets) {
+      ++stats.sent;
+      ++(sampler_.cross_cluster(from, to) ? stats.sent_cross_cluster
+                                          : stats.sent_intra_cluster);
+      if (down(to)) {
+        ++stats.dropped_down;
+        continue;
+      }
+      if (loss_.drop(stream.rng, stream.burst_bad)) {
+        ++stats.dropped_loss;
+        continue;
+      }
+      fault::FaultAction action;
+      if (plane != nullptr) action = plane->sample(from, to, now);
+      if (action.drop) {
+        ++stats.dropped_chaos;
+        continue;
+      }
+      const DurationMs delay =
+          std::max(sampler_.sample(from, to, stream.rng), floor_);
+      if (!action.special()) {
+        deliver(to, delay, payload, false);
+        continue;
+      }
+      const SharedBytes copy = (action.corrupt || action.truncate)
+                                   ? plane->mutate(payload, action)
+                                   : payload;
+      for (int i = 0; i <= action.duplicates; ++i) {
+        deliver(to, delay + action.extra_delay, copy, true);
+      }
+    }
+  }
+
+  [[nodiscard]] DelaySampler& sampler() noexcept { return sampler_; }
+  [[nodiscard]] const DelaySampler& sampler() const noexcept {
+    return sampler_;
+  }
+
+ private:
+  LossModel loss_;
+  DelaySampler sampler_;
+  DurationMs floor_;
 };
 
 class SimNetwork final : public DatagramNetwork {
@@ -127,21 +211,14 @@ class SimNetwork final : public DatagramNetwork {
   void attach(NodeId node, DatagramHandler handler) override;
   void detach(NodeId node) override;
 
-  /// Loss/latency are sampled per target (per-target RNG draw order matches
-  /// the old per-datagram path, so seeded runs are unchanged); stats run
-  /// once per batch, and all targets that sampled the same delay are
-  /// delivered by one simulator event.
+  /// Every target goes through the Link in batch order; all targets that
+  /// sampled the same delay are delivered by one simulator event, and each
+  /// fault-plane copy by its own.
   void send_batch(Multicast batch) override;
 
   /// Crash/recover: a down node neither sends nor receives.
   void set_node_up(NodeId node, bool up);
   [[nodiscard]] bool node_up(NodeId node) const;
-
-  /// Symmetric pairwise partition control.
-  void partition(NodeId a, NodeId b);
-  void heal(NodeId a, NodeId b);
-  void heal_all();
-  [[nodiscard]] bool partitioned(NodeId a, NodeId b) const;
 
   /// Topology: overrides the default latency for one (symmetric) link —
   /// e.g. WAN links between clusters vs LAN links within them (the setting
@@ -150,29 +227,22 @@ class SimNetwork final : public DatagramNetwork {
   void clear_link_latencies();
 
   /// Fault injection (non-owning; may be null = clean run). A clean run
-  /// takes the exact pre-fault code path — no extra RNG draws — so seeded
-  /// traces and golden fingerprints are unchanged.
+  /// makes no plane draws, so seeded traces and golden fingerprints do not
+  /// depend on the plane's existence.
   void set_fault_plane(fault::FaultPlane* plane) noexcept {
     fault_plane_ = plane;
   }
 
   [[nodiscard]] const NetworkStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] Simulator& simulator() noexcept { return sim_; }
-  [[nodiscard]] const DelaySampler& delay_sampler() const noexcept {
-    return sampler_;
-  }
 
  private:
+  void deliver(NodeId from, NodeId to, const SharedBytes& payload);
+
   Simulator& sim_;
-  NetworkParams params_;
-  Rng rng_;
-  /// Latency topology (default model, cluster rule, per-link overrides);
-  /// shares precedence and draw semantics with InMemoryFabric.
-  DelaySampler sampler_;
+  Link link_;
+  LinkStream stream_;
   std::unordered_map<NodeId, DatagramHandler> handlers_;
   std::set<NodeId> down_;
-  std::set<std::pair<NodeId, NodeId>> partitions_;
-  bool burst_bad_ = false;
   fault::FaultPlane* fault_plane_ = nullptr;
   NetworkStats stats_;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <vector>
 
@@ -133,40 +134,6 @@ TEST(SimNetworkTest, BurstLossIsBurstier ) {
   EXPECT_GT(total_drops / drop_runs, 2.0);
 }
 
-TEST(SimNetworkTest, PartitionBlocksBothDirections) {
-  Fixture f;
-  f.attach(1);
-  f.attach(2);
-  f.net.partition(1, 2);
-  EXPECT_TRUE(f.net.partitioned(1, 2));
-  EXPECT_TRUE(f.net.partitioned(2, 1));
-  f.net.send(make_datagram(1, 2));
-  f.net.send(make_datagram(2, 1));
-  f.sim.run();
-  EXPECT_TRUE(f.received.empty());
-  EXPECT_EQ(f.net.stats().dropped_partition, 2u);
-}
-
-TEST(SimNetworkTest, HealRestoresDelivery) {
-  Fixture f;
-  f.attach(2);
-  f.net.partition(1, 2);
-  f.net.heal(1, 2);
-  EXPECT_FALSE(f.net.partitioned(1, 2));
-  f.net.send(make_datagram(1, 2));
-  f.sim.run();
-  EXPECT_EQ(f.received.size(), 1u);
-}
-
-TEST(SimNetworkTest, HealAllClearsEverything) {
-  Fixture f;
-  f.net.partition(1, 2);
-  f.net.partition(3, 4);
-  f.net.heal_all();
-  EXPECT_FALSE(f.net.partitioned(1, 2));
-  EXPECT_FALSE(f.net.partitioned(3, 4));
-}
-
 TEST(SimNetworkTest, DownNodeNeitherSendsNorReceives) {
   Fixture f;
   f.attach(1);
@@ -276,7 +243,7 @@ TEST(SymmetricLinkKeyTest, OrderInsensitive) {
 
 TEST(SimNetworkTest, SetLinkLatencyIsSymmetricInArgumentOrder) {
   // set_link_latency(a, b) and set_link_latency(b, a) must address the SAME
-  // entry (the symmetric_link_key contract shared with partition()): the
+  // entry (the symmetric_link_key contract): the
   // later call overwrites the earlier one, whichever order its arguments
   // use, and the override applies in both directions.
   NetworkParams params;
@@ -292,14 +259,6 @@ TEST(SimNetworkTest, SetLinkLatencyIsSymmetricInArgumentOrder) {
   ASSERT_EQ(f.received.size(), 2u);
   EXPECT_EQ(f.received[0].second, 30);  // not 99: (2,5) == (5,2)
   EXPECT_EQ(f.received[1].second, 30);  // and both directions see it
-}
-
-TEST(SimNetworkTest, PartitionIsSymmetricInArgumentOrder) {
-  Fixture f;
-  f.net.partition(7, 1);
-  EXPECT_TRUE(f.net.partitioned(1, 7));
-  f.net.heal(1, 7);  // reversed arguments heal the same pair
-  EXPECT_FALSE(f.net.partitioned(7, 1));
 }
 
 TEST(SimNetworkTest, BatchSharesOneSimulatorEventAtFixedLatency) {
@@ -351,16 +310,15 @@ TEST(SimNetworkTest, BatchSamplesLossAndDelayPerTarget) {
   EXPECT_GT(stats.dropped_loss, 50u);
 }
 
-TEST(SimNetworkTest, BatchChecksPartitionAndDownPerTarget) {
+TEST(SimNetworkTest, BatchChecksDownPerTarget) {
   Fixture f;
   for (NodeId t = 1; t <= 3; ++t) f.attach(t);
-  f.net.partition(0, 1);
   f.net.set_node_up(2, false);
   f.net.send_batch(Multicast{0, {1, 2, 3}, {0x01}});
   f.sim.run();
-  ASSERT_EQ(f.received.size(), 1u);  // only node 3
-  EXPECT_EQ(f.received[0].first, 3u);
-  EXPECT_EQ(f.net.stats().dropped_partition, 1u);
+  ASSERT_EQ(f.received.size(), 2u);  // nodes 1 and 3
+  EXPECT_EQ(f.received[0].first, 1u);
+  EXPECT_EQ(f.received[1].first, 3u);
   EXPECT_EQ(f.net.stats().dropped_down, 1u);
 }
 
@@ -381,6 +339,82 @@ TEST(SimNetworkTest, BatchDistinctDelaysGetDistinctEvents) {
   for (const auto& [node, at] : f.received) distinct_times.insert(at);
   EXPECT_EQ(f.net.stats().events_scheduled, distinct_times.size());
   EXPECT_GT(distinct_times.size(), 1u);
+}
+
+// The link decides each copy in one order on every fabric: down, loss,
+// one-way rule, delay. InMemoryFabric's twins of the next three tests live
+// in runtime_test.
+TEST(SimNetworkTest, LossComesBeforeTheOneWayRule) {
+  NetworkParams params;
+  params.loss = LossModel::iid(1.0);
+  Fixture f(params);
+  f.attach(1);
+  fault::FaultPlane plane(
+      fault::ChaosSchedule{{{fault::FaultKind::kOneWay, 0.0, 0, 1}}}, 3);
+  f.net.set_fault_plane(&plane);
+  for (int i = 0; i < 10; ++i) f.net.send(make_datagram(0, 1));
+  f.sim.run();
+  EXPECT_EQ(f.net.stats().dropped_loss, 10u);
+  EXPECT_EQ(f.net.stats().dropped_chaos, 0u);
+  EXPECT_EQ(plane.stats().dropped_oneway, 0u);
+}
+
+TEST(SimNetworkTest, DuplicatedCopiesShareOneLossDraw) {
+  NetworkParams params;
+  params.loss = LossModel::iid(0.5);
+  Fixture f(params);
+  std::vector<NodeId> targets;
+  for (NodeId t = 1; t <= 200; ++t) {
+    f.attach(t);
+    targets.push_back(t);
+  }
+  fault::FaultPlane plane(
+      fault::ChaosSchedule{{{fault::FaultKind::kDuplicate, 1.0}}}, 3);
+  f.net.set_fault_plane(&plane);
+  f.net.send_batch(Multicast{0, targets, {0x01}});
+  f.sim.run();
+  // A target either lost its datagram or received both copies.
+  std::map<NodeId, int> copies;
+  for (const auto& [node, at] : f.received) ++copies[node];
+  for (const auto& [node, count] : copies) EXPECT_EQ(count, 2) << node;
+  EXPECT_EQ(f.net.stats().dropped_loss + copies.size(), 200u);
+  EXPECT_GT(f.net.stats().dropped_loss, 50u);
+  EXPECT_GT(copies.size(), 50u);
+}
+
+TEST(SimNetworkTest, LedgerBalancesUnderLossAndEveryLinkFault) {
+  NetworkParams params;
+  params.loss = LossModel::iid(0.2);
+  params.latency = LatencyModel::uniform(1.0, 5.0);
+  Fixture f(params);
+  for (NodeId t = 0; t < 8; ++t) f.attach(t);  // node 8 is never attached
+  f.net.set_node_up(7, false);
+  fault::FaultPlane plane(
+      fault::ChaosSchedule{{{fault::FaultKind::kCorrupt, 0.2},
+                            {fault::FaultKind::kDuplicate, 0.2},
+                            {fault::FaultKind::kReorder, 0.2, fault::kAnyNode,
+                             fault::kAnyNode, 10},
+                            {fault::FaultKind::kOneWay, 0.0, 0, 1}}},
+      3);
+  f.net.set_fault_plane(&plane);
+  for (int round = 0; round < 50; ++round) {
+    for (NodeId from = 0; from < 8; ++from) {
+      f.net.send_batch(Multicast{
+          from, {(from + 1) % 9, (from + 2) % 9, (from + 3) % 9}, {1, 2, 3}});
+    }
+  }
+  f.sim.run();
+  const NetworkStats& s = f.net.stats();
+  const fault::FaultStats chaos = plane.stats();
+  EXPECT_EQ(s.sent + chaos.duplicated, s.delivered + s.dropped_loss +
+                                           s.dropped_down +
+                                           s.dropped_detached +
+                                           s.dropped_chaos);
+  for (const std::uint64_t moved :
+       {s.dropped_loss, s.dropped_down, s.dropped_detached, s.dropped_chaos,
+        chaos.corrupted, chaos.duplicated, chaos.reordered}) {
+    EXPECT_GT(moved, 0u);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -794,15 +795,103 @@ TEST(InMemoryFabricTest, OneWayChaosDropsOnlyTheDeadDirection) {
   fabric.shutdown();
 }
 
+// The link decides each copy in one order on every fabric: down, loss,
+// one-way rule, delay (see network_test's SimNetwork twins).
+TEST(InMemoryFabricTest, LossComesBeforeTheOneWayRule) {
+  fault::FaultPlane plane(
+      fault::ChaosSchedule{{{fault::FaultKind::kOneWay, 0.0, 0, 1}}}, 3);
+  InMemoryFabric fabric({.loss = sim::LossModel::iid(1.0)});
+  fabric.set_fault_plane(&plane);
+  fabric.attach(1, [](const Datagram&, TimeMs) {});
+  for (int i = 0; i < 10; ++i) fabric.send(Datagram{0, 1, {0x01}});
+  const sim::NetworkStats stats = fabric.stats();
+  EXPECT_EQ(stats.dropped_loss, 10u);
+  EXPECT_EQ(stats.dropped_chaos, 0u);
+  EXPECT_EQ(plane.stats().dropped_oneway, 0u);
+  fabric.shutdown();
+}
+
+TEST(InMemoryFabricTest, DuplicatedCopiesShareOneLossDraw) {
+  fault::FaultPlane plane(
+      fault::ChaosSchedule{{{fault::FaultKind::kDuplicate, 1.0}}}, 3);
+  InMemoryFabric fabric({.loss = sim::LossModel::iid(0.5)});
+  fabric.set_fault_plane(&plane);
+  std::mutex mu;
+  std::map<NodeId, int> copies;
+  std::vector<NodeId> targets;
+  for (NodeId t = 1; t <= 200; ++t) {
+    fabric.attach(t, [&, t](const Datagram&, TimeMs) {
+      std::lock_guard lock(mu);
+      ++copies[t];
+    });
+    targets.push_back(t);
+  }
+  fabric.send_batch(Multicast{0, targets, {0x01}});
+  // A target either lost its datagram or receives both copies.
+  EXPECT_TRUE(eventually([&] {
+    const sim::NetworkStats s = fabric.stats();
+    return s.delivered == 2 * (200 - s.dropped_loss);
+  }));
+  fabric.shutdown();
+  std::lock_guard lock(mu);
+  for (const auto& [node, count] : copies) EXPECT_EQ(count, 2) << node;
+  EXPECT_EQ(fabric.stats().dropped_loss + copies.size(), 200u);
+  EXPECT_GT(fabric.stats().dropped_loss, 50u);
+  EXPECT_GT(copies.size(), 50u);
+}
+
+TEST(InMemoryFabricTest, LedgerBalancesUnderLossAndEveryLinkFault) {
+  fault::FaultPlane plane(
+      fault::ChaosSchedule{{{fault::FaultKind::kCorrupt, 0.2},
+                            {fault::FaultKind::kDuplicate, 0.2},
+                            {fault::FaultKind::kReorder, 0.2, fault::kAnyNode,
+                             fault::kAnyNode, 10},
+                            {fault::FaultKind::kOneWay, 0.0, 0, 1}}},
+      3);
+  InMemoryFabric fabric({.loss = sim::LossModel::iid(0.2)});
+  fabric.set_fault_plane(&plane);
+  for (NodeId t = 0; t < 8; ++t) {  // node 8 is never attached
+    fabric.attach(t, [](const Datagram&, TimeMs) {});
+  }
+  fabric.set_node_up(7, false);
+  const auto send_round = [&] {
+    for (NodeId from = 0; from < 8; ++from) {
+      fabric.send_batch(Multicast{
+          from, {(from + 1) % 9, (from + 2) % 9, (from + 3) % 9}, {1, 2, 3}});
+    }
+  };
+  const auto balanced = [&] {
+    const sim::NetworkStats s = fabric.stats();
+    return s.sent + plane.stats().duplicated ==
+           s.delivered + s.dropped_loss + s.dropped_down +
+               s.dropped_detached + s.dropped_chaos;
+  };
+  for (int round = 0; round < 50; ++round) send_round();
+  EXPECT_TRUE(eventually(balanced));
+  const sim::NetworkStats s = fabric.stats();
+  const fault::FaultStats chaos = plane.stats();
+  for (const std::uint64_t moved :
+       {s.dropped_loss, s.dropped_down, s.dropped_detached, s.dropped_chaos,
+        chaos.corrupted, chaos.duplicated, chaos.reordered}) {
+    EXPECT_GT(moved, 0u);
+  }
+  // A send after shutdown() is still counted, and lands in dropped_detached.
+  fabric.shutdown();
+  send_round();
+  EXPECT_GT(fabric.stats().sent, s.sent);
+  EXPECT_TRUE(balanced());
+}
+
 TEST(NodeRuntimeTest, DecodeDropsCountMalformedDatagramsOnly) {
   InMemoryFabric fabric({});
   NodeRuntime runtime(make_protocol_node(1, 2, false), fabric,
                       [&fabric] { return fabric.now(); });
   runtime.start();
-  EXPECT_EQ(runtime.decode_drops(), 0u);
+  EXPECT_EQ(runtime.counters().decode_drops, 0u);
   // Garbage that can never decode: wrong magic, three bytes.
   for (int i = 0; i < 5; ++i) fabric.send(Datagram{0, 1, {0x01, 0x02, 0x03}});
-  EXPECT_TRUE(eventually([&] { return runtime.decode_drops() == 5u; }));
+  EXPECT_TRUE(
+      eventually([&] { return runtime.counters().decode_drops == 5u; }));
   runtime.stop();
 }
 

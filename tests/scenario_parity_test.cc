@@ -12,15 +12,15 @@
 // preset whose wall-clock run stops biasing, or a churn preset whose
 // schedule stops firing, fails here.
 //
-// The suite enumerates the registry at runtime: a preset added without a
-// parity entry still runs with the generic bounds, and the final coverage
-// assertion fails if any registered preset was skipped.
+// The suite enumerates the registry at runtime, one test case per preset:
+// a preset added without a parity entry still runs with the generic
+// bounds, and the coverage test fails if any registered preset has no
+// case.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <map>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -282,30 +282,60 @@ void assert_invariants(const ScenarioParams& params, const PairResults& r,
   }
 }
 
-TEST(ScenarioParityTest, EveryRegistryPresetRunsOnBothPaths) {
-  const auto& registry = ScenarioRegistry::instance();
-  std::set<std::string> covered;
-  for (const ScenarioPreset* preset : registry.presets()) {
-    SCOPED_TRACE("preset " + preset->name);
-    ParityBounds bounds;  // generic contract for presets without an entry
-    bounds.min_receiver_pct = 70.0;
-    if (auto it = parity_bounds().find(preset->name);
-        it != parity_bounds().end()) {
-      bounds = it->second;
-    }
-    const Config cfg = make_config(bounds);
-    const ScenarioParams params = registry.build(preset->name, cfg);
-    const PairResults results = run_pair(preset->name, cfg);
-    assert_invariants(params, results, bounds);
-    covered.insert(preset->name);
+/// The registry's presets in list order: one PresetParityTest case each.
+std::vector<std::string> preset_names() {
+  std::vector<std::string> names;
+  for (const ScenarioPreset* preset : ScenarioRegistry::instance().presets()) {
+    names.push_back(preset->name);
   }
-  // The coverage gate: every registered preset ran on all three paths —
-  // classic sim, sharded sim (sim_shards=4) and wall-clock — so a new
+  return names;
+}
+
+class PresetParityTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(PresetParityTest, RunsOnEveryPath) {
+  const std::string& name = GetParam();
+  ParityBounds bounds;  // generic contract for presets without an entry
+  bounds.min_receiver_pct = 70.0;
+  if (auto it = parity_bounds().find(name); it != parity_bounds().end()) {
+    bounds = it->second;
+  }
+  const Config cfg = make_config(bounds);
+  const ScenarioParams params = ScenarioRegistry::instance().build(name, cfg);
+  assert_invariants(params, run_pair(name, cfg), bounds);
+}
+
+// One case per registry preset, named after it ('-' becomes '_', which
+// gtest names cannot hold); ctest runs each as its own entry.
+INSTANTIATE_TEST_SUITE_P(
+    Registry, PresetParityTest, ::testing::ValuesIn(preset_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+TEST(ScenarioParityTest, EveryRegistryPresetIsCovered) {
+  // The coverage gate: every registered preset is a PresetParityTest case
+  // — classic sim, sharded sim (sim_shards=4) and wall-clock — so a new
   // preset cannot silently dodge the conformance contract, and the known
   // catalogue cannot shrink unnoticed. 3 columns x 22+ presets.
-  EXPECT_EQ(covered.size(), registry.presets().size());
-  EXPECT_GE(covered.size(), 22u);
-  EXPECT_GE(3 * covered.size(), 66u);
+  const auto& registry = ScenarioRegistry::instance();
+  const ::testing::UnitTest& unit = *::testing::UnitTest::GetInstance();
+  std::size_t cases = 0;
+  for (int i = 0; i < unit.total_test_suite_count(); ++i) {
+    const ::testing::TestSuite& suite = *unit.GetTestSuite(i);
+    if (std::string(suite.name()) == "Registry/PresetParityTest") {
+      cases = static_cast<std::size_t>(suite.total_test_count());
+    }
+  }
+  EXPECT_EQ(cases, registry.presets().size());
+  EXPECT_GE(cases, 22u);
+  EXPECT_GE(3 * cases, 66u);
+  // Every preset-specific bound names a registered preset.
+  for (const auto& [name, bounds] : parity_bounds()) {
+    EXPECT_NE(registry.find(name), nullptr) << name;
+  }
 }
 
 TEST(ScenarioParityTest, PartialViewGroupsAgreeOnBothPaths) {
