@@ -494,12 +494,13 @@ void BM_EventBufferInsertShrink(benchmark::State& state) {
 }
 BENCHMARK(BM_EventBufferInsertShrink)->Arg(60)->Arg(180);
 
-// A round's wire image of a live buffer: rounds of arrivals with assorted
-// ages, each round aged, purged at k and bounded oldest first, so
-// swap-erase has shuffled the slots against insertion order.
-// insertion_span_per_event is the live insertion numbers' span over the
-// buffer size (about 1.6 on sim-paper-adaptive).
-void BM_EventBufferSnapshot(benchmark::State& state) {
+// A round's wire image of a live buffer, written straight from its slots in
+// insertion order (what LpbcastNode::on_round sends): rounds of arrivals
+// with assorted ages and 16-byte payloads, each round aged, purged at k and
+// bounded oldest first, so swap-erase has shuffled the slots against
+// insertion order. insertion_span_per_event is the live insertion numbers'
+// span over the buffer size (about 1.6 on sim-paper-adaptive).
+void BM_RoundWireImage(benchmark::State& state) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
   gossip::EventBuffer buf;
   Rng rng(1);
@@ -511,6 +512,7 @@ void BM_EventBufferSnapshot(benchmark::State& state) {
       gossip::Event e;
       e.id = EventId{static_cast<NodeId>(seq % 60), seq};
       e.age = static_cast<std::uint32_t>(rng.next_below(12));
+      e.payload = gossip::make_payload(std::vector<std::uint8_t>(16));
       buf.insert(std::move(e));
     }
     buf.shrink_to(capacity);
@@ -521,47 +523,83 @@ void BM_EventBufferSnapshot(benchmark::State& state) {
     first = std::min(first, e.id.sequence);
     last = std::max(last, e.id.sequence);
   });
+  gossip::GossipMessage header;
+  header.sender = 1;
+  header.round = 100;
   for (auto _ : state) {
-    auto snapshot = buf.snapshot();
-    benchmark::DoNotOptimize(snapshot);
+    auto wire = header.encode_with(buf.in_insertion_order());
+    benchmark::DoNotOptimize(wire);
   }
   state.counters["insertion_span_per_event"] =
       static_cast<double>(last - first + 1) / static_cast<double>(buf.size());
 }
-BENCHMARK(BM_EventBufferSnapshot)->Arg(60)->Arg(180);
+BENCHMARK(BM_RoundWireImage)->Arg(60)->Arg(180);
+
+/// Runs `step` (one digest insert) once the digest is at its bound and its
+/// table at its working size, and reports heap allocations per insert and
+/// the digest's heap bytes per remembered id.
+template <typename Step>
+void time_digest(benchmark::State& state, gossip::EventIdBuffer& digest,
+                 Step step) {
+  for (std::size_t i = 0; i < 50 * digest.capacity(); ++i) step();
+  const std::uint64_t allocs_before = g_heap_allocs.load();
+  for (auto _ : state) benchmark::DoNotOptimize(step());
+  state.counters["allocs_per_op"] =
+      static_cast<double>(g_heap_allocs.load() - allocs_before) /
+      static_cast<double>(state.iterations());
+  state.counters["bytes_per_id"] = static_cast<double>(digest.bytes()) /
+                                   static_cast<double>(digest.size());
+}
 
 // The receive path's digest check (paper Fig. 1's eventIds): one insert per
-// incoming event on sim-paper-adaptive's id stream — 16% novel ids, 84%
-// duplicates of ids still remembered — at the scale presets' digest bound
-// (384) and paper60's (4000). allocs_per_op counts heap allocations per
-// insert once the digest is warm.
+// incoming event, 16% novel ids and 84% duplicates of ids still
+// remembered, at the scale presets' digest bound (384) and paper60's
+// (4000). This stream draws origin = seq % 60 from one global counter, so
+// each origin's sequences stride by 60 and no two ids share a stamp block:
+// the sparse worst case, which real traffic does not produce.
 void BM_EventIdBufferInsert(benchmark::State& state) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
   gossip::EventIdBuffer digest(capacity);
   Rng rng(1);
   std::uint64_t next = 0;
-  auto step = [&] {
+  time_digest(state, digest, [&] {
     if (next < capacity || rng.bernoulli(0.16)) {
       ++next;
       return digest.insert(EventId{static_cast<NodeId>(next % 60), next});
     }
     const std::uint64_t seq = next - rng.next_below(capacity / 2);
     return digest.insert(EventId{static_cast<NodeId>(seq % 60), seq});
-  };
-  while (next < 5 * capacity) step();  // warm: the digest is at its bound
-  const std::uint64_t allocs_before = g_heap_allocs.load();
-  for (auto _ : state) benchmark::DoNotOptimize(step());
-  state.counters["allocs_per_op"] =
-      static_cast<double>(g_heap_allocs.load() - allocs_before) /
-      static_cast<double>(state.iterations());
+  });
 }
 BENCHMARK(BM_EventIdBufferInsert)->Arg(384)->Arg(4000);
 
+// The same 16% novel / 84% duplicate mix as each origin really numbers its
+// broadcasts: densely, {capacity, origins} = {4000, 4} like paper60's
+// senders and {384, 32} like scale-1e5's. A novel id is its origin's next
+// sequence; a duplicate one of the origin's ids still remembered.
+void BM_EventIdBufferInsertDense(benchmark::State& state) {
+  const auto capacity = static_cast<std::size_t>(state.range(0));
+  const auto origins = static_cast<std::uint64_t>(state.range(1));
+  gossip::EventIdBuffer digest(capacity);
+  Rng rng(1);
+  std::vector<std::uint64_t> next(origins, 0);
+  const std::uint64_t window = capacity / origins / 2;
+  time_digest(state, digest, [&] {
+    const auto origin = static_cast<NodeId>(rng.next_below(origins));
+    std::uint64_t& head = next[origin];
+    if (head < window || rng.bernoulli(0.16)) {
+      return digest.insert(EventId{origin, head++});
+    }
+    return digest.insert(EventId{origin, head - 1 - rng.next_below(window)});
+  });
+}
+BENCHMARK(BM_EventIdBufferInsertDense)->Args({4000, 4})->Args({384, 32});
+
 // The adaptive node's on_gossip steady state: a buffer at capacity C takes
 // C/6 novel events (sim-paper-adaptive's novel ratio is ~0.16), then the
-// virtual drops against minBuff = C, the real bound and the lost-set prune
-// run in that order. Every iteration evicts, so this is the eviction cost
-// paid per received gossip message.
+// virtual drops against minBuff = C (lost marks) and the real bound run in
+// that order. Every iteration evicts, so this is the eviction cost paid per
+// received gossip message.
 void BM_CongestionEstimatorObserve(benchmark::State& state) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
   gossip::EventBuffer buf;
@@ -581,7 +619,6 @@ void BM_CongestionEstimatorObserve(benchmark::State& state) {
     receive(capacity / 6);
     est.observe(buf, capacity);
     auto dropped = buf.shrink_to(capacity);
-    est.prune(buf);
     benchmark::DoNotOptimize(dropped);
   }
   state.counters["virtual_drops_per_iter"] =

@@ -113,11 +113,7 @@ void AdaptiveLpbcastNode::process_header(const gossip::GossipMessage& message,
 }
 
 void AdaptiveLpbcastNode::before_shrink(TimeMs /*now*/) {
-  congestion_.observe(events(), min_buff());
-}
-
-void AdaptiveLpbcastNode::after_gc(TimeMs /*now*/) {
-  congestion_.prune(events());
+  congestion_.observe(mutable_events(), min_buff());
 }
 
 void AdaptiveLpbcastNode::on_capacity_change(TimeMs /*now*/) {

@@ -91,7 +91,6 @@ class AdaptiveLpbcastNode final : public gossip::LpbcastNode {
   void process_header(const gossip::GossipMessage& message,
                       TimeMs now) override;
   void before_shrink(TimeMs now) override;
-  void after_gc(TimeMs now) override;
   /// Dynamic resources: the running per-period minimum the node advertises
   /// follows the new real bound.
   void on_capacity_change(TimeMs now) override;

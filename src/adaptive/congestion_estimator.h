@@ -2,18 +2,20 @@
 //
 // Given minBuff (the estimated size of the smallest buffer in the group),
 // each node simulates the drops that a node with *exactly* minBuff slots
-// would be performing on the node's own traffic: whenever the set of
-// buffered events not yet accounted as "lost" exceeds minBuff, the oldest
-// such events are virtually discarded and their ages folded into the EWMA
-// avgAge. The node keeps using its full real buffer — the virtual drops are
-// pure accounting — so reliability still benefits from larger local buffers
-// (paper §3.2, validated by the dynamic-buffer experiment).
+// would be performing on the node's own traffic: whenever the buffered
+// events not yet marked lost outnumber minBuff, the oldest such events are
+// virtually discarded — marked lost on their buffer slots — and their ages
+// folded into the EWMA avgAge. The node keeps using its full real buffer —
+// the virtual drops are pure accounting — so reliability still benefits
+// from larger local buffers (paper §3.2, validated by the dynamic-buffer
+// experiment). The marks live and die with the slots
+// (gossip::EventBuffer::mark_lost_beyond), so the estimator holds no set of
+// its own: only the average.
 #pragma once
 
 #include "common/moving_average.h"
 #include "common/types.h"
 #include "gossip/event_buffer.h"
-#include "gossip/event_id_table.h"
 
 namespace agb::adaptive {
 
@@ -23,15 +25,12 @@ class CongestionEstimator {
   /// avgAge so the controller is neutral before the first observation.
   CongestionEstimator(double alpha, double initial_age);
 
-  /// Virtually drops the buffered events beyond the min_buff youngest not in
-  /// lost(), oldest first (ties by insertion), folding each age into avgAge:
-  /// one pass over the buffer. Call after inserting the events of a received
-  /// gossip message and before enforcing the real buffer bound.
-  void observe(const gossip::EventBuffer& events, std::size_t min_buff);
-
-  /// Forgets `lost` entries whose events are no longer buffered; call after
-  /// real garbage collection so the set stays bounded by the buffer size.
-  void prune(const gossip::EventBuffer& events);
+  /// Virtually drops the buffered events beyond the min_buff youngest not
+  /// marked lost, oldest first (ties by insertion): marks each lost and
+  /// folds its age into avgAge, in one pass over the buffer. Call after
+  /// inserting the events of a received gossip message and before
+  /// enforcing the real buffer bound.
+  void observe(gossip::EventBuffer& events, std::size_t min_buff);
 
   /// Folds an "uncongested" pseudo-sample into avgAge. The paper's update
   /// rule only fires on virtual drops, so a system with *no* drops at all
@@ -45,15 +44,11 @@ class CongestionEstimator {
   [[nodiscard]] std::size_t observations() const noexcept {
     return avg_age_.samples();
   }
-  [[nodiscard]] const gossip::EventIdTable& lost() const noexcept {
-    return lost_;
-  }
 
   void reset(double initial_age) { avg_age_.reset(initial_age); }
 
  private:
   Ewma avg_age_;
-  gossip::EventIdTable lost_;
 };
 
 }  // namespace agb::adaptive

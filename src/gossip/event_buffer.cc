@@ -35,8 +35,8 @@ std::uint32_t age_bucket(const Slot* s) {
   return std::min(s->event.age, kAgeBuckets - 1);
 }
 
-/// snapshot() places slots by insertion number while the live numbers span
-/// at most this many times size(); a sparser buffer is sorted instead.
+/// in_insertion_order() places slots by insertion number while the live
+/// numbers span at most this many times size(); a sparser buffer is sorted.
 constexpr std::size_t kPlacedSpan = 4;
 
 }  // namespace
@@ -104,12 +104,21 @@ std::span<const Event> EventBuffer::purge_superseded() {
   return removed;
 }
 
-std::span<const EventBuffer::Slot* const> EventBuffer::oldest_beyond(
-    std::size_t keep, const EventIdTable* excluded) const {
+std::span<const EventBuffer::Slot* const> EventBuffer::mark_lost_beyond(
+    std::size_t keep) {
+  const auto victims = select_oldest(keep, /*unmarked_only=*/true);
+  for (const Slot* victim : victims) {
+    slots_[static_cast<std::size_t>(victim - slots_.data())].lost = true;
+  }
+  return victims;
+}
+
+std::span<const EventBuffer::Slot* const> EventBuffer::select_oldest(
+    std::size_t keep, bool unmarked_only) const {
   if (slots_.size() <= keep) return {};  // no pass when everything fits
   thread_local std::vector<const Slot*> candidates;
   candidates.clear();
-  if (excluded == nullptr && slots_.size() - keep == 1) {
+  if (!unmarked_only && slots_.size() - keep == 1) {
     // One victim, what every broadcast into a full buffer evicts: one scan
     // that keeps the oldest key in registers.
     const Slot* oldest = &slots_.front();
@@ -127,7 +136,7 @@ std::span<const EventBuffer::Slot* const> EventBuffer::oldest_beyond(
   std::array<std::uint32_t, kAgeBuckets> in_bucket{};
   std::uint32_t top = 0;  // the highest candidate bucket
   for (const Slot& slot : slots_) {
-    if (excluded != nullptr && excluded->contains(slot.event.id)) continue;
+    if (unmarked_only && slot.lost) continue;
     candidates.push_back(&slot);
     const std::uint32_t bucket = age_bucket(&slot);
     top = std::max(top, bucket);
@@ -182,62 +191,36 @@ std::span<const Event> EventBuffer::shrink_to(std::size_t capacity) {
   return removed;
 }
 
-std::vector<Event> EventBuffer::snapshot() const {
-  std::vector<Event> out;
-  if (slots_.empty()) return out;
-  out.reserve(slots_.size());
-  // Insertion order, for deterministic wire images. fifo_seq numbers the
-  // slots by insertion, so while the live numbers are dense each slot is
-  // placed at its offset from the oldest; a sparse buffer is sorted.
+std::span<const Event* const> EventBuffer::in_insertion_order() const {
+  thread_local std::vector<const Event*> ordered;
+  ordered.clear();
+  if (slots_.empty()) return {};
+  // fifo_seq numbers the slots by insertion, so while the live numbers are
+  // dense each slot is placed at its offset from the oldest (the gaps
+  // squeezed out after); a sparse buffer is sorted.
   const auto [lo, hi] = std::minmax_element(
       slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
         return a.fifo_seq < b.fifo_seq;
       });
   const std::uint64_t base = lo->fifo_seq;
   const std::uint64_t span = hi->fifo_seq - base + 1;
-  thread_local std::vector<const Slot*> ordered;
   if (span <= kPlacedSpan * slots_.size()) {
     ordered.assign(span, nullptr);
-    for (const Slot& slot : slots_) ordered[slot.fifo_seq - base] = &slot;
-    for (const Slot* slot : ordered) {
-      if (slot != nullptr) out.push_back(slot->event);
-    }
-    return out;
+    for (const Slot& slot : slots_) ordered[slot.fifo_seq - base] = &slot.event;
+    std::erase(ordered, nullptr);
+    return ordered;
   }
-  ordered.clear();
-  for (const Slot& slot : slots_) ordered.push_back(&slot);
-  std::sort(ordered.begin(), ordered.end(), inserted_earlier);
-  for (const Slot* slot : ordered) out.push_back(slot->event);
-  return out;
+  thread_local std::vector<const Slot*> sorted;
+  sorted.clear();
+  for (const Slot& slot : slots_) sorted.push_back(&slot);
+  std::sort(sorted.begin(), sorted.end(), inserted_earlier);
+  for (const Slot* slot : sorted) ordered.push_back(&slot->event);
+  return ordered;
 }
 
 void EventBuffer::for_each(
     const std::function<void(const Event&)>& fn) const {
   for (const auto& slot : slots_) fn(slot.event);
-}
-
-bool EventIdBuffer::insert(const EventId& id) {
-  if (!set_.insert(id)) return false;
-  fifo_.push_back(id);
-  evict_to_capacity();
-  return true;
-}
-
-void EventIdBuffer::set_capacity(std::size_t capacity) {
-  capacity_ = capacity;
-  evict_to_capacity();
-}
-
-void EventIdBuffer::evict_to_capacity() {
-  while (set_.size() > capacity_ && head_ < fifo_.size()) {
-    set_.erase(fifo_[head_]);
-    ++head_;
-  }
-  // Compact the fifo vector once the dead prefix dominates.
-  if (head_ > fifo_.size() / 2 && head_ > 64) {
-    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<long>(head_));
-    head_ = 0;
-  }
 }
 
 }  // namespace agb::gossip

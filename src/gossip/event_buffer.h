@@ -7,14 +7,20 @@
 //  * purge_age_limit() removes events older than k (the paper's "e.age > k");
 //  * shrink_to() removes the *oldest* events (highest age, FIFO tie-break)
 //    until the buffer fits its bound — the age-based purging of [7] that the
-//    adaptive mechanism observes.
+//    adaptive mechanism observes;
+//  * mark_lost_beyond() is the adaptive mechanism's virtual drop (paper Fig.
+//    5(b)): it marks the oldest unmarked events lost and leaves them stored.
 //
 // Buffer sizes are small (tens to hundreds), so events live in a flat vector
 // of slots, found by id through a flat EventIdTable index (id -> slot
-// position); erasing moves the last slot into the hole. Oldest-first
-// eviction, real or virtual, is one oldest_beyond() pass that counts the
-// candidates' ages, so only the victims are sorted; its selection contract
-// (age descending, ties by insertion) does not depend on the index.
+// position); erasing moves the last slot into the hole. The Fig. 5(b) `lost`
+// set is a mark on the slot, so it holds only buffered events by
+// construction: an evicted event takes its mark along, and one admitted
+// again arrives unmarked. Oldest-first selection, real or virtual, is one
+// pass that counts the candidates' ages, so only the victims are sorted; its
+// contract (age descending, ties by insertion) does not depend on the index.
+// A gossip round reads the slots in insertion order through
+// in_insertion_order(), which orders pointers and copies no event.
 #pragma once
 
 #include <cstddef>
@@ -30,10 +36,12 @@ namespace agb::gossip {
 
 class EventBuffer {
  public:
-  /// `fifo_seq` orders events by insertion for stable oldest-selection.
+  /// `fifo_seq` orders events by insertion for stable oldest-selection;
+  /// `lost` is the virtual-drop mark of mark_lost_beyond().
   struct Slot {
     Event event;
     std::uint64_t fifo_seq;
+    bool lost = false;
   };
 
   /// Returns false (and keeps the existing slot) when the id is present.
@@ -48,6 +56,11 @@ class EventBuffer {
   [[nodiscard]] const Event* find(const EventId& id) const {
     const std::uint32_t pos = index_.find(id);
     return pos == EventIdTable::kAbsent ? nullptr : &slots_[pos].event;
+  }
+  /// Whether `id` is buffered and marked lost.
+  [[nodiscard]] bool lost(const EventId& id) const {
+    const std::uint32_t pos = index_.find(id);
+    return pos != EventIdTable::kAbsent && slots_[pos].lost;
   }
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
@@ -76,56 +89,40 @@ class EventBuffer {
   /// scratch, valid until this thread's next shrink_to call.
   std::span<const Event> shrink_to(std::size_t capacity);
 
-  /// The events beyond the `keep` youngest among those whose id is not in
-  /// `excluded` (if given), oldest first: age descending, ties by earliest
-  /// insertion — what repeatedly taking the oldest would yield (paper Fig.
-  /// 5(b): "select oldest element e from events - lost"), in one pass with
-  /// one exclusion probe per slot that also counts the candidates' ages:
-  /// the counts give the youngest victim age, and only the victims are
-  /// sorted. The span aliases per-thread scratch, valid until this thread's
-  /// next call or a mutation of the buffer.
+  /// The events beyond the `keep` youngest, oldest first: age descending,
+  /// ties by earliest insertion — what repeatedly taking the oldest would
+  /// yield, in one pass that also counts the candidates' ages: the counts
+  /// give the youngest victim age, and only the victims are sorted. The
+  /// span aliases per-thread scratch, valid until this thread's next
+  /// selection or a mutation of the buffer.
   [[nodiscard]] std::span<const Slot* const> oldest_beyond(
-      std::size_t keep, const EventIdTable* excluded = nullptr) const;
+      std::size_t keep) const {
+    return select_oldest(keep, /*unmarked_only=*/false);
+  }
 
-  /// Copies of all stored events in insertion order (what a gossip message
-  /// carries).
-  [[nodiscard]] std::vector<Event> snapshot() const;
+  /// Paper Fig. 5(b)'s virtual drop: "while |events - lost| > minBuff:
+  /// select oldest element e from events - lost; lost += {e}". Marks lost
+  /// the unmarked events beyond the `keep` youngest unmarked ones and
+  /// returns them oldest first, as oldest_beyond() orders; the events stay
+  /// buffered. The span aliases the same scratch as oldest_beyond().
+  std::span<const Slot* const> mark_lost_beyond(std::size_t keep);
+
+  /// Pointers to the stored events in insertion order (what a gossip
+  /// message carries), into per-thread scratch valid until this thread's
+  /// next call or a mutation of the buffer. No event is copied.
+  [[nodiscard]] std::span<const Event* const> in_insertion_order() const;
 
   /// Visits every stored event.
   void for_each(const std::function<void(const Event&)>& fn) const;
 
  private:
+  [[nodiscard]] std::span<const Slot* const> select_oldest(
+      std::size_t keep, bool unmarked_only) const;
   void erase_slot(std::size_t idx);
 
   std::vector<Slot> slots_;
   EventIdTable index_;  // id -> slot position
   std::uint64_t next_seq_ = 0;
-};
-
-/// Bounded FIFO set of event ids (paper's `eventIds` with "remove oldest
-/// element" garbage collection).
-class EventIdBuffer {
- public:
-  explicit EventIdBuffer(std::size_t capacity) : capacity_(capacity) {}
-
-  /// Returns true if newly inserted; false if already known. Evicts the
-  /// oldest id when the bound is exceeded.
-  bool insert(const EventId& id);
-
-  [[nodiscard]] bool contains(const EventId& id) const {
-    return set_.contains(id);
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return set_.size(); }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-  void set_capacity(std::size_t capacity);
-
- private:
-  void evict_to_capacity();
-
-  std::size_t capacity_;
-  EventIdTable set_;
-  std::vector<EventId> fifo_;  // insertion order; head = fifo_[head_]
-  std::size_t head_ = 0;
 };
 
 }  // namespace agb::gossip

@@ -60,18 +60,10 @@ EventId LpbcastNode::broadcast_on_stream(Payload payload, TimeMs now,
   return EventId{self_, next_sequence_ - 1};
 }
 
-Multicast LpbcastNode::Outgoing::to_multicast(NodeId from) const& {
-  Multicast batch;
-  batch.from = from;
-  batch.targets = targets;
-  if (!targets.empty()) batch.payload = message.encode_shared();
-  return batch;
-}
-
 Multicast LpbcastNode::Outgoing::to_multicast(NodeId from) && {
   Multicast batch;
   batch.from = from;
-  if (!targets.empty()) batch.payload = message.encode_shared();
+  batch.payload = std::move(wire);
   batch.targets = std::move(targets);
   return batch;
 }
@@ -108,10 +100,13 @@ LpbcastNode::Outgoing LpbcastNode::on_round(TimeMs now) {
     gossip_membership_->tick(now);
     out.message.member_records = gossip_membership_->make_digest();
   }
-  out.message.events = events_.snapshot();
   fill_seen_digest(out.message);
   out.targets = membership_->targets(effective_fanout_);
   counters_.gossips_sent += out.targets.size();
+  if (!out.targets.empty()) {
+    // Straight from the buffer's slots, in insertion order: no Event copy.
+    out.wire = out.message.encode_with(events_.in_insertion_order());
+  }
   return out;
 }
 
@@ -133,7 +128,6 @@ void LpbcastNode::on_gossip(const GossipMessage& message, TimeMs now) {
 
   before_shrink(now);
   enforce_buffer_bound(now);
-  after_gc(now);
 }
 
 void LpbcastNode::ingest_event(const Event& incoming, TimeMs now,
@@ -282,7 +276,6 @@ void LpbcastNode::on_repair_reply(const RepairReply& reply, TimeMs now) {
   }
   before_shrink(now);
   enforce_buffer_bound(now);
-  after_gc(now);
 }
 
 bool LpbcastNode::on_wire(const WireMessage& message, TimeMs now) {

@@ -105,18 +105,21 @@ class LpbcastNode {
   EventId broadcast_on_stream(Payload payload, TimeMs now,
                               std::uint32_t stream, bool supersedes);
 
-  /// One message replicated to several targets; the driver encodes the
-  /// message once and sends the same bytes to every target.
+  /// One round's gossip, encoded once for all its targets. It owns its
+  /// bytes, so it stays valid whatever the node does next.
   struct Outgoing {
     std::vector<NodeId> targets;
+    /// The round's header and digests. Its `events` stay empty: on_round
+    /// writes the buffered events straight into `wire`.
     GossipMessage message;
+    /// The round's wire image; empty when there are no targets, which
+    /// costs no encode at all.
+    SharedBytes wire;
 
-    /// Packages the round as one network batch: encodes the message once
-    /// and addresses the shared bytes to every target. An empty round
-    /// (no targets) yields an empty batch with no encode at all. The
-    /// rvalue overload steals the target list — drivers call it on their
-    /// way to send_batch, once per round, so the hot path never copies it.
-    [[nodiscard]] Multicast to_multicast(NodeId from) const&;
+    /// Packages the round as one network batch that addresses the shared
+    /// bytes to every target. Steals the bytes and the target list:
+    /// drivers call it on their way to send_batch, once per round, so the
+    /// hot path copies neither.
     [[nodiscard]] Multicast to_multicast(NodeId from) &&;
   };
 
@@ -192,9 +195,6 @@ class LpbcastNode {
   /// real buffer bound is enforced; the congestion estimator performs its
   /// virtual minBuff-sized drop accounting here (Fig. 5(b)).
   virtual void before_shrink(TimeMs /*now*/) {}
-
-  /// Called after garbage collection; estimators prune dead state here.
-  virtual void after_gc(TimeMs /*now*/) {}
 
   /// Called by set_max_events once the new bound is enforced; the adaptive
   /// node advertises the new capacity to its minBuff estimators here.

@@ -76,9 +76,15 @@ std::optional<Event> read_event(ByteReader& r, const SharedBytes& source) {
 }
 
 template <class Writer>
-void write_events(Writer& w, const std::vector<Event>& events) {
+void write_event(Writer& w, const Event* e) {
+  write_event(w, *e);
+}
+
+/// `events` holds Events or pointers to them.
+template <class Writer, class Events>
+void write_events(Writer& w, const Events& events) {
   w.varint(events.size());
-  for (const Event& e : events) write_event(w, e);
+  for (const auto& e : events) write_event(w, e);
 }
 
 bool read_events(ByteReader& r, const SharedBytes& source,
@@ -165,8 +171,9 @@ bool read_member_records(ByteReader& r,
   return true;
 }
 
-template <class Writer>
-void write_message(Writer& w, const GossipMessage& m) {
+/// `m` with `events` in place of m.events.
+template <class Writer, class Events>
+void write_gossip(Writer& w, const GossipMessage& m, const Events& events) {
   write_preamble(w, MessageType::kGossip, m.sender);
   w.varint(m.round);
   w.varint(m.period);
@@ -183,9 +190,14 @@ void write_message(Writer& w, const GossipMessage& m) {
   w.varint(m.membership.unsubs.size());
   for (NodeId node : m.membership.unsubs) w.u32(node);
 
-  write_events(w, m.events);
+  write_events(w, events);
   write_event_ids(w, m.seen_ids);
   write_member_records(w, m.member_records);
+}
+
+template <class Writer>
+void write_message(Writer& w, const GossipMessage& m) {
+  write_gossip(w, m, m.events);
 }
 
 template <class Writer>
@@ -200,22 +212,32 @@ void write_message(Writer& w, const RepairReply& m) {
   write_events(w, m.events);
 }
 
-/// Counts the message, then writes it into a buffer of exactly that size:
-/// one allocation, no growth.
-template <class Message>
-std::vector<std::uint8_t> encode_exact(const Message& m) {
+/// Counts what `write(writer)` writes, then writes it into a buffer of
+/// exactly that size: one allocation, no growth.
+template <class Write>
+std::vector<std::uint8_t> encode_counted(Write write) {
   ByteCounter counter;
-  write_message(counter, m);
+  write(counter);
   ByteWriter w;
   w.reserve(counter.size());
-  write_message(w, m);
+  write(w);
   return std::move(w).take();
+}
+
+template <class Message>
+std::vector<std::uint8_t> encode_exact(const Message& m) {
+  return encode_counted([&m](auto& w) { write_message(w, m); });
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> GossipMessage::encode() const {
   return encode_exact(*this);
+}
+
+SharedBytes GossipMessage::encode_with(
+    std::span<const Event* const> events) const {
+  return encode_counted([&](auto& w) { write_gossip(w, *this, events); });
 }
 
 std::size_t GossipMessage::encoded_size() const {

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -78,6 +79,11 @@ struct GossipMessage {
   /// encode() wrapped in a SharedBytes — the entry point for drivers that
   /// fan one encoded message out to several Datagrams without re-copying.
   [[nodiscard]] SharedBytes encode_shared() const { return encode(); }
+  /// encode_shared() with `events` on the wire in place of this message's
+  /// own: how a node writes a round straight from its buffer, copying no
+  /// Event.
+  [[nodiscard]] SharedBytes encode_with(
+      std::span<const Event* const> events) const;
   /// Exactly encode().size(), counted without writing.
   [[nodiscard]] std::size_t encoded_size() const;
   /// Returns std::nullopt on any malformed input (wrong magic/version/type,

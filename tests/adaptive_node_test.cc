@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "membership/full_membership.h"
 
@@ -138,6 +140,45 @@ TEST(AdaptiveNodeTest, CongestionSignalRespondsToOverload) {
   }
   node->on_gossip(flood, 20);
   EXPECT_LT(node->avg_age(), before);
+}
+
+// Paper Fig. 5(b) keeps lost ⊆ events. An event virtually dropped, then
+// purged by the age limit in a round, then admitted again because the
+// one-id digest forgot it, is a fresh victim candidate in the very next
+// observation: nothing left from its first life hides it.
+TEST(AdaptiveNodeTest, ReadmittedEventIsVirtuallyDroppedAgain) {
+  gossip::GossipParams gp = gossip_params(10);
+  gp.max_event_ids = 1;
+  gp.max_age = 9;
+  AdaptiveParams ap = adaptive_params();
+  ap.idle_age_boost = false;
+  AdaptiveLpbcastNode node(0, gp, ap, directory(0, 8), Rng(7));
+  auto message = [](std::vector<std::pair<std::uint64_t, std::uint32_t>>
+                        events) {
+    gossip::GossipMessage m;
+    m.sender = 1;
+    m.period = 0;
+    m.min_buff = 1;  // a one-slot buffer somewhere in the group
+    for (const auto& [seq, age] : events) {
+      gossip::Event e;
+      e.id = EventId{1, seq};
+      e.age = age;
+      m.events.push_back(e);
+    }
+    return m;
+  };
+  const EventId x{1, 0};
+  node.on_gossip(message({{0, 9}, {1, 1}}), 10);
+  ASSERT_TRUE(node.events().lost(x));
+  const double first = 0.9 * ap.critical_age + 0.1 * 9;
+  EXPECT_DOUBLE_EQ(node.avg_age(), first);
+
+  (void)node.on_round(1000);  // x turns 10 > max_age: purged
+  ASSERT_FALSE(node.events().contains(x));
+  node.on_gossip(message({{0, 3}}), 1010);  // the digest holds only {1, 1}
+  EXPECT_EQ(node.counters().events_received, 3u);
+  EXPECT_TRUE(node.events().lost(x));
+  EXPECT_DOUBLE_EQ(node.avg_age(), 0.9 * first + 0.1 * 3);
 }
 
 TEST(AdaptiveNodeTest, AllowedRateDecreasesUnderCongestion) {

@@ -1,6 +1,7 @@
 // A counting global operator new for allocation gates. It replaces the
-// program's allocator, so include it from exactly one source file of a test
-// binary. Every heap allocation of the binary passes through it, so the
+// program's allocator, over-aligned forms included (the id digest's blocks
+// are cache-line aligned), so include it from exactly one source file of a
+// test binary. Every heap allocation of the binary passes through it, so the
 // counts are exact and machine-independent.
 #pragma once
 
@@ -26,10 +27,29 @@ __attribute__((noinline)) void* operator new(std::size_t size) {
   throw std::bad_alloc{};
 }
 
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                             std::align_val_t align) {
+  agb::test::g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  void* p = nullptr;
+  if (posix_memalign(&p, static_cast<std::size_t>(align), size ? size : 1) ==
+      0) {
+    return p;
+  }
+  throw std::bad_alloc{};
+}
+
 __attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }
 __attribute__((noinline)) void operator delete(void* p,
                                                std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t,
+                                               std::align_val_t) noexcept {
   std::free(p);
 }

@@ -14,6 +14,13 @@ gossip::Event make_event(std::uint64_t seq, std::uint32_t age) {
   return e;
 }
 
+/// How many buffered events are marked lost.
+std::size_t lost_count(const gossip::EventBuffer& buf) {
+  std::size_t lost = 0;
+  buf.for_each([&](const gossip::Event& e) { lost += buf.lost(e.id); });
+  return lost;
+}
+
 TEST(CongestionEstimatorTest, SeededWithInitialAge) {
   CongestionEstimator est(0.9, 5.0);
   EXPECT_DOUBLE_EQ(est.avg_age(), 5.0);
@@ -27,7 +34,7 @@ TEST(CongestionEstimatorTest, NoVirtualDropsWhenUnderMinBuff) {
   buf.insert(make_event(2, 3));
   est.observe(buf, 5);
   EXPECT_EQ(est.observations(), 0u);
-  EXPECT_TRUE(est.lost().empty());
+  EXPECT_EQ(lost_count(buf), 0u);
 }
 
 TEST(CongestionEstimatorTest, VirtuallyDropsOldestDownToMinBuff) {
@@ -41,9 +48,9 @@ TEST(CongestionEstimatorTest, VirtuallyDropsOldestDownToMinBuff) {
   // avg = 0.5*0 + 0.5*10 = 5; avg = 0.5*5 + 0.5*8 = 6.5
   EXPECT_DOUBLE_EQ(est.avg_age(), 6.5);
   EXPECT_EQ(est.observations(), 2u);
-  EXPECT_TRUE(est.lost().contains(EventId{1, 1}));
-  EXPECT_TRUE(est.lost().contains(EventId{1, 2}));
-  EXPECT_FALSE(est.lost().contains(EventId{1, 3}));
+  EXPECT_TRUE(buf.lost(EventId{1, 1}));
+  EXPECT_TRUE(buf.lost(EventId{1, 2}));
+  EXPECT_FALSE(buf.lost(EventId{1, 3}));
   // The real buffer is untouched: virtual drops are pure accounting.
   EXPECT_EQ(buf.size(), 3u);
 }
@@ -69,7 +76,7 @@ TEST(CongestionEstimatorTest, NewArrivalsTriggerMoreVirtualDrops) {
   buf.insert(make_event(3, 7));
   est.observe(buf, 1);
   EXPECT_EQ(est.observations(), 2u);
-  EXPECT_TRUE(est.lost().contains(EventId{1, 3}));  // age 7 > age 4
+  EXPECT_TRUE(buf.lost(EventId{1, 3}));  // age 7 > age 4
 }
 
 TEST(CongestionEstimatorTest, MinBuffZeroAccountsEverything) {
@@ -78,29 +85,52 @@ TEST(CongestionEstimatorTest, MinBuffZeroAccountsEverything) {
   for (std::uint64_t i = 0; i < 5; ++i) buf.insert(make_event(i, 1));
   est.observe(buf, 0);
   EXPECT_EQ(est.observations(), 5u);
-  EXPECT_EQ(est.lost().size(), 5u);
+  EXPECT_EQ(lost_count(buf), 5u);
 }
 
-TEST(CongestionEstimatorTest, PruneDropsIdsNoLongerBuffered) {
+TEST(CongestionEstimatorTest, EvictionTakesTheMarkAlong) {
   CongestionEstimator est(0.9, 0.0);
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 9));
   buf.insert(make_event(2, 1));
   est.observe(buf, 1);
-  EXPECT_EQ(est.lost().size(), 1u);
+  EXPECT_EQ(lost_count(buf), 1u);
   buf.shrink_to(1);  // really evicts the age-9 event
-  est.prune(buf);
-  EXPECT_TRUE(est.lost().empty());
+  EXPECT_EQ(lost_count(buf), 0u);
+  EXPECT_FALSE(buf.lost(EventId{1, 1}));
 }
 
-TEST(CongestionEstimatorTest, PruneKeepsIdsStillBuffered) {
+TEST(CongestionEstimatorTest, MarksStayWithTheirEventsThroughSwapErase) {
   CongestionEstimator est(0.9, 0.0);
+  gossip::EventBuffer buf;
+  buf.insert(make_event(1, 1));
+  buf.insert(make_event(2, 2));
+  buf.insert(make_event(3, 9));
+  est.observe(buf, 2);  // marks the age-9 event, in the last slot
+  buf.bump_age(EventId{1, 1}, 20);
+  buf.purge_age_limit(10);  // evicts the first slot: the last moves into it
+  EXPECT_EQ(lost_count(buf), 1u);
+  EXPECT_TRUE(buf.lost(EventId{1, 3}));
+  EXPECT_FALSE(buf.lost(EventId{1, 2}));
+}
+
+// Paper Fig. 5(b) keeps lost ⊆ events: an event virtually dropped, then
+// evicted, then admitted again (a digest too small to remember it) comes
+// back unmarked, a fresh victim candidate at once.
+TEST(CongestionEstimatorTest, ReadmittedEventIsAFreshVictimCandidate) {
+  CongestionEstimator est(0.5, 0.0);
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 9));
   buf.insert(make_event(2, 1));
   est.observe(buf, 1);
-  est.prune(buf);  // nothing evicted yet
-  EXPECT_EQ(est.lost().size(), 1u);
+  ASSERT_EQ(est.observations(), 1u);  // the age-9 event, marked lost
+  buf.purge_age_limit(8);             // evicted by the age limit
+  buf.insert(make_event(1, 9));       // and admitted again
+  EXPECT_FALSE(buf.lost(EventId{1, 1}));
+  est.observe(buf, 1);
+  EXPECT_EQ(est.observations(), 2u);
+  EXPECT_TRUE(buf.lost(EventId{1, 1}));
+  EXPECT_DOUBLE_EQ(est.avg_age(), 0.5 * (0.5 * 9.0) + 0.5 * 9.0);
 }
 
 TEST(CongestionEstimatorTest, EwmaUsesConfiguredAlpha) {

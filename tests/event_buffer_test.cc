@@ -34,12 +34,11 @@ std::vector<EventId> ids_of(std::span<const Event> events) {
   return ids;
 }
 
-/// The buffer takes its exclusion set as an EventIdTable; the reference
-/// model below keeps a std::unordered_set.
-EventIdTable table_of(const std::unordered_set<EventId>& ids) {
-  EventIdTable table;
-  for (const EventId& id : ids) table.insert(id);
-  return table;
+/// Copies of the events in_insertion_order() points at.
+std::vector<Event> ordered(const EventBuffer& buf) {
+  std::vector<Event> events;
+  for (const Event* e : buf.in_insertion_order()) events.push_back(*e);
+  return events;
 }
 
 /// The buffer's slots in storage order (the order for_each visits).
@@ -75,8 +74,9 @@ struct InsertionLog {
 
 /// Reference model of eviction: the paper's loop taken literally. It picks
 /// the oldest remaining candidate one at a time (age descending, earliest
-/// insertion on ties) and, when `erase` is set, removes it the way the
-/// buffer does — the last slot moves into the hole.
+/// insertion on ties; ids in `excluded`, the model's lost set, are no
+/// candidates) and, when `erase` is set, removes it the way the buffer
+/// does — the last slot moves into the hole.
 struct NaiveEviction {
   std::vector<EventId> victims;
   std::vector<Event> layout;  // storage order afterwards (when erasing)
@@ -150,9 +150,9 @@ TEST(EventBufferTest, BumpAgeTakesMaximum) {
   buf.bump_age(EventId{1, 1}, 3);  // lower: ignored
   buf.bump_age(EventId{1, 1}, 8);  // higher: adopted
   buf.bump_age(EventId{9, 9}, 100);  // unknown id: no-op
-  auto snapshot = buf.snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot[0].age, 8u);
+  auto events = ordered(buf);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].age, 8u);
 }
 
 TEST(EventBufferTest, IncrementAgesAddsOneHopToAll) {
@@ -160,9 +160,9 @@ TEST(EventBufferTest, IncrementAgesAddsOneHopToAll) {
   buf.insert(make_event(1, 1, 0));
   buf.insert(make_event(1, 2, 4));
   buf.increment_ages();
-  auto snapshot = buf.snapshot();
-  EXPECT_EQ(snapshot[0].age, 1u);
-  EXPECT_EQ(snapshot[1].age, 5u);
+  auto events = ordered(buf);
+  EXPECT_EQ(events[0].age, 1u);
+  EXPECT_EQ(events[1].age, 5u);
 }
 
 TEST(EventBufferTest, PurgeAgeLimitRemovesStrictlyOlder) {
@@ -215,74 +215,94 @@ TEST(EventBufferTest, ShrinkToZeroEmptiesBuffer) {
 
 // One-pass selection must reproduce the repeated-oldest loop exactly: the
 // same victims in the same order, and — through shrink_to — the same
-// removals, slot layout and snapshot.
+// removals, slot layout and insertion order. mark_lost_beyond() must pick
+// what the loop picks from events - lost, with the test's own lost set as
+// the reference, and mark exactly those.
 TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
   auto check = [](const EventBuffer& buf, const InsertionLog& log,
-                  std::size_t keep,
-                  const std::unordered_set<EventId>& excluded) {
+                  std::size_t keep, const std::unordered_set<EventId>& lost) {
     SCOPED_TRACE(::testing::Message() << "size " << buf.size() << " keep "
-                                      << keep << " excluded "
-                                      << excluded.size());
-    const EventIdTable excluded_table = table_of(excluded);
-    EXPECT_EQ(ids_of(buf.oldest_beyond(keep, &excluded_table)),
-              naive_oldest_beyond(buf, log, keep, &excluded, false).victims);
+                                      << keep << " lost " << lost.size());
+    EventBuffer marked = buf;
+    const NaiveEviction virtual_drops =
+        naive_oldest_beyond(buf, log, keep, &lost, false);
+    EXPECT_EQ(ids_of(marked.mark_lost_beyond(keep)), virtual_drops.victims);
+    buf.for_each([&](const Event& e) {
+      const bool dropped =
+          std::find(virtual_drops.victims.begin(), virtual_drops.victims.end(),
+                    e.id) != virtual_drops.victims.end();
+      EXPECT_EQ(marked.lost(e.id), dropped || lost.contains(e.id))
+          << to_string(e.id);
+    });
     EXPECT_EQ(ids_of(buf.oldest_beyond(keep)),
               naive_oldest_beyond(buf, log, keep, nullptr, false).victims);
 
     const NaiveEviction expected =
         naive_oldest_beyond(buf, log, keep, nullptr, true);
-    std::vector<Event> expected_snapshot;
+    std::vector<Event> expected_order;
     for (const Event& e : log.in_order(buf)) {
       if (std::find(expected.victims.begin(), expected.victims.end(), e.id) ==
           expected.victims.end()) {
-        expected_snapshot.push_back(e);
+        expected_order.push_back(e);
       }
     }
     EventBuffer shrunk = buf;
     EXPECT_EQ(ids_of(shrunk.shrink_to(keep)), expected.victims);
     expect_same_events(slot_layout(shrunk), expected.layout);
-    expect_same_events(shrunk.snapshot(), expected_snapshot);
+    expect_same_events(ordered(shrunk), expected_order);
   };
 
-  // Hand-made cases: exclusion skips ids, excluding everything selects
-  // nothing, and ids absent from the buffer exclude nothing.
+  // Hand-made cases: a marked event is no candidate, marking everything
+  // leaves nothing to select, and an evicted event's mark leaves with it.
   EventBuffer two;
   InsertionLog two_log;
   two_log.insert(two, make_event(1, 1, 9));
   two_log.insert(two, make_event(1, 2, 7));
+  EXPECT_EQ(ids_of(two.mark_lost_beyond(1)),
+            (std::vector<EventId>{EventId{1, 1}}));
   const std::unordered_set<EventId> first{EventId{1, 1}};
-  const EventIdTable first_table = table_of(first);
-  EXPECT_EQ(ids_of(two.oldest_beyond(0, &first_table)),
-            (std::vector<EventId>{EventId{1, 2}}));
   check(two, two_log, 0, first);
+  EXPECT_EQ(ids_of(two.mark_lost_beyond(0)),
+            (std::vector<EventId>{EventId{1, 2}}));
+  EXPECT_TRUE(two.mark_lost_beyond(0).empty());
   check(two, two_log, 0, {EventId{1, 1}, EventId{1, 2}});
   EventBuffer three;
   InsertionLog three_log;
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
-    three_log.insert(three, make_event(1, seq));
+    three_log.insert(three, make_event(1, seq, 3 - seq));
   }
-  const std::unordered_set<EventId> partly_absent{EventId{1, 2},
-                                                  EventId{9, 9}};
-  const EventIdTable partly_absent_table = table_of(partly_absent);
-  EXPECT_EQ(three.oldest_beyond(0, &partly_absent_table).size(), 2u);
+  EXPECT_EQ(three.mark_lost_beyond(1).size(), 2u);  // {1,1} and {1,2}
+  EXPECT_EQ(ids_of(three.shrink_to(2)), (std::vector<EventId>{EventId{1, 1}}));
+  EXPECT_FALSE(three.lost(EventId{1, 1}));
+  three_log.insert(three, make_event(1, 1, 2));  // admitted again: unmarked
+  EXPECT_FALSE(three.lost(EventId{1, 1}));
   EXPECT_EQ(three.oldest_beyond(0).size(), 3u);
-  check(three, three_log, 1, partly_absent);
+  check(three, three_log, 0, {EventId{1, 2}});
+  check(three, three_log, 1, {EventId{1, 2}});
 
   // Seeded random buffers: up to 300 events, ages from a narrow range so
-  // ties are common, a swap-erase-shuffled slot layout, exclusion sets
-  // that mix buffered and absent ids, and keep values from 0 to past size,
-  // with exactly one victim among them. One trial in three draws ages
-  // around 63, where the last age bucket starts to hold every older age,
-  // and one in three far past it, so all its candidates share that bucket.
+  // ties are common, a swap-erase-shuffled slot layout, lost marks laid by
+  // virtual drops along the way (then aged, bumped, evicted and
+  // re-admitted), and keep values from 0 to past size, with exactly one
+  // victim among them. One trial in three draws ages around 63, where the
+  // last age bucket starts to hold every older age, and one in three far
+  // past it, so all its candidates share that bucket.
   Rng rng(2003);
   for (int trial = 0; trial < 600; ++trial) {
     const std::uint32_t age_base = std::array{0u, 60u, 1000u}[trial % 3];
+    const double drop_share = std::array{0.0, 0.3, 0.9, 1.0}[trial % 4];
     EventBuffer buf;
     InsertionLog log;
+    std::unordered_set<EventId> lost;  // the model: lost ⊆ buffered
+    auto forget_evicted = [&] {
+      std::erase_if(lost, [&](const EventId& id) { return !buf.contains(id); });
+    };
     const auto target = rng.next_below(301);
     std::uint64_t seq = 0;
     while (buf.size() < target) {
-      log.insert(buf, make_event(static_cast<NodeId>(rng.next_below(4)), seq++,
+      const bool again = seq > 0 && rng.bernoulli(0.05);
+      log.insert(buf, make_event(static_cast<NodeId>(rng.next_below(4)),
+                                 again ? rng.next_below(seq) : seq++,
                                  age_base + static_cast<std::uint32_t>(
                                                 rng.next_below(6))));
       if (rng.bernoulli(0.05)) {
@@ -290,37 +310,45 @@ TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
                                        buf.size(), rng.next_below(4)));
       }
       if (rng.bernoulli(0.02)) buf.purge_age_limit(age_base + 4);
+      if (rng.bernoulli(0.02)) {
+        buf.bump_age(EventId{static_cast<NodeId>(rng.next_below(4)),
+                             rng.next_below(seq)},
+                     age_base + static_cast<std::uint32_t>(rng.next_below(6)));
+      }
+      forget_evicted();
+      if (rng.bernoulli(0.1)) {
+        const auto keep = static_cast<std::size_t>(
+            static_cast<double>(buf.size()) * (1.0 - drop_share));
+        const auto victims =
+            naive_oldest_beyond(buf, log, keep, &lost, false).victims;
+        ASSERT_EQ(ids_of(buf.mark_lost_beyond(keep)), victims);
+        lost.insert(victims.begin(), victims.end());
+      }
     }
-    const double excluded_share = std::array{0.0, 0.3, 0.9, 1.0}[trial % 4];
-    std::unordered_set<EventId> excluded;
     std::size_t candidates = 0;
     buf.for_each([&](const Event& e) {
-      if (rng.bernoulli(excluded_share)) {
-        excluded.insert(e.id);
-      } else {
-        ++candidates;
-      }
+      ASSERT_EQ(buf.lost(e.id), lost.contains(e.id)) << to_string(e.id);
+      candidates += !lost.contains(e.id);
     });
-    for (int i = 0; i < 5; ++i) excluded.insert(EventId{99, rng.next()});
     const std::size_t size = buf.size();
     for (std::size_t keep :
          {std::size_t{0}, static_cast<std::size_t>(rng.next_below(size + 1)),
           size, size + 1 + rng.next_below(5)}) {
-      check(buf, log, keep, excluded);
+      check(buf, log, keep, lost);
     }
-    // Exactly one victim, without and with the exclusion set.
-    if (size > 0) check(buf, log, size - 1, excluded);
-    if (candidates > 0) check(buf, log, candidates - 1, excluded);
+    // Exactly one victim, among all events and among the unmarked.
+    if (size > 0) check(buf, log, size - 1, lost);
+    if (candidates > 0) check(buf, log, candidates - 1, lost);
   }
 }
 
-// snapshot() emits the live events in insertion order whatever happened to
+// in_insertion_order() lists the live events in insertion order whatever happened to
 // the buffer: inserts (some rejected as duplicates), age bumps, rounds,
 // shrinks, both purges and capacity changes. Half the sequences keep a few
 // young events alive while thousands of older ones pass through, so the
 // live insertion numbers span far more than size() and the sort runs;
 // the others stay dense and are placed.
-TEST(EventBufferTest, SnapshotEqualsLiveEventsInInsertionOrder) {
+TEST(EventBufferTest, InsertionOrderEqualsLiveEventsInInsertionOrder) {
   Rng rng(2020);
   std::size_t dense = 0;
   std::size_t sparse = 0;
@@ -364,7 +392,7 @@ TEST(EventBufferTest, SnapshotEqualsLiveEventsInInsertionOrder) {
       }
       if (step % 50 != 49) continue;
       const std::vector<Event> expected = log.in_order(buf);
-      expect_same_events(buf.snapshot(), expected);
+      expect_same_events(ordered(buf), expected);
       if (!expected.empty()) {
         const std::uint64_t span = log.rank.at(expected.back().id) -
                                    log.rank.at(expected.front().id) + 1;
@@ -376,7 +404,7 @@ TEST(EventBufferTest, SnapshotEqualsLiveEventsInInsertionOrder) {
   EXPECT_GT(sparse, 100u);
 }
 
-TEST(EventBufferTest, SnapshotPreservesInsertionOrder) {
+TEST(EventBufferTest, InsertionOrderSurvivesSwapErase) {
   EventBuffer buf;
   buf.insert(make_event(3, 1));
   buf.insert(make_event(1, 1));
@@ -384,11 +412,11 @@ TEST(EventBufferTest, SnapshotPreservesInsertionOrder) {
   // Force internal swap-erase churn, then check the order survives.
   buf.insert(make_event(4, 1, 99));
   buf.shrink_to(3);  // removes the age-99 event
-  auto snapshot = buf.snapshot();
-  ASSERT_EQ(snapshot.size(), 3u);
-  EXPECT_EQ(snapshot[0].id, (EventId{3, 1}));
-  EXPECT_EQ(snapshot[1].id, (EventId{1, 1}));
-  EXPECT_EQ(snapshot[2].id, (EventId{2, 1}));
+  auto events = ordered(buf);
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].id, (EventId{3, 1}));
+  EXPECT_EQ(events[1].id, (EventId{1, 1}));
+  EXPECT_EQ(events[2].id, (EventId{2, 1}));
 }
 
 TEST(EventBufferTest, ForEachVisitsAll) {

@@ -35,6 +35,13 @@ GossipParams small_params() {
 
 Payload payload() { return make_payload({1, 2, 3}); }
 
+/// The message a round put on the wire.
+GossipMessage sent(const LpbcastNode::Outgoing& out) {
+  auto decoded = GossipMessage::decode(out.wire);
+  EXPECT_TRUE(decoded.has_value());
+  return decoded.value_or(GossipMessage{});
+}
+
 TEST(LpbcastNodeTest, BroadcastDeliversLocallyOnce) {
   LpbcastNode node(0, small_params(), directory(0, 10, 1), Rng(2));
   std::vector<EventId> delivered;
@@ -63,9 +70,38 @@ TEST(LpbcastNodeTest, OnRoundEmitsBufferToFanoutTargets) {
   EXPECT_EQ(out.targets.size(), 3u);
   EXPECT_EQ(out.message.sender, 0u);
   EXPECT_EQ(out.message.round, 1u);
-  ASSERT_EQ(out.message.events.size(), 1u);
-  EXPECT_EQ(out.message.events[0].age, 1u);  // one round of aging
+  const GossipMessage wire = sent(out);
+  ASSERT_EQ(wire.events.size(), 1u);
+  EXPECT_EQ(wire.events[0].age, 1u);  // one round of aging
   for (NodeId t : out.targets) EXPECT_NE(t, 0u);
+}
+
+// A round owns its wire image: a later round, and the buffer changes
+// between them, leave an earlier round's bytes as they were encoded.
+TEST(LpbcastNodeTest, EachRoundOwnsItsWireImage) {
+  LpbcastNode node(0, small_params(), directory(0, 10, 1), Rng(2));
+  const EventId first = node.broadcast(payload(), 0);
+  auto one = node.on_round(1000);
+  const EventId second = node.broadcast(make_payload({4, 5}), 1000);
+  auto two = node.on_round(2000);
+
+  const GossipMessage early = sent(one);
+  EXPECT_EQ(early.round, 1u);
+  ASSERT_EQ(early.events.size(), 1u);
+  EXPECT_EQ(early.events[0].id, first);
+  EXPECT_EQ(early.events[0].age, 1u);
+  EXPECT_EQ(early.events[0].payload, payload());
+  const GossipMessage late = sent(two);
+  EXPECT_EQ(late.round, 2u);
+  ASSERT_EQ(late.events.size(), 2u);  // insertion order
+  EXPECT_EQ(late.events[0].id, first);
+  EXPECT_EQ(late.events[0].age, 2u);
+  EXPECT_EQ(late.events[1].id, second);
+  EXPECT_EQ(late.events[1].payload, make_payload({4, 5}));
+
+  const Multicast batch = std::move(one).to_multicast(0);
+  EXPECT_EQ(batch.targets.size(), 3u);
+  EXPECT_EQ(GossipMessage::decode(batch.payload)->events.size(), 1u);
 }
 
 TEST(LpbcastNodeTest, BaseHeaderAdvertisesOwnCapacity) {
@@ -117,9 +153,8 @@ TEST(LpbcastNodeTest, DuplicatesSuppressedAndAgeBumped) {
   node.on_gossip(m, 20);
   EXPECT_EQ(deliveries, 1);
   EXPECT_EQ(node.counters().duplicates, 1u);
-  auto snapshot = node.events().snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot[0].age, 6u);
+  ASSERT_EQ(node.events().size(), 1u);
+  EXPECT_EQ(node.events().find(EventId{0, 0})->age, 6u);
 }
 
 TEST(LpbcastNodeTest, OverflowDropsOldestAndReportsReason) {

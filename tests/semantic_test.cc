@@ -173,9 +173,11 @@ TEST(SemanticNodeTest, BroadcastOnStreamTagsEvents) {
   node.broadcast_on_stream(make_payload({1}), 0, /*stream=*/3,
                            /*supersedes=*/true);
   auto out = node.on_round(0);
-  ASSERT_EQ(out.message.events.size(), 1u);
-  EXPECT_EQ(out.message.events[0].stream, 3u);
-  EXPECT_TRUE(out.message.events[0].supersedes);
+  const auto wire = GossipMessage::decode(out.wire);
+  ASSERT_TRUE(wire.has_value());
+  ASSERT_EQ(wire->events.size(), 1u);
+  EXPECT_EQ(wire->events[0].stream, 3u);
+  EXPECT_TRUE(wire->events[0].supersedes);
 }
 
 TEST(SemanticNodeTest, LastValueCachePattern) {

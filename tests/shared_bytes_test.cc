@@ -147,8 +147,8 @@ TEST(ZeroCopyPipelineTest, SimNetworkFanOutSharesOneBuffer) {
     });
   }
 
-  // One encode for the whole batch (the driver contract).
-  const SharedBytes bytes = out.message.encode_shared();
+  // The round's one encode, for the whole batch (the driver contract).
+  const SharedBytes bytes = std::move(out.wire);
   ASSERT_EQ(bytes.use_count(), 1);
   for (NodeId target : out.targets) {
     net.send(Datagram{0, target, bytes});
