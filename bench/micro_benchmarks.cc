@@ -488,7 +488,7 @@ void BM_EventBufferInsertShrink(benchmark::State& state) {
     e.id = EventId{1, seq++};
     e.age = static_cast<std::uint32_t>(seq % 12);
     buf.insert(std::move(e));
-    auto dropped = buf.shrink_to(capacity);
+    auto dropped = buf.settle_overflow(capacity).evicted;
     benchmark::DoNotOptimize(dropped);
   }
 }
@@ -515,7 +515,7 @@ void BM_RoundWireImage(benchmark::State& state) {
       e.payload = gossip::make_payload(std::vector<std::uint8_t>(16));
       buf.insert(std::move(e));
     }
-    buf.shrink_to(capacity);
+    buf.settle_overflow(capacity);
   }
   std::uint64_t first = seq;
   std::uint64_t last = 0;
@@ -596,10 +596,11 @@ void BM_EventIdBufferInsertDense(benchmark::State& state) {
 BENCHMARK(BM_EventIdBufferInsertDense)->Args({4000, 4})->Args({384, 32});
 
 // The adaptive node's on_gossip steady state: a buffer at capacity C takes
-// C/6 novel events (sim-paper-adaptive's novel ratio is ~0.16), then the
-// virtual drops against minBuff = C (lost marks) and the real bound run in
-// that order. Every iteration evicts, so this is the eviction cost paid per
-// received gossip message.
+// C/6 novel events (sim-paper-adaptive's novel ratio is ~0.16), then one
+// settle_overflow call marks the virtual drops against minBuff = C (lost
+// marks), folding each into the estimator, and enforces the real bound.
+// Every iteration evicts, so this is the overflow cost paid per received
+// gossip message.
 void BM_CongestionEstimatorObserve(benchmark::State& state) {
   const auto capacity = static_cast<std::size_t>(state.range(0));
   gossip::EventBuffer buf;
@@ -617,9 +618,10 @@ void BM_CongestionEstimatorObserve(benchmark::State& state) {
   receive(capacity);
   for (auto _ : state) {
     receive(capacity / 6);
-    est.observe(buf, capacity);
-    auto dropped = buf.shrink_to(capacity);
-    benchmark::DoNotOptimize(dropped);
+    const auto overflow = buf.settle_overflow(
+        capacity, capacity, false,
+        [&est](const gossip::Event& dropped) { est.observe(dropped); });
+    benchmark::DoNotOptimize(overflow.evicted);
   }
   state.counters["virtual_drops_per_iter"] =
       static_cast<double>(est.observations()) /

@@ -112,8 +112,9 @@ void AdaptiveLpbcastNode::process_header(const gossip::GossipMessage& message,
   }
 }
 
-void AdaptiveLpbcastNode::before_shrink(TimeMs /*now*/) {
-  congestion_.observe(mutable_events(), min_buff());
+void AdaptiveLpbcastNode::on_virtual_drop(const gossip::Event& event,
+                                          TimeMs /*now*/) {
+  congestion_.observe(event);
 }
 
 void AdaptiveLpbcastNode::on_capacity_change(TimeMs /*now*/) {

@@ -90,7 +90,10 @@ class AdaptiveLpbcastNode final : public gossip::LpbcastNode {
   void augment_header(gossip::GossipMessage& message, TimeMs now) override;
   void process_header(const gossip::GossipMessage& message,
                       TimeMs now) override;
-  void before_shrink(TimeMs now) override;
+  [[nodiscard]] std::size_t virtual_drop_bound() const override {
+    return min_buff();
+  }
+  void on_virtual_drop(const gossip::Event& event, TimeMs now) override;
   /// Dynamic resources: the running per-period minimum the node advertises
   /// follows the new real bound.
   void on_capacity_change(TimeMs now) override;

@@ -8,14 +8,16 @@
 // folded into the EWMA avgAge. The node keeps using its full real buffer —
 // the virtual drops are pure accounting — so reliability still benefits
 // from larger local buffers (paper §3.2, validated by the dynamic-buffer
-// experiment). The marks live and die with the slots
-// (gossip::EventBuffer::mark_lost_beyond), so the estimator holds no set of
-// its own: only the average.
+// experiment). The buffer picks and marks the victims in the same
+// oldest-first selection that enforces its real bound
+// (gossip::EventBuffer::settle_overflow, called once per received
+// message); the marks live and die with the slots, so the estimator holds
+// no set of its own: only the average.
 #pragma once
 
 #include "common/moving_average.h"
 #include "common/types.h"
-#include "gossip/event_buffer.h"
+#include "gossip/event.h"
 
 namespace agb::adaptive {
 
@@ -23,14 +25,16 @@ class CongestionEstimator {
  public:
   /// `alpha` weights history in the EWMA (paper: 0.9); `initial_age` seeds
   /// avgAge so the controller is neutral before the first observation.
-  CongestionEstimator(double alpha, double initial_age);
+  CongestionEstimator(double alpha, double initial_age)
+      : avg_age_(alpha, initial_age) {}
 
-  /// Virtually drops the buffered events beyond the min_buff youngest not
-  /// marked lost, oldest first (ties by insertion): marks each lost and
-  /// folds its age into avgAge, in one pass over the buffer. Call after
-  /// inserting the events of a received gossip message and before
-  /// enforcing the real buffer bound.
-  void observe(gossip::EventBuffer& events, std::size_t min_buff);
+  /// Folds the age of one virtual drop into avgAge (Fig. 5(b)'s "avgAge <-
+  /// alpha*avgAge + (1-alpha)*e.age"). Call it for each event
+  /// EventBuffer::settle_overflow marks lost against minBuff, in the order
+  /// it marks them: oldest first, ties by insertion.
+  void observe(const gossip::Event& dropped) {
+    avg_age_.add(static_cast<double>(dropped.age));
+  }
 
   /// Folds an "uncongested" pseudo-sample into avgAge. The paper's update
   /// rule only fires on virtual drops, so a system with *no* drops at all

@@ -1,23 +1,20 @@
 #include "common/bytes.h"
 
+#include <stdexcept>
+#include <string>
+
 namespace agb {
 
-void ByteWriter::varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    buf_.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf_.push_back(static_cast<std::uint8_t>(v));
+void ByteWriter::overflow(std::size_t n) const {
+  throw std::out_of_range("ByteWriter: " + std::to_string(n) +
+                          "-byte write with " + std::to_string(remaining()) +
+                          " bytes left in its block");
 }
 
-void ByteWriter::bytes(std::span<const std::uint8_t> data) {
-  varint(data.size());
-  buf_.insert(buf_.end(), data.begin(), data.end());
-}
-
-void ByteWriter::str(std::string_view s) {
-  varint(s.size());
-  buf_.insert(buf_.end(), s.begin(), s.end());
+void ByteWriter::expect_full() const {
+  if (pos_ == end_) return;
+  throw std::logic_error("ByteWriter: " + std::to_string(remaining()) +
+                         " bytes of the block left unwritten");
 }
 
 std::optional<std::uint8_t> ByteReader::u8() { return read_le<std::uint8_t>(); }

@@ -1,14 +1,20 @@
 // Byte-level serialization primitives for the wire codec.
 //
 // The runtime layer exchanges real datagrams, so every protocol message has
-// a binary encoding. ByteWriter appends little-endian fixed-width integers
-// and LEB128 varints to a growable buffer; ByteCounter has the same
-// interface and only counts, so an encoder written once against either can
-// size its buffer exactly before it writes. ByteReader consumes them with
-// explicit bounds checking (a malformed datagram must never crash a node —
-// decode failures surface as std::nullopt / false, never UB).
+// a binary encoding. ByteWriter writes little-endian fixed-width integers
+// and LEB128 varints into a block its caller sized; ByteCounter has the
+// same interface and only counts, so an encoder written once against both
+// counts its image, then writes it into a block of exactly that size
+// (write_counted here; GossipMessage::encode_shared into a SharedBytes
+// block). The writer never grows and never writes past its block: each
+// fixed-width field, varint or byte run is bounds-checked as a whole, and
+// one that would not fit throws std::out_of_range instead of writing.
+// ByteReader consumes them with explicit bounds checking (a malformed
+// datagram must never crash a node — decode failures surface as
+// std::nullopt / false, never UB).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -21,57 +27,86 @@ namespace agb {
 
 /// Encoded length of `v` as an unsigned LEB128 varint (1..10 bytes).
 constexpr std::size_t varint_size(std::uint64_t v) noexcept {
-  std::size_t n = 1;
-  while (v >= 0x80) {
-    v >>= 7;
-    ++n;
-  }
-  return n;
+  return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
 }
 
 class ByteWriter {
  public:
-  ByteWriter() = default;
+  /// Writes from the start of `block`, which outlives the writer.
+  explicit ByteWriter(std::span<std::uint8_t> block) noexcept
+      : begin_(block.data()), pos_(block.data()),
+        end_(block.data() + block.size()) {}
 
-  /// Makes room for `capacity` bytes in one allocation.
-  void reserve(std::size_t capacity) { buf_.reserve(capacity); }
+  void u8(std::uint8_t v) { *claim(1) = v; }
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-
-  void u16(std::uint16_t v) { append_le(v); }
-  void u32(std::uint32_t v) { append_le(v); }
-  void u64(std::uint64_t v) { append_le(v); }
-  void i64(std::int64_t v) { append_le(static_cast<std::uint64_t>(v)); }
+  void u16(std::uint16_t v) { put_le(v); }
+  void u32(std::uint32_t v) { put_le(v); }
+  void u64(std::uint64_t v) { put_le(v); }
+  void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
 
   /// IEEE-754 double, bit-copied little-endian.
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    append_le(bits);
-  }
+  void f64(double v) { put_le(std::bit_cast<std::uint64_t>(v)); }
 
-  /// Unsigned LEB128 varint (1..10 bytes).
-  void varint(std::uint64_t v);
+  /// Unsigned LEB128 varint (1..10 bytes), written in place.
+  void varint(std::uint64_t v) {
+    std::uint8_t* out = claim(varint_size(v));
+    while (v >= 0x80) {
+      *out++ = static_cast<std::uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    *out = static_cast<std::uint8_t>(v);
+  }
 
   /// Length-prefixed (varint) byte string.
-  void bytes(std::span<const std::uint8_t> data);
-  void str(std::string_view s);
-
-  [[nodiscard]] const std::vector<std::uint8_t>& data() const& {
-    return buf_;
+  void bytes(std::span<const std::uint8_t> data) {
+    varint(data.size());
+    put(data.data(), data.size());
   }
-  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  void str(std::string_view s) {
+    varint(s.size());
+    put(s.data(), s.size());
+  }
+
+  /// Bytes written so far.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return static_cast<std::size_t>(pos_ - begin_);
+  }
+  /// Bytes of the block not yet written.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return static_cast<std::size_t>(end_ - pos_);
+  }
+  /// Throws std::logic_error unless every byte of the block is written.
+  void expect_full() const;
 
  private:
+  /// The next `n` bytes of the block, or std::out_of_range.
+  std::uint8_t* claim(std::size_t n) {
+    if (n > remaining()) overflow(n);
+    std::uint8_t* at = pos_;
+    pos_ += n;
+    return at;
+  }
+  [[noreturn]] void overflow(std::size_t n) const;
+
   template <typename T>
-  void append_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  void put_le(T v) {
+    std::uint8_t* out = claim(sizeof(T));
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, &v, sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
     }
   }
 
-  std::vector<std::uint8_t> buf_;
+  void put(const void* data, std::size_t n) {
+    if (n != 0) std::memcpy(claim(n), data, n);
+  }
+
+  std::uint8_t* begin_;
+  std::uint8_t* pos_;
+  std::uint8_t* end_;
 };
 
 /// ByteWriter's write interface, counting the bytes instead of storing them.
@@ -94,6 +129,29 @@ class ByteCounter {
  private:
   std::size_t size_ = 0;
 };
+
+/// Writes what `write` writes into `block` through a ByteWriter, and
+/// throws unless that fills it exactly (std::out_of_range past its end,
+/// std::logic_error short of it): a block sized by a count the writer
+/// disagrees with never ships unwritten bytes.
+template <class Write>
+void write_whole(std::span<std::uint8_t> block, Write&& write) {
+  ByteWriter w(block);
+  write(w);
+  w.expect_full();
+}
+
+/// The bytes `write` writes (a callable taking a ByteCounter& and a
+/// ByteWriter&, such as a generic lambda), in a vector of exactly their
+/// size: counted first, then written whole into it.
+template <class Write>
+std::vector<std::uint8_t> write_counted(Write&& write) {
+  ByteCounter counter;
+  write(counter);
+  std::vector<std::uint8_t> out(counter.size());
+  write_whole(out, write);
+  return out;
+}
 
 class ByteReader {
  public:

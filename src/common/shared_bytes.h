@@ -3,9 +3,11 @@
 // A gossip round sends *the same encoded message* to `fanout` targets, and
 // each copy may additionally sit in a delay queue before delivery. Carrying
 // the payload as a SharedBytes means the bytes are produced once (one
-// GossipMessage::encode) and every Datagram — across fan-out targets, delay
-// queues and delivery callbacks — shares the same heap buffer; copying a
-// SharedBytes is a reference-count bump, never a byte copy.
+// GossipMessage::encode_shared, which writes its image straight into one
+// exact-size block through SharedBytes::build) and every Datagram — across
+// fan-out targets, delay queues and delivery callbacks — shares the same
+// heap buffer; copying a SharedBytes is a reference-count bump, never a
+// byte copy.
 //
 // A slice names a byte range of another SharedBytes and shares its
 // ownership: the decoder hands out each event payload as a slice of the
@@ -50,17 +52,28 @@ class SharedBytes {
   SharedBytes(std::initializer_list<std::uint8_t> bytes)
       : SharedBytes(std::vector<std::uint8_t>(bytes)) {}
 
+  /// A fresh buffer of exactly `size` bytes, which `fill` writes through
+  /// the std::span<std::uint8_t> it is handed before the buffer turns
+  /// immutable: one allocation, no byte zeroed first, so `fill` must write
+  /// every byte. If `fill` throws, the block is freed. A size of zero
+  /// allocates nothing and runs no fill.
+  template <class Fill>
+  static SharedBytes build(std::size_t size, Fill&& fill) {
+    if (size == 0) return {};
+    auto block = std::make_shared_for_overwrite<std::uint8_t[]>(size);
+    std::uint8_t* raw = block.get();
+    fill(std::span<std::uint8_t>(raw, size));
+    return SharedBytes(
+        std::shared_ptr<const std::uint8_t>(std::move(block), raw), size);
+  }
+
   /// Copies `bytes` into a fresh buffer of exactly their size, in one
   /// allocation (for callers holding a borrowed span, e.g. a socket receive
   /// buffer, or a slice they must not pin). Empty bytes allocate nothing.
   static SharedBytes copy_of(std::span<const std::uint8_t> bytes) {
-    if (bytes.empty()) return {};
-    auto block = std::make_shared_for_overwrite<std::uint8_t[]>(bytes.size());
-    std::uint8_t* raw = block.get();
-    std::memcpy(raw, bytes.data(), bytes.size());
-    return SharedBytes(
-        std::shared_ptr<const std::uint8_t>(std::move(block), raw),
-        bytes.size());
+    return build(bytes.size(), [bytes](std::span<std::uint8_t> block) {
+      std::memcpy(block.data(), bytes.data(), bytes.size());
+    });
   }
 
   /// The `len` bytes from `offset` on, sharing this buffer: no byte is

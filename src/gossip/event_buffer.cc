@@ -9,30 +9,26 @@ namespace agb::gossip {
 
 namespace {
 
-using Slot = EventBuffer::Slot;
-
 /// Oldest first: age descending, then earliest insertion, as one key that
-/// is higher for the older slot. fifo_seq is unique per slot, so this is a
-/// total order and every selection by it has one answer.
+/// is higher for the older slot. Insertion numbers are unique per slot, so
+/// this is a total order and every selection by it has one answer.
+template <class Slot>
 std::pair<std::uint32_t, std::uint64_t> seniority(const Slot& s) {
-  return {s.event.age, ~s.fifo_seq};
+  return {s.event.age, ~s.seq()};
 }
 
+template <class Slot>
 bool older(const Slot* a, const Slot* b) {
   return seniority(*a) > seniority(*b);
 }
 
-bool inserted_earlier(const Slot* a, const Slot* b) {
-  return a->fifo_seq < b->fifo_seq;
-}
-
-/// Buckets of oldest_beyond's age histogram: one per age below the last,
+/// Buckets of the selection's age counts: one per age below the last,
 /// which holds every older age. Live ages stay near the age limit k (12 in
 /// the paper), so the last bucket is normally empty.
 constexpr std::uint32_t kAgeBuckets = 64;
 
-std::uint32_t age_bucket(const Slot* s) {
-  return std::min(s->event.age, kAgeBuckets - 1);
+std::uint32_t age_bucket(const Event& e) {
+  return std::min(e.age, kAgeBuckets - 1);
 }
 
 /// in_insertion_order() places slots by insertion number while the live
@@ -104,66 +100,143 @@ std::span<const Event> EventBuffer::purge_superseded() {
   return removed;
 }
 
-std::span<const EventBuffer::Slot* const> EventBuffer::mark_lost_beyond(
-    std::size_t keep) {
-  const auto victims = select_oldest(keep, /*unmarked_only=*/true);
-  for (const Slot* victim : victims) {
-    slots_[static_cast<std::size_t>(victim - slots_.data())].lost = true;
+EventBuffer::Overflow EventBuffer::settle_overflow(
+    std::size_t capacity, std::size_t keep_unmarked, bool semantic_purge,
+    const std::function<void(const Event&)>& on_mark) {
+  // Reused across calls, like the selection's candidates: a warm buffer
+  // settles without allocating.
+  thread_local std::vector<Event> evicted;
+  evicted.clear();
+  Overflow out;
+  const std::size_t evict =
+      slots_.size() > capacity ? slots_.size() - capacity : 0;
+  const Selection selection = select_oldest(evict, keep_unmarked);
+  std::size_t marked = 0;
+  for (Slot* slot : selection.prefix) {
+    if (marked == selection.marks) break;
+    if (slot->lost()) continue;
+    slot->fifo_seq |= kLost;
+    ++marked;
+    if (on_mark) on_mark(slot->event);
   }
-  return victims;
+  if (evict == 0) return out;
+  const auto victims = selection.prefix.first(evict);
+  if (semantic_purge) {
+    // The purge moves slots, so the prefix is named by id across it. It
+    // only removes entries, so the survivors' own oldest are the first
+    // survivors of the prefix, and `evict` minus the purged count of them
+    // are still needed.
+    thread_local std::vector<EventId> doomed;
+    doomed.clear();
+    for (const Slot* slot : victims) doomed.push_back(slot->event.id);
+    out.obsolete = purge_superseded();
+    const std::size_t still =
+        slots_.size() - std::min(slots_.size(), capacity);
+    for (const EventId& id : doomed) {
+      if (evicted.size() == still) break;
+      const std::uint32_t pos = index_.find(id);
+      if (pos == EventIdTable::kAbsent) continue;  // purged as obsolete
+      evicted.push_back(std::move(slots_[pos].event));
+    }
+  } else {
+    for (Slot* slot : victims) evicted.push_back(std::move(slot->event));
+  }
+  // A moved-out event keeps its id, and erase_slot() moves the last slot
+  // into the hole, so each victim is looked up afresh. The order matters:
+  // for_each and purge_age_limit follow the slot layout, which the golden
+  // traces pin.
+  for (const Event& event : evicted) erase_slot(index_.find(event.id));
+  out.evicted = evicted;
+  return out;
 }
 
-std::span<const EventBuffer::Slot* const> EventBuffer::select_oldest(
-    std::size_t keep, bool unmarked_only) const {
-  if (slots_.size() <= keep) return {};  // no pass when everything fits
-  thread_local std::vector<const Slot*> candidates;
+EventBuffer::Selection EventBuffer::select_oldest(std::size_t evict,
+                                                  std::size_t keep_unmarked) {
+  thread_local std::vector<Slot*> candidates;
   candidates.clear();
-  if (!unmarked_only && slots_.size() - keep == 1) {
+  // At most size() slots are unmarked, so a bound at or above it marks
+  // nothing and the unmarked slots need no count.
+  const bool marking = keep_unmarked < slots_.size();
+  if (!marking && evict <= 1) {
+    if (evict == 0) return {};
     // One victim, what every broadcast into a full buffer evicts: one scan
     // that keeps the oldest key in registers.
-    const Slot* oldest = &slots_.front();
+    Slot* oldest = &slots_.front();
     auto key = seniority(*oldest);
-    for (const Slot& slot : slots_) {
+    for (Slot& slot : slots_) {
       if (const auto k = seniority(slot); k > key) {
         key = k;
         oldest = &slot;
       }
     }
     candidates.push_back(oldest);
-    return candidates;
+    return {candidates, 0};
   }
-  // One pass: the candidates and a histogram of their age buckets.
-  std::array<std::uint32_t, kAgeBuckets> in_bucket{};
-  std::uint32_t top = 0;  // the highest candidate bucket
-  for (const Slot& slot : slots_) {
-    if (unmarked_only && slot.lost) continue;
+  // One pass: the age buckets of all slots and of the unmarked ones. Every
+  // slot goes into `candidates` too, so the reused scratch grows with the
+  // buffer; the placement below overwrites its front.
+  std::array<std::uint32_t, kAgeBuckets> all{};
+  std::array<std::uint32_t, kAgeBuckets> unmarked{};
+  std::uint32_t top = 0;  // the highest occupied bucket
+  std::size_t unmarked_count = 0;
+  for (Slot& slot : slots_) {
     candidates.push_back(&slot);
-    const std::uint32_t bucket = age_bucket(&slot);
+    const std::uint32_t bucket = age_bucket(slot.event);
     top = std::max(top, bucket);
-    ++in_bucket[bucket];
+    ++all[bucket];
+    if (marking && !slot.lost()) {
+      ++unmarked[bucket];
+      ++unmarked_count;
+    }
   }
-  if (candidates.size() <= keep) return {};
-  const std::size_t victims = candidates.size() - keep;
-  // The threshold bucket: every candidate above it is a victim, and the
-  // remaining victims are the oldest in it (below the last bucket, the
+  const std::size_t marks =
+      unmarked_count > keep_unmarked ? unmarked_count - keep_unmarked : 0;
+  // The prefix holds the `evict` oldest slots and the `marks` oldest
+  // unmarked ones. The last mark lies in the bucket where the unmarked
+  // counts, walked down from the oldest, reach `marks`: the prefix takes
+  // every slot above it, and in it at most the marks still needed plus
+  // every marked slot there.
+  std::size_t length = evict;
+  if (marks > 0) {
+    std::uint32_t bucket = top;
+    std::size_t above = 0;
+    std::size_t above_unmarked = 0;
+    while (above_unmarked + unmarked[bucket] < marks) {
+      above += all[bucket];
+      above_unmarked += unmarked[bucket--];
+    }
+    length = std::max(length, above + (marks - above_unmarked) +
+                                  (all[bucket] - unmarked[bucket]));
+  }
+  if (length == 0) return {};
+  // The threshold bucket: every slot above it is in the prefix, and the
+  // rest of the prefix is the oldest in it (below the last bucket, the
   // earliest inserted at that age).
   std::uint32_t threshold = top;
   std::size_t above = 0;
-  while (above + in_bucket[threshold] < victims) {
-    above += in_bucket[threshold--];
+  while (above + all[threshold] < length) above += all[threshold--];
+  // The slots from the threshold bucket up, placed by their counts, oldest
+  // bucket first; then each bucket is ordered on its own, the threshold
+  // bucket only as far as the prefix reaches.
+  std::array<std::uint32_t, kAgeBuckets> next{};
+  for (std::uint32_t bucket = top + 1, at = 0; bucket-- > threshold;) {
+    next[bucket] = at;
+    at += all[bucket];
   }
-  const auto first = candidates.begin();
-  const auto tied_end = std::partition(
-      first, candidates.end(),
-      [threshold](const Slot* s) { return age_bucket(s) >= threshold; });
-  const auto tied = first + static_cast<std::ptrdiff_t>(above);
-  std::partition(first, tied_end, [threshold](const Slot* s) {
-    return age_bucket(s) > threshold;
-  });
-  const auto last = first + static_cast<std::ptrdiff_t>(victims);
-  std::nth_element(tied, last, tied_end, older);
-  std::sort(first, last, older);
-  return {candidates.data(), victims};
+  for (Slot& slot : slots_) {
+    const std::uint32_t bucket = age_bucket(slot.event);
+    if (bucket >= threshold) candidates[next[bucket]++] = &slot;
+  }
+  auto first = candidates.begin();
+  for (std::uint32_t bucket = top; bucket > threshold; --bucket) {
+    const auto end = first + all[bucket];
+    std::sort(first, end, older<Slot>);
+    first = end;
+  }
+  const auto last = candidates.begin() + static_cast<std::ptrdiff_t>(length);
+  std::nth_element(first, last, first + all[threshold], older<Slot>);
+  std::sort(first, last, older<Slot>);
+  return {{candidates.data(), length}, marks};
 }
 
 void EventBuffer::erase_slot(std::size_t idx) {
@@ -176,21 +249,6 @@ void EventBuffer::erase_slot(std::size_t idx) {
   slots_.pop_back();
 }
 
-std::span<const Event> EventBuffer::shrink_to(std::size_t capacity) {
-  // Reused across calls, like oldest_beyond's candidates: a warm buffer
-  // evicts without allocating.
-  thread_local std::vector<Event> removed;
-  removed.clear();
-  for (const Slot* victim : oldest_beyond(capacity)) {
-    removed.push_back(victim->event);
-  }
-  // erase_slot() moves the last slot into the hole, so each victim is looked
-  // up afresh. The order matters: for_each and purge_age_limit follow the
-  // slot layout, which the golden traces pin.
-  for (const Event& event : removed) erase_slot(index_.find(event.id));
-  return removed;
-}
-
 std::span<const Event* const> EventBuffer::in_insertion_order() const {
   thread_local std::vector<const Event*> ordered;
   ordered.clear();
@@ -199,21 +257,22 @@ std::span<const Event* const> EventBuffer::in_insertion_order() const {
   // dense each slot is placed at its offset from the oldest (the gaps
   // squeezed out after); a sparse buffer is sorted.
   const auto [lo, hi] = std::minmax_element(
-      slots_.begin(), slots_.end(), [](const Slot& a, const Slot& b) {
-        return a.fifo_seq < b.fifo_seq;
-      });
-  const std::uint64_t base = lo->fifo_seq;
-  const std::uint64_t span = hi->fifo_seq - base + 1;
+      slots_.begin(), slots_.end(),
+      [](const Slot& a, const Slot& b) { return a.seq() < b.seq(); });
+  const std::uint64_t base = lo->seq();
+  const std::uint64_t span = hi->seq() - base + 1;
   if (span <= kPlacedSpan * slots_.size()) {
     ordered.assign(span, nullptr);
-    for (const Slot& slot : slots_) ordered[slot.fifo_seq - base] = &slot.event;
+    for (const Slot& slot : slots_) ordered[slot.seq() - base] = &slot.event;
     std::erase(ordered, nullptr);
     return ordered;
   }
   thread_local std::vector<const Slot*> sorted;
   sorted.clear();
   for (const Slot& slot : slots_) sorted.push_back(&slot);
-  std::sort(sorted.begin(), sorted.end(), inserted_earlier);
+  std::sort(sorted.begin(), sorted.end(), [](const Slot* a, const Slot* b) {
+    return a->seq() < b->seq();
+  });
   for (const Slot* slot : sorted) ordered.push_back(&slot->event);
   return ordered;
 }

@@ -5,27 +5,35 @@
 //  * increment_ages() adds one round of age to every stored event;
 //  * bump_age() adopts a higher age learned from a peer;
 //  * purge_age_limit() removes events older than k (the paper's "e.age > k");
-//  * shrink_to() removes the *oldest* events (highest age, FIFO tie-break)
-//    until the buffer fits its bound — the age-based purging of [7] that the
-//    adaptive mechanism observes;
-//  * mark_lost_beyond() is the adaptive mechanism's virtual drop (paper Fig.
-//    5(b)): it marks the oldest unmarked events lost and leaves them stored.
+//  * settle_overflow() settles a received message's overflow: it marks the
+//    adaptive mechanism's virtual drops (paper Fig. 5(b)) and removes the
+//    *oldest* events (highest age, FIFO tie-break) until the buffer fits
+//    its bound — the age-based purging of [7] that the adaptive mechanism
+//    observes. Without a mark bound it is the removal alone.
 //
 // Buffer sizes are small (tens to hundreds), so events live in a flat vector
 // of slots, found by id through a flat EventIdTable index (id -> slot
 // position); erasing moves the last slot into the hole. The Fig. 5(b) `lost`
-// set is a mark on the slot, so it holds only buffered events by
-// construction: an evicted event takes its mark along, and one admitted
-// again arrives unmarked. Oldest-first selection, real or virtual, is one
-// pass that counts the candidates' ages, so only the victims are sorted; its
-// contract (age descending, ties by insertion) does not depend on the index.
-// A gossip round reads the slots in insertion order through
+// set is a mark on the slot (the top bit of its insertion number), so it
+// holds only buffered events by construction: an evicted event takes its
+// mark along, and one admitted again arrives unmarked.
+//
+// One prefix serves both bounds. Fig. 1's "remove oldest element" and Fig.
+// 5(b)'s "select oldest element e from events - lost" walk the same order
+// (age descending, ties by insertion): the virtual drops are the first
+// unmarked slots of that order and the evictions its first slots. One pass
+// counts the ages of all slots and of the unmarked ones, the counts give
+// the prefix long enough for both, and only that prefix is ordered. A
+// semantic purge between the marks and the eviction keeps it exact: the
+// purge only removes entries, so the eviction takes the prefix's first
+// survivors. A gossip round reads the slots in insertion order through
 // in_insertion_order(), which orders pointers and copies no event.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -36,12 +44,17 @@ namespace agb::gossip {
 
 class EventBuffer {
  public:
-  /// `fifo_seq` orders events by insertion for stable oldest-selection;
-  /// `lost` is the virtual-drop mark of mark_lost_beyond().
-  struct Slot {
-    Event event;
-    std::uint64_t fifo_seq;
-    bool lost = false;
+  /// A settle_overflow() bound that removes or marks nothing: the mark
+  /// bound of a baseline node, or no real bound at all.
+  static constexpr std::size_t kNoBound =
+      std::numeric_limits<std::size_t>::max();
+
+  /// What one settle_overflow() call removed. The spans alias per-thread
+  /// scratch, valid until this thread's next settle_overflow() call (and,
+  /// for `obsolete`, its next purge_superseded() call).
+  struct Overflow {
+    std::span<const Event> obsolete;  // the semantic purge's removals
+    std::span<const Event> evicted;   // oldest first
   };
 
   /// Returns false (and keeps the existing slot) when the id is present.
@@ -60,7 +73,7 @@ class EventBuffer {
   /// Whether `id` is buffered and marked lost.
   [[nodiscard]] bool lost(const EventId& id) const {
     const std::uint32_t pos = index_.find(id);
-    return pos != EventIdTable::kAbsent && slots_[pos].lost;
+    return pos != EventIdTable::kAbsent && slots_[pos].lost();
   }
   [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
@@ -84,28 +97,27 @@ class EventBuffer {
   /// purge_superseded call.
   std::span<const Event> purge_superseded();
 
-  /// Removes oldest events until size() <= capacity; returns them in removal
-  /// order, which is oldest_beyond(capacity)'s. The span aliases per-thread
-  /// scratch, valid until this thread's next shrink_to call.
-  std::span<const Event> shrink_to(std::size_t capacity);
-
-  /// The events beyond the `keep` youngest, oldest first: age descending,
-  /// ties by earliest insertion — what repeatedly taking the oldest would
-  /// yield, in one pass that also counts the candidates' ages: the counts
-  /// give the youngest victim age, and only the victims are sorted. The
-  /// span aliases per-thread scratch, valid until this thread's next
-  /// selection or a mutation of the buffer.
-  [[nodiscard]] std::span<const Slot* const> oldest_beyond(
-      std::size_t keep) const {
-    return select_oldest(keep, /*unmarked_only=*/false);
-  }
-
-  /// Paper Fig. 5(b)'s virtual drop: "while |events - lost| > minBuff:
-  /// select oldest element e from events - lost; lost += {e}". Marks lost
-  /// the unmarked events beyond the `keep` youngest unmarked ones and
-  /// returns them oldest first, as oldest_beyond() orders; the events stay
-  /// buffered. The span aliases the same scratch as oldest_beyond().
-  std::span<const Slot* const> mark_lost_beyond(std::size_t keep);
+  /// Settles the overflow a received message (or a broadcast, or a lower
+  /// capacity) leaves, with one oldest-first selection (age descending,
+  /// ties by earliest insertion), in three steps:
+  ///  1. paper Fig. 5(b)'s virtual drop, "while |events - lost| > minBuff:
+  ///     select oldest element e from events - lost; lost += {e}": the
+  ///     unmarked events beyond the `keep_unmarked` youngest unmarked ones
+  ///     are marked lost and stay buffered; `on_mark` (when set) visits
+  ///     each as it is marked, oldest first, and must not change the
+  ///     buffer;
+  ///  2. when `semantic_purge` is set and size() > capacity,
+  ///     purge_superseded() runs;
+  ///  3. Fig. 1's bound: the oldest events are moved out, oldest first,
+  ///     until size() <= capacity.
+  /// Both victim lists are prefixes of the one order, so the result is
+  /// what the three steps would give run one after the other, for any
+  /// `keep_unmarked` below, at or above `capacity`.
+  Overflow settle_overflow(std::size_t capacity,
+                           std::size_t keep_unmarked = kNoBound,
+                           bool semantic_purge = false,
+                           const std::function<void(const Event&)>& on_mark =
+                               {});
 
   /// Pointers to the stored events in insertion order (what a gossip
   /// message carries), into per-thread scratch valid until this thread's
@@ -116,8 +128,31 @@ class EventBuffer {
   void for_each(const std::function<void(const Event&)>& fn) const;
 
  private:
-  [[nodiscard]] std::span<const Slot* const> select_oldest(
-      std::size_t keep, bool unmarked_only) const;
+  static constexpr std::uint64_t kLost = std::uint64_t{1} << 63;
+
+  /// `fifo_seq` numbers the slots by insertion (for the FIFO tie-break and
+  /// in_insertion_order) below its top bit, kLost, the virtual-drop mark.
+  struct Slot {
+    Event event;
+    std::uint64_t fifo_seq;
+
+    [[nodiscard]] std::uint64_t seq() const noexcept {
+      return fifo_seq & ~kLost;
+    }
+    [[nodiscard]] bool lost() const noexcept {
+      return (fifo_seq & kLost) != 0;
+    }
+  };
+  static_assert(sizeof(Slot) == 72, "the lost mark rides in fifo_seq");
+
+  /// The oldest-first prefix whose first `evict` slots are the evictions
+  /// and whose first `marks` unmarked slots are the virtual drops.
+  struct Selection {
+    std::span<Slot* const> prefix;
+    std::size_t marks = 0;
+  };
+  [[nodiscard]] Selection select_oldest(std::size_t evict,
+                                        std::size_t keep_unmarked);
   void erase_slot(std::size_t idx);
 
   std::vector<Slot> slots_;

@@ -125,9 +125,7 @@ void LpbcastNode::on_gossip(const GossipMessage& message, TimeMs now) {
     ingest_event(incoming, now, /*via_repair=*/false);
   }
   if (params_.recovery.enabled) process_seen_digest(message);
-
-  before_shrink(now);
-  enforce_buffer_bound(now);
+  enforce_buffer_bound(now, virtual_drop_bound());
 }
 
 void LpbcastNode::ingest_event(const Event& incoming, TimeMs now,
@@ -274,8 +272,7 @@ void LpbcastNode::on_repair_reply(const RepairReply& reply, TimeMs now) {
   for (const Event& event : reply.events) {
     ingest_event(event, now, /*via_repair=*/true);
   }
-  before_shrink(now);
-  enforce_buffer_bound(now);
+  enforce_buffer_bound(now, virtual_drop_bound());
 }
 
 bool LpbcastNode::on_wire(const WireMessage& message, TimeMs now) {
@@ -321,15 +318,15 @@ void LpbcastNode::record_drops(std::span<const Event> dropped,
   }
 }
 
-void LpbcastNode::enforce_buffer_bound(TimeMs now) {
-  if (params_.semantic_purge && events_.size() > params_.max_events) {
-    // Space is needed: spend obsolete events first — they carry no meaning
-    // anymore, so evicting them costs nothing (semantic reliability).
-    auto obsolete = events_.purge_superseded();
-    record_drops(obsolete, DropReason::kObsolete, now);
-  }
-  record_drops(events_.shrink_to(params_.max_events),
-               DropReason::kBufferOverflow, now);
+void LpbcastNode::enforce_buffer_bound(TimeMs now,
+                                       std::size_t keep_unmarked) {
+  // When space is needed, obsolete events are spent first (semantic
+  // purge): they carry no meaning anymore, so evicting them costs nothing.
+  const EventBuffer::Overflow overflow = events_.settle_overflow(
+      params_.max_events, keep_unmarked, params_.semantic_purge,
+      [this, now](const Event& event) { on_virtual_drop(event, now); });
+  record_drops(overflow.obsolete, DropReason::kObsolete, now);
+  record_drops(overflow.evicted, DropReason::kBufferOverflow, now);
 }
 
 }  // namespace agb::gossip

@@ -10,7 +10,7 @@
 // The adaptive variant (adaptive::AdaptiveLpbcastNode) subclasses this and
 // fills in the protected hooks — the paper's Fig. 5 touches the base
 // algorithm in exactly those three places (outgoing header, incoming header,
-// pre-GC congestion accounting).
+// the virtual drops settled with each message's real overflow).
 #pragma once
 
 #include <cstdint>
@@ -191,10 +191,18 @@ class LpbcastNode {
   virtual void process_header(const GossipMessage& /*message*/,
                               TimeMs /*now*/) {}
 
-  /// Called after new events were inserted and ages bumped, but before the
-  /// real buffer bound is enforced; the congestion estimator performs its
-  /// virtual minBuff-sized drop accounting here (Fig. 5(b)).
-  virtual void before_shrink(TimeMs /*now*/) {}
+  /// The virtual-drop bound of Fig. 5(b): after each received message's
+  /// events are inserted and ages bumped, the buffer marks lost the
+  /// unmarked events beyond this many, in the one selection that enforces
+  /// the real bound (EventBuffer::settle_overflow). The baseline marks
+  /// nothing.
+  [[nodiscard]] virtual std::size_t virtual_drop_bound() const {
+    return EventBuffer::kNoBound;
+  }
+
+  /// Called for each event that selection marks lost, oldest first; the
+  /// congestion estimator folds its age into avgAge here (Fig. 5(b)).
+  virtual void on_virtual_drop(const Event& /*event*/, TimeMs /*now*/) {}
 
   /// Called by set_max_events once the new bound is enforced; the adaptive
   /// node advertises the new capacity to its minBuff estimators here.
@@ -212,13 +220,13 @@ class LpbcastNode {
     effective_fanout_ = fanout == 0 ? 1 : fanout;
   }
 
-  [[nodiscard]] EventBuffer& mutable_events() noexcept { return events_; }
   [[nodiscard]] Rng& rng() noexcept { return rng_; }
 
  private:
   void record_drops(std::span<const Event> dropped, DropReason reason,
                     TimeMs now);
-  void enforce_buffer_bound(TimeMs now);
+  void enforce_buffer_bound(TimeMs now,
+                            std::size_t keep_unmarked = EventBuffer::kNoBound);
   void ingest_event(const Event& incoming, TimeMs now, bool via_repair);
   void note_seen_id(const EventId& id);
   void process_seen_digest(const GossipMessage& message);

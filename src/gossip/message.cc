@@ -12,7 +12,7 @@ bool plausible_count(std::uint64_t count, std::size_t remaining,
 }
 
 // Every write_* below is written once against the writer interface and run
-// twice per encode: through a ByteCounter to size the buffer, then through
+// twice per encode: through a ByteCounter to size the block, then through
 // a ByteWriter into it.
 
 template <class Writer>
@@ -212,26 +212,36 @@ void write_message(Writer& w, const RepairReply& m) {
   write_events(w, m.events);
 }
 
-/// Counts what `write(writer)` writes, then writes it into a buffer of
-/// exactly that size: one allocation, no growth.
+/// Counts what `write(writer)` writes, then writes it whole into one
+/// uninitialised SharedBytes block of exactly that size: one allocation,
+/// each field written once, no growth.
 template <class Write>
-std::vector<std::uint8_t> encode_counted(Write write) {
+SharedBytes encode_counted(Write write) {
   ByteCounter counter;
   write(counter);
-  ByteWriter w;
-  w.reserve(counter.size());
-  write(w);
-  return std::move(w).take();
+  return SharedBytes::build(counter.size(),
+                            [&write](std::span<std::uint8_t> block) {
+                              write_whole(block, write);
+                            });
 }
 
 template <class Message>
-std::vector<std::uint8_t> encode_exact(const Message& m) {
+SharedBytes encode_exact(const Message& m) {
   return encode_counted([&m](auto& w) { write_message(w, m); });
+}
+
+template <class Message>
+std::vector<std::uint8_t> encode_vector(const Message& m) {
+  return write_counted([&m](auto& w) { write_message(w, m); });
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> GossipMessage::encode() const {
+  return encode_vector(*this);
+}
+
+SharedBytes GossipMessage::encode_shared() const {
   return encode_exact(*this);
 }
 
@@ -307,6 +317,10 @@ std::optional<GossipMessage> GossipMessage::decode(const SharedBytes& bytes) {
 }
 
 std::vector<std::uint8_t> RepairRequest::encode() const {
+  return encode_vector(*this);
+}
+
+SharedBytes RepairRequest::encode_shared() const {
   return encode_exact(*this);
 }
 
@@ -322,6 +336,10 @@ std::optional<RepairRequest> RepairRequest::decode(const SharedBytes& bytes) {
 }
 
 std::vector<std::uint8_t> RepairReply::encode() const {
+  return encode_vector(*this);
+}
+
+SharedBytes RepairReply::encode_shared() const {
   return encode_exact(*this);
 }
 

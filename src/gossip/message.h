@@ -73,12 +73,14 @@ struct GossipMessage {
   /// byte budget. Empty unless the node runs membership::GossipMembership.
   std::vector<membership::MemberRecord> member_records;
 
-  /// The wire bytes, written into a buffer sized up front (encoded_size()),
-  /// so encoding allocates once.
+  /// The wire bytes, in a vector sized up front (encoded_size()), for
+  /// callers that edit them; drivers send encode_shared().
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  /// encode() wrapped in a SharedBytes — the entry point for drivers that
-  /// fan one encoded message out to several Datagrams without re-copying.
-  [[nodiscard]] SharedBytes encode_shared() const { return encode(); }
+  /// The wire bytes, counted, then written whole into one uninitialised
+  /// block of exactly that size (SharedBytes::build): one allocation. The
+  /// entry point for drivers that fan one encoded message out to several
+  /// Datagrams without re-copying.
+  [[nodiscard]] SharedBytes encode_shared() const;
   /// encode_shared() with `events` on the wire in place of this message's
   /// own: how a node writes a round straight from its buffer, copying no
   /// Event.
@@ -99,7 +101,7 @@ struct RepairRequest {
   std::vector<EventId> ids;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] SharedBytes encode_shared() const { return encode(); }
+  [[nodiscard]] SharedBytes encode_shared() const;
   static std::optional<RepairRequest> decode(const SharedBytes& bytes);
 };
 
@@ -109,7 +111,7 @@ struct RepairReply {
   std::vector<Event> events;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] SharedBytes encode_shared() const { return encode(); }
+  [[nodiscard]] SharedBytes encode_shared() const;
   /// Event payloads are slices of `bytes`.
   static std::optional<RepairReply> decode(const SharedBytes& bytes);
 };

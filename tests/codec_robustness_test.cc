@@ -127,50 +127,50 @@ TEST(CodecRobustnessTest, WrongMagicVersionAndTypeAreRejected) {
 
 // A forged count must neither allocate terabytes nor walk off the buffer.
 TEST(CodecRobustnessTest, OverlongCountsAreRejectedWithoutHugeAllocation) {
-  ByteWriter w;
-  w.u16(kWireMagic);
-  w.u8(kWireVersion);
-  w.u8(1);  // kGossip
-  w.u32(12);
-  w.varint(1);  // round
-  w.varint(1);  // period
-  w.varint(1);  // min_buff
-  w.varint(0xffff'ffff'ffffull);  // min_set count: absurd
-  auto bytes = std::move(w).take();
+  auto bytes = write_counted([](auto& w) {
+    w.u16(kWireMagic);
+    w.u8(kWireVersion);
+    w.u8(1);  // kGossip
+    w.u32(12);
+    w.varint(1);  // round
+    w.varint(1);  // period
+    w.varint(1);  // min_buff
+    w.varint(0xffff'ffff'ffffull);  // min_set count: absurd
+  });
   EXPECT_FALSE(GossipMessage::decode(bytes).has_value());
 
   // Same forged count on the event-ids of a repair request.
-  ByteWriter r;
-  r.u16(kWireMagic);
-  r.u8(kWireVersion);
-  r.u8(2);  // kRepairRequest
-  r.u32(9);
-  r.varint(0x7fff'ffff'ffff'ffffull);
-  auto request_bytes = std::move(r).take();
+  auto request_bytes = write_counted([](auto& r) {
+    r.u16(kWireMagic);
+    r.u8(kWireVersion);
+    r.u8(2);  // kRepairRequest
+    r.u32(9);
+    r.varint(0x7fff'ffff'ffff'ffffull);
+  });
   EXPECT_FALSE(RepairRequest::decode(request_bytes).has_value());
 }
 
 TEST(CodecRobustnessTest, OverlongPayloadLengthInsideEventIsRejected) {
-  ByteWriter w;
-  w.u16(kWireMagic);
-  w.u8(kWireVersion);
-  w.u8(1);  // kGossip
-  w.u32(12);
-  w.varint(1);  // round
-  w.varint(1);  // period
-  w.varint(1);  // min_buff
-  w.varint(0);  // min_set
-  w.varint(0);  // subs
-  w.varint(0);  // unsubs
-  w.varint(1);  // one event...
-  w.u32(1);     // origin
-  w.varint(1);  // sequence
-  w.varint(0);  // age
-  w.i64(0);     // created_at
-  w.varint(0);  // stream
-  w.u8(0);      // flags
-  w.varint(1'000'000);  // payload length far past the end
-  auto bytes = std::move(w).take();
+  auto bytes = write_counted([](auto& w) {
+    w.u16(kWireMagic);
+    w.u8(kWireVersion);
+    w.u8(1);  // kGossip
+    w.u32(12);
+    w.varint(1);  // round
+    w.varint(1);  // period
+    w.varint(1);  // min_buff
+    w.varint(0);  // min_set
+    w.varint(0);  // subs
+    w.varint(0);  // unsubs
+    w.varint(1);  // one event...
+    w.u32(1);     // origin
+    w.varint(1);  // sequence
+    w.varint(0);  // age
+    w.i64(0);     // created_at
+    w.varint(0);  // stream
+    w.u8(0);      // flags
+    w.varint(1'000'000);  // payload length far past the end
+  });
   EXPECT_FALSE(GossipMessage::decode(bytes).has_value());
 }
 

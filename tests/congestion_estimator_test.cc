@@ -14,6 +14,14 @@ gossip::Event make_event(std::uint64_t seq, std::uint32_t age) {
   return e;
 }
 
+/// The receive step's virtual drops against `min_buff`, with no real
+/// bound: the buffer marks them and the estimator folds their ages.
+void observe(CongestionEstimator& est, gossip::EventBuffer& buf,
+             std::size_t min_buff) {
+  buf.settle_overflow(gossip::EventBuffer::kNoBound, min_buff, false,
+                      [&est](const gossip::Event& e) { est.observe(e); });
+}
+
 /// How many buffered events are marked lost.
 std::size_t lost_count(const gossip::EventBuffer& buf) {
   std::size_t lost = 0;
@@ -32,7 +40,7 @@ TEST(CongestionEstimatorTest, NoVirtualDropsWhenUnderMinBuff) {
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 2));
   buf.insert(make_event(2, 3));
-  est.observe(buf, 5);
+  observe(est, buf, 5);
   EXPECT_EQ(est.observations(), 0u);
   EXPECT_EQ(lost_count(buf), 0u);
 }
@@ -43,7 +51,7 @@ TEST(CongestionEstimatorTest, VirtuallyDropsOldestDownToMinBuff) {
   buf.insert(make_event(1, 10));
   buf.insert(make_event(2, 8));
   buf.insert(make_event(3, 2));
-  est.observe(buf, 1);
+  observe(est, buf, 1);
   // Two virtual drops (ages 10 then 8), oldest first:
   // avg = 0.5*0 + 0.5*10 = 5; avg = 0.5*5 + 0.5*8 = 6.5
   EXPECT_DOUBLE_EQ(est.avg_age(), 6.5);
@@ -60,9 +68,9 @@ TEST(CongestionEstimatorTest, LostEventsAreNotCountedTwice) {
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 10));
   buf.insert(make_event(2, 8));
-  est.observe(buf, 1);
+  observe(est, buf, 1);
   EXPECT_EQ(est.observations(), 1u);
-  est.observe(buf, 1);  // same state: |events - lost| == 1 == minBuff
+  observe(est, buf, 1);  // same state: |events - lost| == 1 == minBuff
   EXPECT_EQ(est.observations(), 1u);
 }
 
@@ -71,10 +79,10 @@ TEST(CongestionEstimatorTest, NewArrivalsTriggerMoreVirtualDrops) {
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 10));
   buf.insert(make_event(2, 4));
-  est.observe(buf, 1);
+  observe(est, buf, 1);
   EXPECT_EQ(est.observations(), 1u);
   buf.insert(make_event(3, 7));
-  est.observe(buf, 1);
+  observe(est, buf, 1);
   EXPECT_EQ(est.observations(), 2u);
   EXPECT_TRUE(buf.lost(EventId{1, 3}));  // age 7 > age 4
 }
@@ -83,7 +91,7 @@ TEST(CongestionEstimatorTest, MinBuffZeroAccountsEverything) {
   CongestionEstimator est(0.9, 0.0);
   gossip::EventBuffer buf;
   for (std::uint64_t i = 0; i < 5; ++i) buf.insert(make_event(i, 1));
-  est.observe(buf, 0);
+  observe(est, buf, 0);
   EXPECT_EQ(est.observations(), 5u);
   EXPECT_EQ(lost_count(buf), 5u);
 }
@@ -93,9 +101,9 @@ TEST(CongestionEstimatorTest, EvictionTakesTheMarkAlong) {
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 9));
   buf.insert(make_event(2, 1));
-  est.observe(buf, 1);
+  observe(est, buf, 1);
   EXPECT_EQ(lost_count(buf), 1u);
-  buf.shrink_to(1);  // really evicts the age-9 event
+  buf.settle_overflow(1);  // really evicts the age-9 event
   EXPECT_EQ(lost_count(buf), 0u);
   EXPECT_FALSE(buf.lost(EventId{1, 1}));
 }
@@ -106,7 +114,7 @@ TEST(CongestionEstimatorTest, MarksStayWithTheirEventsThroughSwapErase) {
   buf.insert(make_event(1, 1));
   buf.insert(make_event(2, 2));
   buf.insert(make_event(3, 9));
-  est.observe(buf, 2);  // marks the age-9 event, in the last slot
+  observe(est, buf, 2);  // marks the age-9 event, in the last slot
   buf.bump_age(EventId{1, 1}, 20);
   buf.purge_age_limit(10);  // evicts the first slot: the last moves into it
   EXPECT_EQ(lost_count(buf), 1u);
@@ -122,12 +130,12 @@ TEST(CongestionEstimatorTest, ReadmittedEventIsAFreshVictimCandidate) {
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 9));
   buf.insert(make_event(2, 1));
-  est.observe(buf, 1);
+  observe(est, buf, 1);
   ASSERT_EQ(est.observations(), 1u);  // the age-9 event, marked lost
   buf.purge_age_limit(8);             // evicted by the age limit
   buf.insert(make_event(1, 9));       // and admitted again
   EXPECT_FALSE(buf.lost(EventId{1, 1}));
-  est.observe(buf, 1);
+  observe(est, buf, 1);
   EXPECT_EQ(est.observations(), 2u);
   EXPECT_TRUE(buf.lost(EventId{1, 1}));
   EXPECT_DOUBLE_EQ(est.avg_age(), 0.5 * (0.5 * 9.0) + 0.5 * 9.0);
@@ -137,7 +145,7 @@ TEST(CongestionEstimatorTest, EwmaUsesConfiguredAlpha) {
   CongestionEstimator est(0.9, 10.0);
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 4));
-  est.observe(buf, 0);
+  observe(est, buf, 0);
   EXPECT_NEAR(est.avg_age(), 0.9 * 10.0 + 0.1 * 4.0, 1e-12);
 }
 
@@ -145,7 +153,7 @@ TEST(CongestionEstimatorTest, ResetReseedsAverage) {
   CongestionEstimator est(0.9, 10.0);
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 4));
-  est.observe(buf, 0);
+  observe(est, buf, 0);
   est.reset(7.0);
   EXPECT_DOUBLE_EQ(est.avg_age(), 7.0);
   EXPECT_EQ(est.observations(), 0u);
@@ -157,7 +165,7 @@ TEST(CongestionEstimatorTest, CongestedBufferYieldsLowAverage) {
   gossip::EventBuffer buf;
   buf.insert(make_event(1, 1));
   buf.insert(make_event(2, 2));
-  congested.observe(buf, 0);
+  observe(congested, buf, 0);
   EXPECT_LE(congested.avg_age(), 2.0);
 }
 

@@ -250,7 +250,9 @@ TEST(EstimatorPropertyTest, AvgAgeMovesMonotonicallyTowardOneSidedInput) {
     e.id = EventId{1, seq};
     e.age = 2;
     buf.insert(e);
-    est.observe(buf, 0);  // min_buff 0: every event is virtually dropped
+    // min_buff 0: every event is virtually dropped.
+    buf.settle_overflow(gossip::EventBuffer::kNoBound, 0, false,
+                        [&est](const gossip::Event& d) { est.observe(d); });
     EXPECT_LT(est.avg_age(), previous);
     EXPECT_GE(est.avg_age(), 2.0);
     previous = est.avg_age();
@@ -269,7 +271,8 @@ TEST(EstimatorPropertyTest, AvgAgeConvergesUnderInjectedNoise) {
     e.id = EventId{1, seq};
     e.age = static_cast<std::uint32_t>(3 + rng.next_below(7));  // 3..9
     buf.insert(e);
-    est.observe(buf, 0);
+    buf.settle_overflow(gossip::EventBuffer::kNoBound, 0, false,
+                        [&est](const gossip::Event& d) { est.observe(d); });
   }
   EXPECT_GT(est.avg_age(), 4.5);
   EXPECT_LT(est.avg_age(), 7.5);

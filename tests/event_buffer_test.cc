@@ -5,14 +5,21 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <ostream>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
+#include "gossip/event.h"
 
-namespace agb::gossip {
+namespace agb {
+
+// Failure messages name ids instead of dumping their bytes.
+void PrintTo(const EventId& id, std::ostream* os) { *os << to_string(id); }
+
+namespace gossip {
 namespace {
 
 Event make_event(NodeId origin, std::uint64_t seq, std::uint32_t age = 0) {
@@ -22,9 +29,11 @@ Event make_event(NodeId origin, std::uint64_t seq, std::uint32_t age = 0) {
   return e;
 }
 
-std::vector<EventId> ids_of(std::span<const EventBuffer::Slot* const> slots) {
+/// The ids settle_overflow(kNoBound, keep) marks lost, in marking order.
+std::vector<EventId> mark_beyond(EventBuffer& buf, std::size_t keep) {
   std::vector<EventId> ids;
-  for (const auto* slot : slots) ids.push_back(slot->event.id);
+  buf.settle_overflow(EventBuffer::kNoBound, keep, false,
+                      [&ids](const Event& e) { ids.push_back(e.id); });
   return ids;
 }
 
@@ -128,6 +137,117 @@ void expect_same_events(const std::vector<Event>& actual,
   }
 }
 
+/// Reference model of settle_overflow(): the naive model run twice, the
+/// marks (over events - lost) and then the eviction, with the buffer's own
+/// semantic purge, when it runs, between them on a copy.
+struct NaiveSettle {
+  std::vector<EventId> marked;
+  std::vector<EventId> obsolete;
+  std::vector<EventId> evicted;
+  std::vector<Event> layout;  // storage order afterwards
+  std::vector<Event> order;   // insertion order afterwards
+};
+
+NaiveSettle naive_settle(const EventBuffer& buf, const InsertionLog& log,
+                         std::size_t capacity, std::size_t keep_unmarked,
+                         const std::unordered_set<EventId>& lost,
+                         bool semantic_purge) {
+  NaiveSettle out;
+  out.marked =
+      naive_oldest_beyond(buf, log, keep_unmarked, &lost, false).victims;
+  EventBuffer purged = buf;
+  if (semantic_purge && purged.size() > capacity) {
+    out.obsolete = ids_of(purged.purge_superseded());
+  }
+  NaiveEviction eviction =
+      naive_oldest_beyond(purged, log, capacity, nullptr, true);
+  out.evicted = std::move(eviction.victims);
+  out.layout = std::move(eviction.layout);
+  for (const Event& e : log.in_order(purged)) {
+    if (std::find(out.evicted.begin(), out.evicted.end(), e.id) ==
+        out.evicted.end()) {
+      out.order.push_back(e);
+    }
+  }
+  return out;
+}
+
+/// How often check_settle() met the cases one selection must get right.
+struct SettleCoverage {
+  std::size_t purge_then_evict = 0;  // purged some, still evicted some
+  std::size_t marks_past_evictions = 0;  // the last mark beyond them
+  std::size_t marks_over_old_marks = 0;  // new marks beside earlier ones
+  std::size_t last_bucket = 0;  // a victim aged 63 or more
+};
+SettleCoverage coverage;
+
+/// settle_overflow() on a copy of `buf` against naive_settle(): the marked
+/// ids (with their ages) in order, the purged and evicted events in order
+/// (moved out whole), the slot layout and insertion order afterwards, and
+/// every mark left: the old ones plus the new, on buffered events only.
+void check_settle(const EventBuffer& buf, const InsertionLog& log,
+                  std::size_t capacity, std::size_t keep_unmarked,
+                  const std::unordered_set<EventId>& lost,
+                  bool semantic_purge) {
+  SCOPED_TRACE(::testing::Message()
+               << "size " << buf.size() << " capacity " << capacity
+               << " keep " << keep_unmarked << " lost " << lost.size()
+               << (semantic_purge ? " purge" : ""));
+  const NaiveSettle expected =
+      naive_settle(buf, log, capacity, keep_unmarked, lost, semantic_purge);
+  EventBuffer settled = buf;
+  std::vector<EventId> marked;
+  const EventBuffer::Overflow overflow = settled.settle_overflow(
+      capacity, keep_unmarked, semantic_purge, [&](const Event& e) {
+        // Visited as marked, before anything is removed.
+        EXPECT_TRUE(settled.lost(e.id)) << to_string(e.id);
+        EXPECT_EQ(e.age, buf.find(e.id)->age) << to_string(e.id);
+        EXPECT_EQ(e.payload, buf.find(e.id)->payload) << to_string(e.id);
+        EXPECT_EQ(settled.size(), buf.size());
+        marked.push_back(e.id);
+      });
+  EXPECT_EQ(marked, expected.marked);
+  EXPECT_EQ(ids_of(overflow.obsolete), expected.obsolete);
+  EXPECT_EQ(ids_of(overflow.evicted), expected.evicted);
+  for (const Event& e : overflow.evicted) {
+    const Event* original = buf.find(e.id);
+    ASSERT_NE(original, nullptr);
+    EXPECT_EQ(e.age, original->age) << to_string(e.id);
+    EXPECT_EQ(e.payload, original->payload) << to_string(e.id);
+  }
+  expect_same_events(slot_layout(settled), expected.layout);
+  expect_same_events(ordered(settled), expected.order);
+  coverage.purge_then_evict +=
+      !expected.obsolete.empty() && !expected.evicted.empty();
+  coverage.marks_over_old_marks += !expected.marked.empty() && !lost.empty();
+  if (!expected.marked.empty()) {
+    std::vector<Event> order_events = slot_layout(buf);
+    std::sort(order_events.begin(), order_events.end(),
+              [&log](const Event& a, const Event& b) {
+                return a.age != b.age ? a.age > b.age
+                                      : log.rank.at(a.id) < log.rank.at(b.id);
+              });
+    const std::vector<EventId> order = ids_of(order_events);
+    const auto last_mark =
+        std::find(order.begin(), order.end(), expected.marked.back());
+    const auto evictions = static_cast<std::ptrdiff_t>(
+        buf.size() - std::min(buf.size(), capacity));
+    coverage.marks_past_evictions += last_mark - order.begin() >= evictions;
+  }
+  for (const std::vector<EventId>* victims :
+       {&expected.marked, &expected.evicted}) {
+    if (!victims->empty() && buf.find(victims->front())->age >= 63) {
+      ++coverage.last_bucket;
+    }
+  }
+  settled.for_each([&](const Event& e) {
+    const bool marked_now =
+        std::find(marked.begin(), marked.end(), e.id) != marked.end();
+    EXPECT_EQ(settled.lost(e.id), marked_now || lost.contains(e.id))
+        << to_string(e.id);
+  });
+}
+
 TEST(EventBufferTest, InsertDeduplicatesById) {
   EventBuffer buf;
   EXPECT_TRUE(buf.insert(make_event(1, 1)));
@@ -181,7 +301,7 @@ TEST(EventBufferTest, ShrinkRemovesOldestFirst) {
   buf.insert(make_event(1, 1, 3));
   buf.insert(make_event(1, 2, 9));
   buf.insert(make_event(1, 3, 6));
-  auto removed = buf.shrink_to(1);
+  auto removed = buf.settle_overflow(1).evicted;
   ASSERT_EQ(removed.size(), 2u);
   EXPECT_EQ(removed[0].id, (EventId{1, 2}));  // age 9 first
   EXPECT_EQ(removed[1].id, (EventId{1, 3}));  // then age 6
@@ -193,7 +313,7 @@ TEST(EventBufferTest, ShrinkTieBreaksByInsertionOrder) {
   buf.insert(make_event(1, 1, 5));
   buf.insert(make_event(1, 2, 5));
   buf.insert(make_event(1, 3, 5));
-  auto removed = buf.shrink_to(2);
+  auto removed = buf.settle_overflow(2).evicted;
   ASSERT_EQ(removed.size(), 1u);
   EXPECT_EQ(removed[0].id, (EventId{1, 1}));  // earliest inserted goes first
 }
@@ -201,7 +321,7 @@ TEST(EventBufferTest, ShrinkTieBreaksByInsertionOrder) {
 TEST(EventBufferTest, ShrinkNoopWhenUnderCapacity) {
   EventBuffer buf;
   buf.insert(make_event(1, 1));
-  EXPECT_TRUE(buf.shrink_to(5).empty());
+  EXPECT_TRUE(buf.settle_overflow(5).evicted.empty());
   EXPECT_EQ(buf.size(), 1u);
 }
 
@@ -209,47 +329,26 @@ TEST(EventBufferTest, ShrinkToZeroEmptiesBuffer) {
   EventBuffer buf;
   buf.insert(make_event(1, 1));
   buf.insert(make_event(1, 2));
-  EXPECT_EQ(buf.shrink_to(0).size(), 2u);
+  EXPECT_EQ(buf.settle_overflow(0).evicted.size(), 2u);
   EXPECT_TRUE(buf.empty());
 }
 
-// One-pass selection must reproduce the repeated-oldest loop exactly: the
-// same victims in the same order, and — through shrink_to — the same
-// removals, slot layout and insertion order. mark_lost_beyond() must pick
-// what the loop picks from events - lost, with the test's own lost set as
-// the reference, and mark exactly those.
-TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
-  auto check = [](const EventBuffer& buf, const InsertionLog& log,
-                  std::size_t keep, const std::unordered_set<EventId>& lost) {
-    SCOPED_TRACE(::testing::Message() << "size " << buf.size() << " keep "
-                                      << keep << " lost " << lost.size());
-    EventBuffer marked = buf;
-    const NaiveEviction virtual_drops =
-        naive_oldest_beyond(buf, log, keep, &lost, false);
-    EXPECT_EQ(ids_of(marked.mark_lost_beyond(keep)), virtual_drops.victims);
-    buf.for_each([&](const Event& e) {
-      const bool dropped =
-          std::find(virtual_drops.victims.begin(), virtual_drops.victims.end(),
-                    e.id) != virtual_drops.victims.end();
-      EXPECT_EQ(marked.lost(e.id), dropped || lost.contains(e.id))
-          << to_string(e.id);
-    });
-    EXPECT_EQ(ids_of(buf.oldest_beyond(keep)),
-              naive_oldest_beyond(buf, log, keep, nullptr, false).victims);
-
-    const NaiveEviction expected =
-        naive_oldest_beyond(buf, log, keep, nullptr, true);
-    std::vector<Event> expected_order;
-    for (const Event& e : log.in_order(buf)) {
-      if (std::find(expected.victims.begin(), expected.victims.end(), e.id) ==
-          expected.victims.end()) {
-        expected_order.push_back(e);
+// One selection must reproduce the repeated-oldest loop run twice, marks
+// then eviction, exactly: the same virtual drops and evictions in the same
+// order, and the same slot layout, insertion order and marks afterwards.
+TEST(EventBufferTest, SettleOverflowMatchesMarksThenEviction) {
+  constexpr std::size_t kNone = EventBuffer::kNoBound;
+  // Every mark bound below, at and above the capacity, and none, with and
+  // without the purge.
+  auto check_bounds = [](const EventBuffer& buf, const InsertionLog& log,
+                         std::size_t capacity,
+                         const std::unordered_set<EventId>& lost) {
+    for (std::size_t keep : {std::size_t{0}, capacity / 2, capacity,
+                             capacity + 3, kNone}) {
+      for (bool purge : {false, true}) {
+        check_settle(buf, log, capacity, keep, lost, purge);
       }
     }
-    EventBuffer shrunk = buf;
-    EXPECT_EQ(ids_of(shrunk.shrink_to(keep)), expected.victims);
-    expect_same_events(slot_layout(shrunk), expected.layout);
-    expect_same_events(ordered(shrunk), expected_order);
   };
 
   // Hand-made cases: a marked event is no candidate, marking everything
@@ -258,39 +357,46 @@ TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
   InsertionLog two_log;
   two_log.insert(two, make_event(1, 1, 9));
   two_log.insert(two, make_event(1, 2, 7));
-  EXPECT_EQ(ids_of(two.mark_lost_beyond(1)),
-            (std::vector<EventId>{EventId{1, 1}}));
+  EXPECT_EQ(mark_beyond(two, 1), (std::vector<EventId>{EventId{1, 1}}));
   const std::unordered_set<EventId> first{EventId{1, 1}};
-  check(two, two_log, 0, first);
-  EXPECT_EQ(ids_of(two.mark_lost_beyond(0)),
-            (std::vector<EventId>{EventId{1, 2}}));
-  EXPECT_TRUE(two.mark_lost_beyond(0).empty());
-  check(two, two_log, 0, {EventId{1, 1}, EventId{1, 2}});
+  for (std::size_t capacity : {0, 1, 2}) {
+    check_bounds(two, two_log, capacity, first);
+  }
+  EXPECT_EQ(mark_beyond(two, 0), (std::vector<EventId>{EventId{1, 2}}));
+  EXPECT_TRUE(mark_beyond(two, 0).empty());
+  check_bounds(two, two_log, 0, {EventId{1, 1}, EventId{1, 2}});
   EventBuffer three;
   InsertionLog three_log;
   for (std::uint64_t seq = 1; seq <= 3; ++seq) {
     three_log.insert(three, make_event(1, seq, 3 - seq));
   }
-  EXPECT_EQ(three.mark_lost_beyond(1).size(), 2u);  // {1,1} and {1,2}
-  EXPECT_EQ(ids_of(three.shrink_to(2)), (std::vector<EventId>{EventId{1, 1}}));
+  EXPECT_EQ(mark_beyond(three, 1).size(), 2u);  // {1,1} and {1,2}
+  EXPECT_EQ(ids_of(three.settle_overflow(2).evicted),
+            (std::vector<EventId>{EventId{1, 1}}));
   EXPECT_FALSE(three.lost(EventId{1, 1}));
   three_log.insert(three, make_event(1, 1, 2));  // admitted again: unmarked
   EXPECT_FALSE(three.lost(EventId{1, 1}));
-  EXPECT_EQ(three.oldest_beyond(0).size(), 3u);
-  check(three, three_log, 0, {EventId{1, 2}});
-  check(three, three_log, 1, {EventId{1, 2}});
+  EXPECT_EQ(EventBuffer(three).settle_overflow(0).evicted.size(), 3u);
+  for (std::size_t capacity : {0, 1, 2, 3}) {
+    check_bounds(three, three_log, capacity, {EventId{1, 2}});
+  }
 
-  // Seeded random buffers: up to 300 events, ages from a narrow range so
-  // ties are common, a swap-erase-shuffled slot layout, lost marks laid by
-  // virtual drops along the way (then aged, bumped, evicted and
-  // re-admitted), and keep values from 0 to past size, with exactly one
-  // victim among them. One trial in three draws ages around 63, where the
-  // last age bucket starts to hold every older age, and one in three far
-  // past it, so all its candidates share that bucket.
+  // Seeded random buffers: 0 to 300 events with assorted payloads, ages
+  // from a narrow range so ties are common, a swap-erase-shuffled slot
+  // layout, streams whose rare superseding events give the purge work,
+  // lost marks laid by virtual drops along the way (then aged, bumped,
+  // evicted and re-admitted), and capacities from 0 to past size, with
+  // exactly one eviction among them. One trial in three draws ages from 58
+  // to 70, across the start of the last age bucket (63 and up), and one in
+  // three from 0 to 70.
   Rng rng(2003);
   for (int trial = 0; trial < 600; ++trial) {
-    const std::uint32_t age_base = std::array{0u, 60u, 1000u}[trial % 3];
+    const std::uint32_t age_lo = std::array{0u, 58u, 0u}[trial % 3];
+    const std::uint32_t age_span = std::array{6u, 13u, 71u}[trial % 3];
     const double drop_share = std::array{0.0, 0.3, 0.9, 1.0}[trial % 4];
+    auto age = [&] {
+      return age_lo + static_cast<std::uint32_t>(rng.next_below(age_span));
+    };
     EventBuffer buf;
     InsertionLog log;
     std::unordered_set<EventId> lost;  // the model: lost ⊆ buffered
@@ -301,19 +407,23 @@ TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
     std::uint64_t seq = 0;
     while (buf.size() < target) {
       const bool again = seq > 0 && rng.bernoulli(0.05);
-      log.insert(buf, make_event(static_cast<NodeId>(rng.next_below(4)),
-                                 again ? rng.next_below(seq) : seq++,
-                                 age_base + static_cast<std::uint32_t>(
-                                                rng.next_below(6))));
+      Event e = make_event(static_cast<NodeId>(rng.next_below(4)),
+                           again ? rng.next_below(seq) : seq++, age());
+      e.stream = static_cast<std::uint32_t>(rng.next_below(3));
+      e.supersedes = rng.bernoulli(0.03);
+      if (rng.bernoulli(0.5)) {
+        e.payload = make_payload(std::vector<std::uint8_t>(
+            rng.next_below(20), static_cast<std::uint8_t>(seq)));
+      }
+      log.insert(buf, std::move(e));
       if (rng.bernoulli(0.05)) {
-        buf.shrink_to(buf.size() - std::min<std::size_t>(
+        buf.settle_overflow(buf.size() - std::min<std::size_t>(
                                        buf.size(), rng.next_below(4)));
       }
-      if (rng.bernoulli(0.02)) buf.purge_age_limit(age_base + 4);
+      if (rng.bernoulli(0.02)) buf.purge_age_limit(age_lo + age_span - 2);
       if (rng.bernoulli(0.02)) {
-        buf.bump_age(EventId{static_cast<NodeId>(rng.next_below(4)),
-                             rng.next_below(seq)},
-                     age_base + static_cast<std::uint32_t>(rng.next_below(6)));
+        const auto origin = static_cast<NodeId>(rng.next_below(4));
+        buf.bump_age(EventId{origin, rng.next_below(seq)}, age());
       }
       forget_evicted();
       if (rng.bernoulli(0.1)) {
@@ -321,7 +431,7 @@ TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
             static_cast<double>(buf.size()) * (1.0 - drop_share));
         const auto victims =
             naive_oldest_beyond(buf, log, keep, &lost, false).victims;
-        ASSERT_EQ(ids_of(buf.mark_lost_beyond(keep)), victims);
+        ASSERT_EQ(mark_beyond(buf, keep), victims);
         lost.insert(victims.begin(), victims.end());
       }
     }
@@ -331,15 +441,25 @@ TEST(EventBufferTest, OldestBeyondMatchesRepeatedOldestSelection) {
       candidates += !lost.contains(e.id);
     });
     const std::size_t size = buf.size();
-    for (std::size_t keep :
-         {std::size_t{0}, static_cast<std::size_t>(rng.next_below(size + 1)),
-          size, size + 1 + rng.next_below(5)}) {
-      check(buf, log, keep, lost);
+    const auto some = static_cast<std::size_t>(rng.next_below(size + 1));
+    const bool purge = rng.bernoulli(0.5);
+    for (std::size_t capacity : {std::size_t{0}, some, size}) {
+      for (std::size_t keep :
+           {static_cast<std::size_t>(rng.next_below(capacity + 1)), capacity,
+            capacity + 1 + rng.next_below(size + 1), kNone}) {
+        check_settle(buf, log, capacity, keep, lost, purge);
+      }
     }
-    // Exactly one victim, among all events and among the unmarked.
-    if (size > 0) check(buf, log, size - 1, lost);
-    if (candidates > 0) check(buf, log, candidates - 1, lost);
+    // Exactly one eviction, and exactly one virtual drop.
+    if (size > 0) check_settle(buf, log, size - 1, kNone, lost, purge);
+    if (candidates > 0) {
+      check_settle(buf, log, kNone, candidates - 1, lost, purge);
+    }
   }
+  EXPECT_GT(coverage.purge_then_evict, 500u);
+  EXPECT_GT(coverage.marks_past_evictions, 500u);
+  EXPECT_GT(coverage.marks_over_old_marks, 500u);
+  EXPECT_GT(coverage.last_bucket, 500u);
 }
 
 // in_insertion_order() lists the live events in insertion order whatever happened to
@@ -380,7 +500,7 @@ TEST(EventBufferTest, InsertionOrderEqualsLiveEventsInInsertionOrder) {
         buf.bump_age(EventId{origin, seq - back},
                      1 + static_cast<std::uint32_t>(rng.next_below(20)));
       } else if (op < 85) {
-        buf.shrink_to(capacity);
+        buf.settle_overflow(capacity);
       } else if (op < 88 && !anchored) {
         buf.increment_ages();
       } else if (op < 91) {
@@ -411,7 +531,7 @@ TEST(EventBufferTest, InsertionOrderSurvivesSwapErase) {
   buf.insert(make_event(2, 1));
   // Force internal swap-erase churn, then check the order survives.
   buf.insert(make_event(4, 1, 99));
-  buf.shrink_to(3);  // removes the age-99 event
+  buf.settle_overflow(3);  // removes the age-99 event
   auto events = ordered(buf);
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].id, (EventId{3, 1}));
@@ -431,7 +551,7 @@ TEST(EventBufferTest, ForEachVisitsAll) {
 TEST(EventBufferTest, ReinsertAfterRemovalWorks) {
   EventBuffer buf;
   buf.insert(make_event(1, 1, 5));
-  buf.shrink_to(0);
+  buf.settle_overflow(0);
   EXPECT_TRUE(buf.insert(make_event(1, 1, 0)));
   EXPECT_EQ(buf.size(), 1u);
 }
@@ -487,4 +607,5 @@ TEST(EventIdBufferTest, LongFifoChurnStaysConsistent) {
 }
 
 }  // namespace
-}  // namespace agb::gossip
+}  // namespace gossip
+}  // namespace agb

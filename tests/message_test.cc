@@ -148,31 +148,33 @@ TEST(MessageCodecTest, TrailingGarbageRejected) {
 
 TEST(MessageCodecTest, ForgedHugeEventCountRejected) {
   // Craft a header claiming 2^40 events with no bytes behind it.
-  ByteWriter w;
-  w.u16(kWireMagic);
-  w.u8(kWireVersion);
-  w.u8(1);
-  w.u32(1);       // sender
-  w.varint(1);    // round
-  w.varint(0);    // period
-  w.varint(0);    // min_buff
-  w.varint(0);    // subs
-  w.varint(0);    // unsubs
-  w.varint(1ull << 40);  // events: absurd
-  EXPECT_FALSE(GossipMessage::decode(w.data()).has_value());
+  const auto bytes = write_counted([](auto& w) {
+    w.u16(kWireMagic);
+    w.u8(kWireVersion);
+    w.u8(1);
+    w.u32(1);       // sender
+    w.varint(1);    // round
+    w.varint(0);    // period
+    w.varint(0);    // min_buff
+    w.varint(0);    // subs
+    w.varint(0);    // unsubs
+    w.varint(1ull << 40);  // events: absurd
+  });
+  EXPECT_FALSE(GossipMessage::decode(bytes).has_value());
 }
 
 TEST(MessageCodecTest, ForgedHugeSubsCountRejected) {
-  ByteWriter w;
-  w.u16(kWireMagic);
-  w.u8(kWireVersion);
-  w.u8(1);
-  w.u32(1);
-  w.varint(1);
-  w.varint(0);
-  w.varint(0);
-  w.varint(1ull << 40);  // subs: absurd
-  EXPECT_FALSE(GossipMessage::decode(w.data()).has_value());
+  const auto bytes = write_counted([](auto& w) {
+    w.u16(kWireMagic);
+    w.u8(kWireVersion);
+    w.u8(1);
+    w.u32(1);
+    w.varint(1);
+    w.varint(0);
+    w.varint(0);
+    w.varint(1ull << 40);  // subs: absurd
+  });
+  EXPECT_FALSE(GossipMessage::decode(bytes).has_value());
 }
 
 TEST(MessageCodecTest, RandomBytesNeverCrash) {
@@ -264,6 +266,172 @@ TEST(MessageCodecTest, RandomizedMessagesRoundTripExactly) {
   }
 }
 
+/// The wire format written independently of the codec, one push_back per
+/// byte: the reference the codec's block writer must match.
+class ReferenceEncoder {
+ public:
+  std::vector<std::uint8_t> gossip(const GossipMessage& m) {
+    preamble(MessageType::kGossip, m.sender);
+    varint(m.round);
+    varint(m.period);
+    varint(m.min_buff);
+    varint(m.min_set.size());
+    for (const MinSetEntry& entry : m.min_set) {
+      le(entry.node, 4);
+      varint(entry.capacity);
+    }
+    varint(m.membership.subs.size());
+    for (NodeId node : m.membership.subs) le(node, 4);
+    varint(m.membership.unsubs.size());
+    for (NodeId node : m.membership.unsubs) le(node, 4);
+    events(m.events);
+    ids(m.seen_ids);
+    if (!m.member_records.empty()) {
+      varint(m.member_records.size());
+      for (const membership::MemberRecord& r : m.member_records) {
+        le(r.node, 4);
+        varint(r.revision);
+        varint(r.heartbeat);
+        le(static_cast<std::uint8_t>(r.state), 1);
+        le(r.binding.host, 4);
+        le(r.binding.port, 2);
+      }
+    }
+    return std::move(out_);
+  }
+
+  std::vector<std::uint8_t> request(const RepairRequest& m) {
+    preamble(MessageType::kRepairRequest, m.sender);
+    ids(m.ids);
+    return std::move(out_);
+  }
+
+  std::vector<std::uint8_t> reply(const RepairReply& m) {
+    preamble(MessageType::kRepairReply, m.sender);
+    events(m.events);
+    return std::move(out_);
+  }
+
+ private:
+  void le(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  void varint(std::uint64_t v) {
+    while (v >= 0x80) {
+      out_.push_back(static_cast<std::uint8_t>(v) | 0x80);
+      v >>= 7;
+    }
+    out_.push_back(static_cast<std::uint8_t>(v));
+  }
+  void preamble(MessageType type, NodeId sender) {
+    le(kWireMagic, 2);
+    le(kWireVersion, 1);
+    le(static_cast<std::uint8_t>(type), 1);
+    le(sender, 4);
+  }
+  void events(const std::vector<Event>& events) {
+    varint(events.size());
+    for (const Event& e : events) {
+      le(e.id.origin, 4);
+      varint(e.id.sequence);
+      varint(e.age);
+      le(static_cast<std::uint64_t>(e.created_at), 8);
+      varint(e.stream);
+      le(e.supersedes ? 1 : 0, 1);
+      varint(e.payload.size());
+      for (std::uint8_t b : e.payload) out_.push_back(b);
+    }
+  }
+  void ids(const std::vector<EventId>& ids) {
+    varint(ids.size());
+    for (const EventId& id : ids) {
+      le(id.origin, 4);
+      varint(id.sequence);
+    }
+  }
+
+  std::vector<std::uint8_t> out_;
+};
+
+/// A varint field value: the edges 0, 127, 128, 2^32 and 2^64 - 1 half the
+/// time, any width otherwise.
+std::uint64_t varint_value(Rng& rng) {
+  constexpr std::uint64_t kEdges[] = {0, 127, 128, 1ull << 32, ~0ull};
+  return rng.bernoulli(0.5) ? kEdges[rng.next_below(5)]
+                            : rng.next() >> rng.next_below(64);
+}
+
+/// Seeded random gossip, repair-request and repair-reply messages whose
+/// varint fields sit on the one-, two-, five- and ten-byte edges, with
+/// empty and 1 KiB payloads, member records and seen ids: each image the
+/// codec writes whole into its block (encode_shared, encode_with, encode)
+/// equals the reference's byte-at-a-time image.
+TEST(MessageCodecTest, BlockWriterMatchesByteAtATimeReference) {
+  const std::vector<std::uint8_t> kib(1024, 0x3c);
+  Rng rng(20261020);
+  auto event = [&] {
+    Event e;
+    e.id = EventId{static_cast<NodeId>(rng.next()), varint_value(rng)};
+    e.age = static_cast<std::uint32_t>(varint_value(rng));
+    e.created_at = static_cast<TimeMs>(rng.next());
+    e.stream = static_cast<std::uint32_t>(varint_value(rng));
+    e.supersedes = rng.bernoulli(0.3);
+    const auto payload = rng.next_below(3);
+    if (payload == 1) e.payload = make_payload(kib);
+    if (payload == 2) e.payload = make_payload({1, 2, 3});
+    return e;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    GossipMessage m = random_message(rng);
+    m.round = varint_value(rng);
+    m.period = varint_value(rng);
+    m.min_buff = static_cast<std::uint32_t>(varint_value(rng));
+    for (auto& entry : m.min_set) {
+      entry.capacity = static_cast<std::uint32_t>(varint_value(rng));
+    }
+    for (auto& e : m.events) e = event();
+    for (auto& id : m.seen_ids) id.sequence = varint_value(rng);
+    for (auto& r : m.member_records) {
+      r.revision = varint_value(rng);
+      r.heartbeat = varint_value(rng);
+    }
+    const std::vector<std::uint8_t> expected = ReferenceEncoder().gossip(m);
+    EXPECT_EQ(m.encode(), expected) << "trial " << trial;
+    EXPECT_EQ(m.encode_shared(), SharedBytes(expected)) << "trial " << trial;
+    std::vector<const Event*> pointers;
+    for (const Event& e : m.events) pointers.push_back(&e);
+    GossipMessage header = m;
+    header.events.clear();
+    EXPECT_EQ(header.encode_with(pointers), SharedBytes(expected))
+        << "trial " << trial;
+
+    RepairRequest request;
+    request.sender = static_cast<NodeId>(rng.next());
+    const auto ids = rng.next_below(12);
+    for (std::uint64_t i = 0; i < ids; ++i) {
+      const auto origin = static_cast<NodeId>(rng.next());
+      request.ids.push_back({origin, varint_value(rng)});
+    }
+    const std::vector<std::uint8_t> request_image =
+        ReferenceEncoder().request(request);
+    EXPECT_EQ(request.encode(), request_image) << "trial " << trial;
+    EXPECT_EQ(request.encode_shared(), SharedBytes(request_image))
+        << "trial " << trial;
+
+    RepairReply reply;
+    reply.sender = static_cast<NodeId>(rng.next());
+    const auto events = rng.next_below(6);
+    for (std::uint64_t i = 0; i < events; ++i) reply.events.push_back(event());
+    const std::vector<std::uint8_t> reply_image =
+        ReferenceEncoder().reply(reply);
+    EXPECT_EQ(reply.encode(), reply_image) << "trial " << trial;
+    EXPECT_EQ(reply.encode_shared(), SharedBytes(reply_image))
+        << "trial " << trial;
+  }
+}
+
 // encode() sizes its buffer with encoded_size(), which runs the same write
 // pass through a counting writer: the two must agree to the byte.
 TEST(MessageCodecTest, EncodedSizeCountsEncodeExactly) {
@@ -332,9 +500,9 @@ TEST(MessageCodecTest, ForgedHugeMemberRecordCountRejected) {
   GossipMessage m;
   m.sender = 1;
   auto bytes = m.encode();
-  ByteWriter w;
-  w.varint(1ull << 40);
-  for (std::uint8_t b : std::move(w).take()) bytes.push_back(b);
+  for (std::uint8_t b : write_counted([](auto& w) { w.varint(1ull << 40); })) {
+    bytes.push_back(b);
+  }
   EXPECT_FALSE(GossipMessage::decode(bytes).has_value());
 }
 

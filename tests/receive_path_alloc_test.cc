@@ -112,8 +112,8 @@ TEST(ReceivePathAllocTest, EventIdBufferStopsAllocatingOnHostileIds) {
 }
 
 // An adaptive node's per-message buffer work on a 120-event buffer: 20
-// novel events, 100 duplicates (bump_age plus find), the virtual drops
-// against minBuff (lost marks) and the real eviction.
+// novel events, 100 duplicates (bump_age plus find), then the virtual drops
+// against minBuff (lost marks) and the real eviction in one call.
 TEST(ReceivePathAllocTest, BufferAndEstimatorAreAllocationFreeAfterWarmUp) {
   constexpr std::size_t kBuffer = 120;
   EventBuffer buffer;
@@ -137,8 +137,9 @@ TEST(ReceivePathAllocTest, BufferAndEstimatorAreAllocationFreeAfterWarmUp) {
       const Event* stored = buffer.find(id);
       wrong += stored != nullptr && stored->id != id;
     }
-    estimator.observe(buffer, kBuffer - 10);
-    buffer.shrink_to(kBuffer);
+    buffer.settle_overflow(
+        kBuffer, kBuffer - 10, false,
+        [&estimator](const Event& dropped) { estimator.observe(dropped); });
     if (count) counted += allocs() - before;
     buffer.increment_ages();
   };
@@ -219,15 +220,15 @@ TEST(ReceivePathAllocTest, DecodeAllocatesOnlyTheEventVector) {
   }
 }
 
-// Encoding counts the message first and writes it into a buffer of exactly
-// that size: the buffer and its SharedBytes owner are the two allocations.
-TEST(ReceivePathAllocTest, EncodeSharedAllocatesBufferAndOwner) {
+// Encoding counts the message first and writes it whole into one block of
+// exactly that size, which holds its SharedBytes owner too: one allocation.
+TEST(ReceivePathAllocTest, EncodeSharedAllocatesOneBlock) {
   for (const auto& [events, payload_size] :
        {std::pair<std::size_t, std::size_t>{120, 16}, {55, 1024}}) {
     const GossipMessage m = gossip_of(events, payload_size);
     const std::uint64_t before = allocs();
     const SharedBytes bytes = m.encode_shared();
-    EXPECT_EQ(allocs() - before, 2u) << events << " x " << payload_size;
+    EXPECT_EQ(allocs() - before, 1u) << events << " x " << payload_size;
     EXPECT_EQ(bytes.size(), m.encoded_size());
   }
 }
@@ -299,14 +300,16 @@ TEST(PayloadLifetimeTest, AllDuplicateMessageAllocatesNothing) {
 }
 
 // Heap allocations of one whole core::Scenario::run(), gossip rounds
-// included, on the five EventQueueGoldenTest configurations. The params are
-// built first (the registry's statics stay out of the count) and the run
-// has a thread of its own (so does the buffer's thread-local scratch): the
-// count is the same whatever ran before. A change that lowers one updates
-// its constant; one that raises one says why.
+// included, on the five EventQueueGoldenTest configurations, and the bytes
+// its network delivered (the wire images' sizes, summed over every copy).
+// The params are built first (the registry's statics stay out of the count)
+// and the run has a thread of its own (so does the buffer's thread-local
+// scratch): the count is the same whatever ran before. A change that lowers
+// one updates its constant; one that raises one says why.
 struct RunCost {
   std::uint64_t allocs = 0;
   std::uint64_t rounds = 0;
+  std::uint64_t bytes_delivered = 0;
 };
 
 RunCost run_cost(const std::string& preset,
@@ -327,8 +330,9 @@ RunCost run_cost(const std::string& preset,
   std::thread([&] {
     core::Scenario scenario(params);
     const std::uint64_t before = allocs();
-    (void)scenario.run();
+    const core::ScenarioResults results = scenario.run();
     cost.allocs = allocs() - before;
+    cost.bytes_delivered = results.net.bytes_delivered;
     for (const LpbcastNode* node : scenario.nodes()) {
       cost.rounds += node->counters().rounds;
     }
@@ -341,16 +345,22 @@ TEST(ScenarioRunAllocTest, GoldenConfigurationsAllocateExactly) {
     const char* preset;
     std::vector<std::string> extra;
     std::uint64_t allocs;
+    std::uint64_t bytes_delivered;
   };
   const std::vector<Pin> pins = {
-      {"paper60", {}, 27089},
-      {"churn", {"churn_every_s=4", "churn_down_s=3", "churn_count=2"}, 27067},
-      {"paper60", {"partial_view=1"}, 29028},
-      {"paper60", {"adaptive=1", "rate=45"}, 26724},
-      {"fig9", {"adaptive=1", "t1_s=4", "t2_s=10"}, 21767},
+      {"paper60", {}, 26801, 3980652},
+      {"churn",
+       {"churn_every_s=4", "churn_down_s=3", "churn_count=2"},
+       26779,
+       3882068},
+      {"paper60", {"partial_view=1"}, 28740, 4017840},
+      {"paper60", {"adaptive=1", "rate=45"}, 26436, 3996952},
+      {"fig9", {"adaptive=1", "t1_s=4", "t2_s=10"}, 21479, 2874560},
   };
   for (const Pin& pin : pins) {
     const RunCost cost = run_cost(pin.preset, pin.extra);
+    EXPECT_EQ(cost.bytes_delivered, pin.bytes_delivered)
+        << pin.preset << " " << testing::PrintToString(pin.extra);
     EXPECT_EQ(cost.allocs, pin.allocs)
         << pin.preset << " " << testing::PrintToString(pin.extra) << ": "
         << cost.rounds << " rounds, "
